@@ -167,8 +167,8 @@ fn bench_crv_monitor(c: &mut Criterion) {
 }
 
 /// Heartbeat cost at 5,000 workers with populated queues: the historical
-/// full-cluster rescan vs the O(kinds) incremental-ledger refresh (the
-/// acceptance bar is ≥5× in the incremental path's favor).
+/// full-cluster rescan vs the ledger refresh, which reads its demand
+/// counters and computes supply from the idle bitset.
 fn bench_monitor_refresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_refresh");
     group.sample_size(20);
@@ -208,9 +208,9 @@ fn bench_monitor_refresh(c: &mut Criterion) {
             black_box(monitor.max_ratio())
         });
     });
-    group.bench_function("incremental_5k_workers_20k_probes", |b| {
+    group.bench_function("ledger_5k_workers_20k_probes", |b| {
         b.iter(|| {
-            monitor.refresh_incremental(black_box(&state));
+            monitor.refresh(black_box(&state));
             black_box(monitor.max_ratio())
         });
     });

@@ -91,7 +91,7 @@ fn json_run(out: &mut String, run: &ScaleRun) {
     // rows of the committed baseline stay byte-compatible (the CI parity
     // check keys on `(profile, nodes, jobs, seed, domains, staleness_us)`
     // with 0 defaults).
-    if run.spec.federation.is_active() {
+    if run.spec.federation.domains > 0 {
         let stats = r.federation.unwrap_or_default();
         write!(
             out,
@@ -274,7 +274,7 @@ fn main() {
     let mut runs: Vec<ScaleRun> = Vec::new();
     for (spec, (result, timing)) in specs.into_iter().zip(outcomes) {
         let tasks = result.counters.tasks_completed;
-        let profile_cell = if spec.federation.is_active() {
+        let profile_cell = if spec.federation.domains > 0 {
             format!(
                 "{}+K{}/{}ms",
                 spec.profile.name,

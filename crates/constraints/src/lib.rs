@@ -63,7 +63,7 @@ pub use constraint::{
 };
 pub use crv::{Crv, CrvDimension, CrvTable};
 pub use expr::{ConstraintExpr, VectorDemand};
-pub use matching::{feasible_fraction, FeasibilityIndex};
+pub use matching::{count_ones_in_range, feasible_fraction, FeasibilityIndex};
 pub use model::{
     supply_curve, table_ii_row, ConstraintModel, ConstraintStats, KindProfile,
     CONSTRAINT_COUNT_DISTRIBUTION, TABLE_II,

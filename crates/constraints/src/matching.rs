@@ -77,6 +77,31 @@ const PREFIX_VALUE_CAP: usize = 64;
 /// are RNG-neutral — only wall-clock changes.
 const SMALL_SAMPLE: usize = 16;
 
+/// Number of set bits of `bits` at positions `[start, end)`: popcounts
+/// the word span, masking the partial edge words, so ranges need not be
+/// word-aligned. Empty when `start >= end`.
+pub fn count_ones_in_range(bits: &[u64], start: usize, end: usize) -> usize {
+    if start >= end {
+        return 0;
+    }
+    let (first, last) = (start >> 6, (end - 1) >> 6);
+    let mut count = 0usize;
+    for (w, &word) in bits.iter().enumerate().take(last + 1).skip(first) {
+        let mut word = word;
+        if w == first {
+            word &= u64::MAX << (start & 63);
+        }
+        if w == last {
+            let tail = end & 63;
+            if tail != 0 {
+                word &= u64::MAX >> (64 - tail);
+            }
+        }
+        count += word.count_ones() as usize;
+    }
+    count
+}
+
 /// One kind's posting lists: machine ids grouped by attribute value.
 #[derive(Debug)]
 struct KindPostings {
@@ -228,7 +253,7 @@ pub struct FeasibilityIndex {
     /// One posting structure per [`ConstraintKind`], in `ALL` order.
     kinds: Vec<KindPostings>,
     set_cache: RefCell<HashMap<ConstraintSet, CachedSet>>,
-    single_cache: RefCell<HashMap<Constraint, Arc<[u32]>>>,
+    single_cache: RefCell<HashMap<Constraint, Arc<[u64]>>>,
     /// Reusable duplicate-guard bitmask for large sampling requests.
     sample_mask: RefCell<Vec<u64>>,
     /// Reusable exact-phase candidate pool (avoids an allocation per
@@ -448,8 +473,9 @@ impl FeasibilityIndex {
         self.cached_set(set).bits
     }
 
-    /// All workers satisfying a single constraint, cached.
-    pub fn feasible_single(&self, constraint: &Constraint) -> Arc<[u32]> {
+    /// The workers satisfying a single constraint as a bitset, one bit per
+    /// machine index, cached.
+    pub fn feasible_single(&self, constraint: &Constraint) -> Arc<[u64]> {
         if let Some(hit) = self.single_cache.borrow().get(constraint) {
             return Arc::clone(hit);
         }
@@ -457,11 +483,11 @@ impl FeasibilityIndex {
         let range = postings.group_range(constraint);
         let mut bits = vec![0u64; self.words];
         postings.write_bits(range, self.words, &mut bits);
-        let ids = Self::collect_ids(&bits);
+        let bits: Arc<[u64]> = bits.into();
         self.single_cache
             .borrow_mut()
-            .insert(*constraint, Arc::clone(&ids));
-        ids
+            .insert(*constraint, Arc::clone(&bits));
+        bits
     }
 
     /// Number of workers satisfying a single constraint: pure posting-range
@@ -486,23 +512,7 @@ impl FeasibilityIndex {
         if start >= end {
             return 0;
         }
-        let bits = self.feasible_bits(set);
-        let (first, last) = (start >> 6, (end - 1) >> 6);
-        let mut count = 0usize;
-        for (w, &word) in bits.iter().enumerate().take(last + 1).skip(first) {
-            let mut word = word;
-            if w == first {
-                word &= u64::MAX << (start & 63);
-            }
-            if w == last {
-                let tail = end & 63;
-                if tail != 0 {
-                    word &= u64::MAX >> (64 - tail);
-                }
-            }
-            count += word.count_ones() as usize;
-        }
-        count
+        count_ones_in_range(&self.feasible_bits(set), start, end)
     }
 
     /// Like [`FeasibilityIndex::count_feasible`] but bypassing (and not
@@ -774,7 +784,9 @@ mod tests {
         assert_eq!(index.feasible(&set).to_vec(), naive);
         let single = Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Gt, 150);
         assert_eq!(index.count_single(&single), 50);
-        assert_eq!(index.feasible_single(&single).len(), 50);
+        let bits = index.feasible_single(&single);
+        assert_eq!(count_ones_in_range(&bits, 0, index.len()), 50);
+        assert!((0..index.len()).all(|w| (bits[w >> 6] >> (w & 63) & 1 != 0) == (w >= 150)));
     }
 
     #[test]
@@ -785,7 +797,10 @@ mod tests {
             ConstraintOp::Eq,
             Isa::Arm as u64,
         );
-        assert_eq!(index.feasible_single(&arm).len(), 10);
+        assert_eq!(
+            count_ones_in_range(&index.feasible_single(&arm), 0, index.len()),
+            10
+        );
         assert_eq!(index.count_single(&arm), 10);
         let supply = index.kind_supply(&ConstraintSet::from_constraints(vec![arm]));
         assert_eq!(supply, vec![(ConstraintKind::Architecture, 10)]);

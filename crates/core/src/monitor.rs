@@ -25,12 +25,11 @@ pub struct MonitorSnapshot {
 /// the `CRV_Lookup_Table`, and exposes the aggregated six-dimensional CRV
 /// ratio vector.
 ///
-/// The default refresh reads the engine's incrementally maintained
-/// [`phoenix_sim::CrvLedger`] — an O(kinds) aggregation. The historical
-/// full-cluster rescan ([`CrvMonitor::refresh_full_rescan`]) is kept both
-/// as an opt-out (`PhoenixConfig::incremental_monitor = false`) and as a
-/// debug-assertions oracle: in debug builds every incremental refresh is
-/// cross-checked against a from-scratch rescan and panics on divergence.
+/// [`CrvMonitor::refresh`] reads the engine's [`phoenix_sim::CrvLedger`],
+/// or the installed gossip summaries on a partitioned federated run. The
+/// historical full-cluster rescan ([`CrvMonitor::refresh_full_rescan`]) is
+/// the reference oracle: in debug builds every ledger refresh is
+/// cross-checked against it and panics on divergence.
 #[derive(Debug, Clone, Default)]
 pub struct CrvMonitor {
     table: CrvTable,
@@ -64,70 +63,52 @@ impl CrvMonitor {
         self.table.max_ratio()
     }
 
-    /// Refreshes the table from live simulation state using the incremental
-    /// ledger (with the debug-builds rescan oracle).
+    /// Refreshes the table from live simulation state.
+    ///
+    /// A partitioned federation's coordinator sees only gossip: the
+    /// per-kind demand/supply and queue aggregates summed over every
+    /// domain's latest *installed* summary. That view is *supposed* to lag
+    /// ground truth, so it is not cross-checked. Otherwise the refresh
+    /// reads the ledger's cluster tally and, in debug builds, checks it
+    /// against a from-scratch rescan.
     pub fn refresh(&mut self, state: &SimState) {
-        self.refresh_with(state, true);
-    }
-
-    /// Refreshes either incrementally (O(kinds), ledger-backed) or via the
-    /// historical full-cluster rescan.
-    pub fn refresh_with(&mut self, state: &SimState, incremental: bool) {
-        if incremental {
-            self.refresh_incremental(state);
-            #[cfg(debug_assertions)]
+        let (demand, supply, snapshot) = match state.federation() {
+            Some(fed) => (
+                ConstraintKind::ALL.map(|kind| fed.visible_demand(kind)),
+                ConstraintKind::ALL.map(|kind| fed.visible_idle_supply(kind)),
+                MonitorSnapshot {
+                    queued_probes: fed.visible_queued_probes(),
+                    constrained_probes: fed.visible_constrained_probes(),
+                    idle_workers: fed.visible_idle_workers(),
+                },
+            ),
+            None => {
+                let ledger = state.crv_ledger().cluster();
+                (
+                    ConstraintKind::ALL.map(|kind| ledger.demand(kind)),
+                    ConstraintKind::ALL.map(|kind| ledger.idle_supply(kind)),
+                    MonitorSnapshot {
+                        queued_probes: ledger.queued_probes(),
+                        constrained_probes: ledger.constrained_probes(),
+                        idle_workers: ledger.idle_workers(),
+                    },
+                )
+            }
+        };
+        self.table.reset_demand();
+        for (i, kind) in ConstraintKind::ALL.into_iter().enumerate() {
+            self.table.add_demand(kind, demand[i] as f64);
+            self.table.set_supply(kind, supply[i] as f64);
+        }
+        self.crv = self.table.to_crv();
+        self.snapshot = snapshot;
+        #[cfg(debug_assertions)]
+        if state.federation().is_none() {
             self.oracle_cross_check(state);
-        } else {
-            self.refresh_full_rescan(state);
         }
     }
 
-    /// O(kinds) refresh off the engine's incrementally maintained
-    /// [`phoenix_sim::CrvLedger`].
-    pub fn refresh_incremental(&mut self, state: &SimState) {
-        let ledger = state.crv_ledger();
-        self.table.reset_demand();
-        for kind in ConstraintKind::ALL {
-            self.table.add_demand(kind, ledger.demand(kind) as f64);
-            self.table.set_supply(kind, ledger.idle_supply(kind) as f64);
-        }
-        self.crv = self.table.to_crv();
-        self.snapshot = MonitorSnapshot {
-            queued_probes: ledger.queued_probes(),
-            constrained_probes: ledger.constrained_probes(),
-            idle_workers: ledger.idle_workers(),
-        };
-    }
-
-    /// Refreshes the table from a partitioned federation's
-    /// eventually-consistent view: the per-kind demand/supply and queue
-    /// aggregates summed over every domain's latest *installed* gossip
-    /// summary ([`phoenix_sim::FederationState::visible_demand`] and
-    /// friends). No rescan oracle runs on this path — the stale view is
-    /// *supposed* to lag ground truth (that lag is the federation model,
-    /// not a ledger bug), so cross-checking it against a live rescan
-    /// would be a false alarm. Falls back to the incremental refresh when
-    /// federation is off.
-    pub fn refresh_federated(&mut self, state: &SimState) {
-        let Some(fed) = state.federation() else {
-            self.refresh_incremental(state);
-            return;
-        };
-        self.table.reset_demand();
-        for kind in ConstraintKind::ALL {
-            self.table.add_demand(kind, fed.visible_demand(kind) as f64);
-            self.table
-                .set_supply(kind, fed.visible_idle_supply(kind) as f64);
-        }
-        self.crv = self.table.to_crv();
-        self.snapshot = MonitorSnapshot {
-            queued_probes: fed.visible_queued_probes(),
-            constrained_probes: fed.visible_constrained_probes(),
-            idle_workers: fed.visible_idle_workers(),
-        };
-    }
-
-    /// Cross-checks the incremental tables against a from-scratch rescan;
+    /// Cross-checks the ledger-backed tables against a from-scratch rescan;
     /// any divergence is a ledger-hook bug.
     #[cfg(debug_assertions)]
     fn oracle_cross_check(&self, state: &SimState) {
@@ -137,12 +118,12 @@ impl CrvMonitor {
             assert_eq!(
                 self.table.demand(kind),
                 oracle.table.demand(kind),
-                "incremental CRV demand for {kind} diverged from full rescan"
+                "ledger CRV demand for {kind} diverged from full rescan"
             );
             assert_eq!(
                 self.table.supply(kind),
                 oracle.table.supply(kind),
-                "incremental CRV supply for {kind} diverged from full rescan"
+                "ledger CRV supply for {kind} diverged from full rescan"
             );
         }
         assert_eq!(self.snapshot.queued_probes, oracle.snapshot.queued_probes);
@@ -198,8 +179,13 @@ impl CrvMonitor {
         }
         for constraint in instances.keys() {
             let mask = kind_mask[constraint.kind.index()];
-            for &w in state.feasibility.feasible_single(constraint).iter() {
-                satisfied[w as usize] |= mask;
+            let bits = state.feasibility.feasible_single(constraint);
+            for (i, &word) in bits.iter().enumerate() {
+                let mut word = word;
+                while word != 0 {
+                    satisfied[(i << 6) + word.trailing_zeros() as usize] |= mask;
+                    word &= word - 1;
+                }
             }
         }
         for kind in ConstraintKind::ALL {
@@ -350,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_full_rescan() {
+    fn ledger_refresh_matches_full_rescan() {
         let cpu = ConstraintSet::from_constraints(vec![Constraint::hard(
             ConstraintKind::NumCores,
             ConstraintOp::Gt,
@@ -378,28 +364,23 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        let mut incremental = CrvMonitor::new();
-        incremental.refresh_incremental(&state);
+        let mut ledger = CrvMonitor::new();
+        ledger.refresh(&state);
         let mut rescan = CrvMonitor::new();
         rescan.refresh_full_rescan(&state);
-        assert_eq!(incremental.table(), rescan.table());
-        assert_eq!(incremental.crv(), rescan.crv());
+        assert_eq!(ledger.table(), rescan.table());
+        assert_eq!(ledger.crv(), rescan.crv());
         assert_eq!(
-            incremental.snapshot().idle_workers,
+            ledger.snapshot().idle_workers,
             rescan.snapshot().idle_workers
         );
-        // The opt-out path produces the same table too.
-        let mut opted_out = CrvMonitor::new();
-        opted_out.refresh_with(&state, false);
-        assert_eq!(opted_out.table(), rescan.table());
     }
 
-    /// The federated refresh reads *installed gossip summaries only*:
-    /// demand enqueued after the last round is invisible until the next
-    /// delivery, and with federation off it degrades to the incremental
-    /// path.
+    /// On a partitioned run the refresh reads *installed gossip summaries
+    /// only*: demand enqueued after the last round is invisible until the
+    /// next delivery. With federation off it reads the live ledger.
     #[test]
-    fn federated_refresh_sees_only_gossiped_state() {
+    fn partitioned_refresh_sees_only_gossiped_state() {
         let set = ConstraintSet::from_constraints(vec![Constraint::hard(
             ConstraintKind::NumCores,
             ConstraintOp::Gt,
@@ -412,21 +393,21 @@ mod tests {
         let mut state = state_with_config(20, vec![set.clone()], config);
         enqueue(&mut state, 0, 0);
         let mut monitor = CrvMonitor::new();
-        monitor.refresh_federated(&state);
+        monitor.refresh(&state);
         // No gossip round has run: the stale view is still empty even
         // though a live rescan would see the queued probe.
         assert_eq!(monitor.snapshot().queued_probes, 0);
         assert_eq!(monitor.table().demand(ConstraintKind::NumCores), 0.0);
         let mut live = CrvMonitor::new();
-        live.refresh_incremental(&state);
+        live.refresh_full_rescan(&state);
         assert_eq!(live.snapshot().queued_probes, 1);
-        // Federation off: refresh_federated falls back to the live ledger.
+        // Federation off: the refresh reads the live ledger.
         let mut central = state_with(20, vec![set]);
         enqueue(&mut central, 0, 0);
-        let mut fallback = CrvMonitor::new();
-        fallback.refresh_federated(&central);
-        assert_eq!(fallback.snapshot().queued_probes, 1);
-        assert!(fallback.table().demand(ConstraintKind::NumCores) > 0.0);
+        let mut centralized = CrvMonitor::new();
+        centralized.refresh(&central);
+        assert_eq!(centralized.snapshot().queued_probes, 1);
+        assert!(centralized.table().demand(ConstraintKind::NumCores) > 0.0);
     }
 
     #[test]

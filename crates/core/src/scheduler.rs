@@ -314,20 +314,7 @@ impl Phoenix {
 
     fn heartbeat(&mut self, ctx: &mut SimCtx<'_>) {
         let started = ctx.state().profiler().begin();
-        // A partitioned federation's coordinator sees only gossip: refresh
-        // from the installed (stale) summaries. Centralized runs — and
-        // single-domain federations, which must stay byte-identical to
-        // them — keep the ledger/rescan path.
-        let partitioned = ctx
-            .state()
-            .federation()
-            .is_some_and(|f| f.config().is_partitioned());
-        if partitioned {
-            self.monitor.refresh_federated(ctx.state());
-        } else {
-            self.monitor
-                .refresh_with(ctx.state(), self.config.incremental_monitor);
-        }
+        self.monitor.refresh(ctx.state());
         ctx.state_mut()
             .profiler_mut()
             .end(ProfileScope::HeartbeatRefresh, started);
@@ -537,34 +524,6 @@ mod tests {
         let b = run_phoenix(200, 80, 0.8, 5);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.metrics.makespan, b.metrics.makespan);
-    }
-
-    #[test]
-    fn incremental_and_rescan_monitors_give_identical_runs() {
-        // Same seed, monitor knob flipped: the incremental ledger and the
-        // full rescan must produce identical tables, hence identical
-        // scheduling decisions and headline results.
-        let (machines, trace, cutoff) = build(600, 60, 0.9, 13);
-        let incremental = Simulation::new(
-            SimConfig::default(),
-            FeasibilityIndex::new(machines.clone()),
-            &trace,
-            Box::new(Phoenix::new(PhoenixConfig::with_cutoff_s(cutoff))),
-            13,
-        )
-        .run();
-        let mut config = PhoenixConfig::with_cutoff_s(cutoff);
-        config.incremental_monitor = false;
-        let rescan = Simulation::new(
-            SimConfig::default(),
-            FeasibilityIndex::new(machines),
-            &trace,
-            Box::new(Phoenix::new(config)),
-            13,
-        )
-        .run();
-        assert_eq!(incremental.counters, rescan.counters);
-        assert_eq!(incremental.metrics.makespan, rescan.metrics.makespan);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Property test for the incremental CRV ledger: after every randomized
-//! queue/slot operation, the monitor table derived from the ledger must
-//! equal a from-scratch full rescan.
+//! Property test for the CRV ledger: after every randomized queue/slot
+//! operation, the monitor table derived from the ledger must equal a
+//! from-scratch full rescan, and on a partitioned run every domain tally
+//! must equal a rescan restricted to that domain's worker range.
 
 use phoenix_constraints::{
-    Constraint, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex, MachinePopulation,
-    PopulationProfile,
+    Constraint, ConstraintExpr, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex,
+    MachinePopulation, PopulationProfile,
 };
 use phoenix_core::CrvMonitor;
 use phoenix_sim::{
-    Probe, ProbeId, RunningTask, SimConfig, SimState, SimTime, Simulation, WorkerId,
+    CrvTally, FederationConfig, Probe, ProbeId, RunningTask, SimConfig, SimDuration, SimState,
+    SimTime, Simulation, WorkerId,
 };
 use phoenix_traces::{Job, JobId, Trace};
 use proptest::prelude::*;
@@ -16,6 +18,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const WORKERS: usize = 16;
+
+/// The partitioned input: 200 workers in 3 domains of 67, 67 and 66, so
+/// every domain edge falls inside a bitset word and domains span words.
+const FED_WORKERS: usize = 200;
+const FED_DOMAINS: usize = 3;
 
 fn job_sets() -> Vec<ConstraintSet> {
     vec![
@@ -44,12 +51,18 @@ fn job_sets() -> Vec<ConstraintSet> {
             ConstraintOp::Gt,
             4,
         )]),
+        // Constrained, but projects to no CRV instance.
+        ConstraintSet::from_expr(ConstraintExpr::not(ConstraintExpr::leaf(Constraint::hard(
+            ConstraintKind::NumCores,
+            ConstraintOp::Gt,
+            8,
+        )))),
     ]
 }
 
-fn build_state() -> SimState {
+fn build_state(workers: usize, federation: FederationConfig) -> SimState {
     let mut rng = StdRng::seed_from_u64(11);
-    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), WORKERS, &mut rng);
+    let cluster = MachinePopulation::generate(PopulationProfile::google_like(), workers, &mut rng);
     let jobs: Vec<Job> = job_sets()
         .into_iter()
         .enumerate()
@@ -64,7 +77,10 @@ fn build_state() -> SimState {
         })
         .collect();
     Simulation::new(
-        SimConfig::default(),
+        SimConfig {
+            federation,
+            ..SimConfig::default()
+        },
         FeasibilityIndex::new(cluster.into_machines()),
         &Trace::new("t", jobs),
         Box::new(phoenix_sim::RandomScheduler::new(1)),
@@ -83,7 +99,7 @@ fn apply_op(
     next_probe: &mut u64,
     next_seq: &mut u64,
 ) {
-    let worker = WorkerId(u32::from(a) % WORKERS as u32);
+    let worker = WorkerId((usize::from(a) % state.workers.len()) as u32);
     let n_jobs = state.jobs.len() as u64;
     let alive = state.workers[worker.index()].is_alive();
     match op {
@@ -187,36 +203,122 @@ fn apply_op(
     }
 }
 
+/// A ledger tally's counters, recomputed naively from the queues, slots
+/// and machine attributes of the workers in `[start, end)`.
+#[derive(Debug, Default, PartialEq)]
+struct RangeRescan {
+    demand: [u64; ConstraintKind::COUNT],
+    supply: [u64; ConstraintKind::COUNT],
+    queued: usize,
+    constrained: usize,
+    idle: usize,
+    instances: usize,
+}
+
+impl RangeRescan {
+    fn of(state: &SimState, start: usize, end: usize) -> Self {
+        let mut r = RangeRescan::default();
+        let mut instances: Vec<Constraint> = Vec::new();
+        for w in &state.workers[start..end] {
+            for p in w.queue() {
+                r.queued += 1;
+                let set = &state.jobs[p.job.0 as usize].effective_constraints;
+                if set.is_unconstrained() {
+                    continue;
+                }
+                r.constrained += 1;
+                for c in set.iter() {
+                    r.demand[c.kind.index()] += 1;
+                    if !instances.contains(c) {
+                        instances.push(*c);
+                    }
+                }
+            }
+        }
+        r.instances = instances.len();
+        let machines = state.feasibility.machines();
+        for (i, w) in state.workers.iter().enumerate().take(end).skip(start) {
+            if !w.is_idle() || !w.is_alive() {
+                continue;
+            }
+            r.idle += 1;
+            for kind in ConstraintKind::ALL {
+                if instances
+                    .iter()
+                    .any(|c| c.kind == kind && c.satisfied_by(&machines[i]))
+                {
+                    r.supply[kind.index()] += 1;
+                }
+            }
+        }
+        r
+    }
+
+    fn from_tally(tally: CrvTally<'_>) -> Self {
+        RangeRescan {
+            demand: ConstraintKind::ALL.map(|k| tally.demand(k)),
+            supply: ConstraintKind::ALL.map(|k| tally.idle_supply(k)),
+            queued: tally.queued_probes(),
+            constrained: tally.constrained_probes(),
+            idle: tally.idle_workers(),
+            instances: tally.distinct_instances(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn incremental_table_matches_rescan_after_every_op(
-        ops in prop::collection::vec((0u8..10, 0u16..64, 0u16..64), 0..60),
+    fn ledger_matches_rescan_after_every_op(
+        ops in prop::collection::vec((0u8..10, 0u16..1024, 0u16..64), 0..60),
     ) {
-        let mut state = build_state();
-        let mut next_probe = 0u64;
-        let mut next_seq = 0u64;
+        let mut state = build_state(WORKERS, FederationConfig::off());
+        let mut fed = build_state(
+            FED_WORKERS,
+            FederationConfig::sharded(FED_DOMAINS, SimDuration::ZERO),
+        );
+        let ranges = fed.federation().expect("partitioned").ranges().to_vec();
+        prop_assert_eq!(ranges.len(), FED_DOMAINS);
+        let (mut next_probe, mut next_seq) = (0u64, 0u64);
+        let (mut fed_probe, mut fed_seq) = (0u64, 0u64);
         for &(op, a, b) in &ops {
             apply_op(&mut state, op, a, b, &mut next_probe, &mut next_seq);
-            let mut incremental = CrvMonitor::new();
-            incremental.refresh_incremental(&state);
+            let mut ledger = CrvMonitor::new();
+            ledger.refresh(&state);
             let mut rescan = CrvMonitor::new();
             rescan.refresh_full_rescan(&state);
-            prop_assert_eq!(incremental.table(), rescan.table());
-            prop_assert_eq!(incremental.crv(), rescan.crv());
+            prop_assert_eq!(ledger.table(), rescan.table());
+            prop_assert_eq!(ledger.crv(), rescan.crv());
             prop_assert_eq!(
-                incremental.snapshot().queued_probes,
+                ledger.snapshot().queued_probes,
                 rescan.snapshot().queued_probes
             );
             prop_assert_eq!(
-                incremental.snapshot().constrained_probes,
+                ledger.snapshot().constrained_probes,
                 rescan.snapshot().constrained_probes
             );
             prop_assert_eq!(
-                incremental.snapshot().idle_workers,
+                ledger.snapshot().idle_workers,
                 rescan.snapshot().idle_workers
             );
+
+            apply_op(&mut fed, op, a, b, &mut fed_probe, &mut fed_seq);
+            let live = fed.crv_ledger();
+            prop_assert_eq!(
+                RangeRescan::from_tally(live.cluster()),
+                RangeRescan::of(&fed, 0, FED_WORKERS)
+            );
+            for (d, &(base, len)) in ranges.iter().enumerate() {
+                prop_assert_eq!(
+                    RangeRescan::from_tally(live.domain(d)),
+                    RangeRescan::of(&fed, base, base + len),
+                    "domain {} [{}, {})",
+                    d,
+                    base,
+                    base + len
+                );
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   workers, in queues and in flight), no slot double-booking, a monotone
 //!   virtual clock, hard-constraint satisfaction of every placement
 //!   (recomputed from the machine attributes, never trusted from the
-//!   scheduler), [`CrvLedger`] demand/supply exactness at every scheduler
+//!   scheduler), [`crate::CrvLedger`] demand/supply exactness at every scheduler
 //!   heartbeat, the starvation-slack bound on queue reorders, and exact
 //!   busy-time accounting. It also observes the [`TraceSink`] stream for
 //!   record-level sanity (timestamps in order, crash/recover pairing).
@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use phoenix_traces::JobId;
 
 use crate::context::SimCtx;
-use crate::crvledger::CrvLedger;
+use crate::crvledger::CrvTally;
 use crate::engine::{finalize_result, SimState, Simulation};
 use crate::event::{Event, EventQueue};
 use crate::metrics::SimResult;
@@ -52,7 +52,7 @@ pub struct AuditConfig {
     /// probe can be overtaken more than `slack` times; `None` disables the
     /// check (for harnesses driving [`crate::Worker::promote`] directly).
     pub starvation_slack: Option<u32>,
-    /// Re-derive the incremental [`CrvLedger`] from scratch at every
+    /// Re-derive the [`crate::CrvLedger`] from scratch at every
     /// scheduler wakeup (heartbeat) and compare all of its counters.
     pub check_crv_ledger: bool,
     /// Number of violation messages retained verbatim in the report (the
@@ -413,23 +413,20 @@ impl InvariantAuditor {
     }
 
     /// Re-derives the CRV ledger from the queues and slots and compares
-    /// every counter against the incrementally maintained one.
+    /// every counter of the cluster tally, and of each domain tally on a
+    /// partitioned run, against the live one.
     fn check_crv_ledger(&mut self, state: &SimState) {
         self.report.ledger_checks += 1;
-        let now = state.now;
-        let mut fresh = CrvLedger::new(state.workers.len());
-        for (i, w) in state.workers.iter().enumerate() {
-            if !w.is_idle() || !w.is_alive() {
-                fresh.worker_busy(i);
-            }
-        }
-        for w in &state.workers {
-            for p in w.queue() {
-                let set = &state.jobs[p.job.0 as usize].effective_constraints;
-                fresh.probe_enqueued(p.id, p.job, set, &state.feasibility);
-            }
-        }
+        let fresh = state.derive_crv_ledger();
         let live = state.crv_ledger();
+        self.compare_tallies(state.now, "cluster", live.cluster(), fresh.cluster());
+        for d in 0..live.domains() {
+            let scope = format!("domain {d}");
+            self.compare_tallies(state.now, &scope, live.domain(d), fresh.domain(d));
+        }
+    }
+
+    fn compare_tallies(&mut self, now: SimTime, scope: &str, live: CrvTally, fresh: CrvTally) {
         if live.queued_probes() != fresh.queued_probes()
             || live.constrained_probes() != fresh.constrained_probes()
             || live.idle_workers() != fresh.idle_workers()
@@ -438,8 +435,8 @@ impl InvariantAuditor {
             self.violation(
                 now,
                 format!(
-                    "CRV ledger totals desynced: queued {}/{}, constrained {}/{}, idle {}/{}, \
-                     instances {}/{} (incremental/rederived)",
+                    "CRV ledger {scope} totals desynced: queued {}/{}, constrained {}/{}, \
+                     idle {}/{}, instances {}/{} (live/rederived)",
                     live.queued_probes(),
                     fresh.queued_probes(),
                     live.constrained_probes(),
@@ -458,8 +455,8 @@ impl InvariantAuditor {
                 self.violation(
                     now,
                     format!(
-                        "CRV ledger desynced on {kind}: demand {}/{}, supply {}/{} \
-                         (incremental/rederived)",
+                        "CRV ledger {scope} desynced on {kind}: demand {}/{}, supply {}/{} \
+                         (live/rederived)",
                         live.demand(kind),
                         fresh.demand(kind),
                         live.idle_supply(kind),

@@ -4,20 +4,17 @@ use crate::fault::FaultPlan;
 use crate::time::SimDuration;
 
 /// Federated-scheduling parameters: the cluster is sharded into `domains`
-/// contiguous worker ranges, each owning its own CRV ledger; domains learn
-/// about each other only through periodic summary gossip delivered with a
-/// configurable staleness (see [`crate::federation`]).
+/// contiguous worker ranges, each with its own CRV ledger tally; domains
+/// learn about each other only through periodic summary gossip delivered
+/// with a configurable staleness (see [`crate::federation`]).
 ///
-/// The load-bearing parity rule: with `domains <= 1` the engine behaves
-/// **byte-identically** to the centralized configuration — no gossip events
-/// are scheduled, placement sampling is unrestricted, and every golden
-/// digest is unchanged. A single-domain federation still maintains its
-/// (one) domain ledger, so the partitioned bookkeeping is exercised and
-/// cross-checked without perturbing a run.
+/// The load-bearing parity rule: `domains` 0 or 1 means federation is off
+/// and the engine *is* the centralized configuration — no federation state,
+/// no gossip events, unrestricted placement sampling, and every golden
+/// digest unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FederationConfig {
-    /// Number of federated domains. `0` or `1` disables federation effects
-    /// (`0` skips even the single-domain bookkeeping).
+    /// Number of federated domains. `0` or `1` turns federation off.
     pub domains: usize,
     /// Interval between gossip rounds: each round, every domain publishes
     /// a fresh summary of its ledger.
@@ -48,13 +45,8 @@ impl FederationConfig {
         }
     }
 
-    /// Whether any federation bookkeeping runs (at least one domain).
-    pub fn is_active(&self) -> bool {
-        self.domains > 0
-    }
-
-    /// Whether placement is actually partitioned (two or more domains).
-    /// Single-domain federations keep the centralized behavior.
+    /// Whether federation is on: two or more domains. Anything less is the
+    /// centralized engine.
     pub fn is_partitioned(&self) -> bool {
         self.domains > 1
     }
@@ -126,14 +118,13 @@ mod tests {
     fn default_matches_paper() {
         let c = SimConfig::default();
         assert_eq!(c.rtt(), SimDuration::from_micros(500));
-        assert!(!c.federation.is_active());
+        assert!(!c.federation.is_partitioned());
     }
 
     #[test]
     fn federation_activation_thresholds() {
-        assert!(!FederationConfig::off().is_active());
+        assert!(!FederationConfig::off().is_partitioned());
         let one = FederationConfig::sharded(1, SimDuration::ZERO);
-        assert!(one.is_active());
         assert!(!one.is_partitioned());
         let four = FederationConfig::sharded(4, SimDuration::from_millis(200));
         assert!(four.is_partitioned());

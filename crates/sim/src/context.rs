@@ -250,7 +250,7 @@ impl<'a> SimCtx<'a> {
         k: usize,
         mut exclude: impl FnMut(u32) -> bool,
     ) -> Vec<WorkerId> {
-        if let Some(home) = self.placement_home() {
+        if let Some(home) = self.state.active_domain {
             let sample = self.sample_in_domain(set, k, home, &mut exclude);
             if !sample.is_empty() {
                 if let Some(fed) = self.state.federation_mut() {
@@ -290,17 +290,6 @@ impl<'a> SimCtx<'a> {
         sample
     }
 
-    /// The home domain of the event being handled, when the run is
-    /// partitioned (K ≥ 2) and the event is domain-scoped. `None` means
-    /// sampling stays cluster-wide.
-    fn placement_home(&self) -> Option<usize> {
-        let fed = self.state.federation()?;
-        if !fed.config().is_partitioned() {
-            return None;
-        }
-        self.state.active_domain
-    }
-
     /// One rung of the federated ladder: a feasible-worker sample
     /// restricted to `domain`'s contiguous worker range (plus the caller's
     /// exclusions and the aliveness filter). May return fewer than `k`
@@ -316,7 +305,7 @@ impl<'a> SimCtx<'a> {
             .state
             .federation()
             .expect("domain sampling without federation")
-            .range(domain);
+            .ranges()[domain];
         let (lo, hi) = (base as u32, (base + len) as u32);
         let state = &mut *self.state;
         let started = state.profiler.begin();

@@ -46,10 +46,8 @@ pub struct SimState {
     pub(crate) touched: Vec<WorkerId>,
     crv_ledger: CrvLedger,
     /// Federated domain state (`None` unless
-    /// [`crate::config::FederationConfig::is_active`]). The global
-    /// `crv_ledger` above stays authoritative; the per-domain ledgers in
-    /// here are an additive partition of it, maintained by the same
-    /// wrappers.
+    /// [`crate::config::FederationConfig::is_partitioned`]). The
+    /// `crv_ledger` above then keeps one tally per domain.
     federation: Option<Box<FederationState>>,
     /// The placement domain of the event currently being handled (the
     /// job's home domain, or the domain of the worker an event fired on).
@@ -86,12 +84,12 @@ impl SimState {
         id
     }
 
-    /// The incrementally maintained CRV demand/supply ledger.
+    /// The CRV demand/supply ledger.
     pub fn crv_ledger(&self) -> &CrvLedger {
         &self.crv_ledger
     }
 
-    /// The federated domain state, when federation is active.
+    /// The federated domain state, when the run is partitioned.
     pub fn federation(&self) -> Option<&FederationState> {
         self.federation.as_deref()
     }
@@ -101,40 +99,11 @@ impl SimState {
         self.federation.as_deref_mut()
     }
 
-    /// Mirrors a probe-enqueued ledger update into the owning domain's
-    /// ledger. No-op when federation is off.
-    fn domain_probe_enqueued(&mut self, worker: WorkerId, probe: &Probe) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            let set = &self.jobs[probe.job.0 as usize].effective_constraints;
-            fed.ledger_mut(d)
-                .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        }
-    }
-
-    /// Mirrors a probe-removed ledger update into the owning domain's
-    /// ledger. No-op when federation is off.
-    fn domain_probe_removed(&mut self, worker: WorkerId, probe: ProbeId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).probe_removed(probe, &self.feasibility);
-        }
-    }
-
-    /// Mirrors an idle→busy transition into the owning domain's ledger.
-    fn domain_worker_busy(&mut self, worker: WorkerId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).worker_busy(worker.index());
-        }
-    }
-
-    /// Mirrors a busy→idle transition into the owning domain's ledger.
-    fn domain_worker_idle(&mut self, worker: WorkerId) {
-        if let Some(fed) = self.federation.as_deref_mut() {
-            let d = fed.domain_of_worker(worker.index());
-            fed.ledger_mut(d).worker_idle(worker.index());
-        }
+    /// The federated domain owning `worker`; `None` on a centralized run.
+    fn domain_of(&self, worker: WorkerId) -> Option<usize> {
+        self.federation
+            .as_deref()
+            .map(|fed| fed.domain_of_worker(worker.index()))
     }
 
     /// The trace dispatcher (read side: `enabled()` checks).
@@ -167,29 +136,31 @@ impl SimState {
     /// desyncs (and its debug oracle panics). Pure reordering
     /// ([`Worker::promote`]) needs no wrapper.
     pub fn enqueue_probe(&mut self, worker: WorkerId, probe: Probe) {
-        let set = &self.jobs[probe.job.0 as usize].effective_constraints;
-        self.crv_ledger
-            .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        self.domain_probe_enqueued(worker, &probe);
+        self.ledger_enqueued(worker, &probe);
         self.workers[worker.index()].enqueue(probe);
     }
 
     /// Inserts `probe` at the *front* of `worker`'s queue (sticky batch
     /// probing), keeping the CRV ledger in sync.
     pub fn enqueue_probe_front(&mut self, worker: WorkerId, probe: Probe) {
+        self.ledger_enqueued(worker, &probe);
+        self.workers[worker.index()].enqueue_front(probe);
+    }
+
+    /// Counts `probe` entering `worker`'s queue in the CRV ledger.
+    fn ledger_enqueued(&mut self, worker: WorkerId, probe: &Probe) {
+        let domain = self.domain_of(worker);
         let set = &self.jobs[probe.job.0 as usize].effective_constraints;
         self.crv_ledger
-            .probe_enqueued(probe.id, probe.job, set, &self.feasibility);
-        self.domain_probe_enqueued(worker, &probe);
-        self.workers[worker.index()].enqueue_front(probe);
+            .probe_enqueued(probe.id, probe.job, set, &self.feasibility, domain);
     }
 
     /// Removes and returns the probe at `index` of `worker`'s queue,
     /// keeping the CRV ledger in sync.
     pub fn remove_probe_at(&mut self, worker: WorkerId, index: usize) -> Probe {
         let probe = self.workers[worker.index()].remove_probe(index);
-        self.crv_ledger.probe_removed(probe.id, &self.feasibility);
-        self.domain_probe_removed(worker, probe.id);
+        let domain = self.domain_of(worker);
+        self.crv_ledger.probe_removed(probe.id, domain);
         probe
     }
 
@@ -201,14 +172,9 @@ impl SimState {
         predicate: impl FnMut(&Probe) -> bool,
     ) -> Vec<Probe> {
         let stolen = self.workers[worker.index()].steal_if(predicate);
+        let domain = self.domain_of(worker);
         for probe in &stolen {
-            self.crv_ledger.probe_removed(probe.id, &self.feasibility);
-        }
-        if self.federation.is_some() {
-            for probe in &stolen {
-                let id = probe.id;
-                self.domain_probe_removed(worker, id);
-            }
+            self.crv_ledger.probe_removed(probe.id, domain);
         }
         stolen
     }
@@ -221,7 +187,6 @@ impl SimState {
         w.start_task(task, now);
         if was_idle {
             self.crv_ledger.worker_busy(worker.index());
-            self.domain_worker_busy(worker);
         }
     }
 
@@ -232,7 +197,6 @@ impl SimState {
         let task = w.finish_task(seq);
         if w.is_idle() {
             self.crv_ledger.worker_idle(worker.index());
-            self.domain_worker_idle(worker);
         }
         task
     }
@@ -253,7 +217,6 @@ impl SimState {
         w.set_alive(false);
         // Supply removal: dead counts as busy; idempotent if it already was.
         self.crv_ledger.worker_busy(worker.index());
-        self.domain_worker_busy(worker);
         // Open a downtime interval for capacity accounting; closed by
         // recovery (or against the final makespan).
         self.crash_started[worker.index()] = Some(now.as_micros());
@@ -269,7 +232,6 @@ impl SimState {
         debug_assert!(w.is_idle() && w.queue_len() == 0, "crash did not drain");
         w.set_alive(true);
         self.crv_ledger.worker_idle(worker.index());
-        self.domain_worker_idle(worker);
         if let Some(start) = self.crash_started[worker.index()].take() {
             self.downtime_log.push((start, self.now.as_micros()));
         }
@@ -278,33 +240,25 @@ impl SimState {
     /// Rebuilds the CRV ledger from scratch out of the current queues and
     /// slots. For tests and harnesses that mutate workers directly.
     pub fn rebuild_crv_ledger(&mut self) {
-        let mut ledger = CrvLedger::new(self.workers.len());
+        self.crv_ledger = self.derive_crv_ledger();
+    }
+
+    /// A CRV ledger derived from scratch out of the current queues and
+    /// slots (the invariant auditor compares it with the live one).
+    pub(crate) fn derive_crv_ledger(&self) -> CrvLedger {
+        let ranges = self.federation.as_deref().map_or(&[][..], |f| f.ranges());
+        let mut ledger = CrvLedger::new(self.workers.len(), ranges);
         for (i, w) in self.workers.iter().enumerate() {
             if !w.is_idle() || !w.is_alive() {
                 ledger.worker_busy(i);
             }
-        }
-        for w in &self.workers {
+            let domain = self.domain_of(WorkerId(i as u32));
             for p in w.queue() {
                 let set = &self.jobs[p.job.0 as usize].effective_constraints;
-                ledger.probe_enqueued(p.id, p.job, set, &self.feasibility);
+                ledger.probe_enqueued(p.id, p.job, set, &self.feasibility, domain);
             }
         }
-        self.crv_ledger = ledger;
-        if let Some(fed) = self.federation.as_deref_mut() {
-            fed.reset_ledgers();
-            for (i, w) in self.workers.iter().enumerate() {
-                let d = fed.domain_of_worker(i);
-                if !w.is_idle() || !w.is_alive() {
-                    fed.ledger_mut(d).worker_busy(i);
-                }
-                for p in w.queue() {
-                    let set = &self.jobs[p.job.0 as usize].effective_constraints;
-                    fed.ledger_mut(d)
-                        .probe_enqueued(p.id, p.job, set, &self.feasibility);
-                }
-            }
-        }
+        ledger
     }
 }
 
@@ -366,15 +320,22 @@ impl Simulation {
             let victim = WorkerId(fault_rng.random_range(0..n_workers) as u32);
             events.schedule(SimTime::ZERO + at, Event::WorkerCrash(victim));
         }
-        let federation = config.federation;
-        if federation.is_partitioned() && !jobs.is_empty() {
-            // First gossip round; subsequent rounds chain themselves while
-            // work is outstanding. Never scheduled at K <= 1 (byte parity).
-            events.schedule(
-                SimTime::ZERO + federation.gossip_interval,
-                Event::GossipPublish,
-            );
+        let federation = config
+            .federation
+            .is_partitioned()
+            .then(|| Box::new(FederationState::new(config.federation, n_workers)));
+        if let Some(fed) = &federation {
+            if !jobs.is_empty() {
+                // First gossip round; subsequent rounds chain themselves
+                // while work is outstanding.
+                events.schedule(
+                    SimTime::ZERO + fed.config().gossip_interval,
+                    Event::GossipPublish,
+                );
+            }
         }
+        let ranges = federation.as_deref().map_or(&[][..], |f| f.ranges());
+        let crv_ledger = CrvLedger::new(n_workers, ranges);
         let metrics = SimMetrics::new(config.timeseries_bucket, config.record_task_waits);
         // Zero-task jobs are born complete, so the outstanding count is a
         // filter, not `jobs.len()`.
@@ -393,10 +354,8 @@ impl Simulation {
                 rng: StdRng::seed_from_u64(seed),
                 fault_rng,
                 touched: Vec::new(),
-                crv_ledger: CrvLedger::new(n_workers),
-                federation: federation
-                    .is_active()
-                    .then(|| Box::new(FederationState::new(federation, n_workers))),
+                crv_ledger,
+                federation,
                 active_domain: None,
                 crash_started: vec![None; n_workers],
                 downtime_log: Vec::new(),
@@ -593,22 +552,10 @@ impl Simulation {
                 // Chain the next round first (gated on outstanding work,
                 // like the crash chain, so the event loop terminates).
                 self.schedule_next_gossip();
-                // Partition oracle: the domain ledgers must tile the global
-                // one — any drift means a wrapper bypassed the mirrors.
-                #[cfg(debug_assertions)]
-                {
-                    let global = self.state.crv_ledger().queued_probes();
-                    if let Some(fed) = self.state.federation() {
-                        let sum: usize = (0..fed.domains())
-                            .map(|d| fed.ledger(d).queued_probes())
-                            .sum();
-                        debug_assert_eq!(sum, global, "domain ledgers desynced from global");
-                    }
-                }
                 let now = self.state.now;
                 let mut deliver_after = None;
-                if let Some(fed) = self.state.federation_mut() {
-                    if fed.publish(now) {
+                if let Some(fed) = self.state.federation.as_deref_mut() {
+                    if fed.publish(now, &self.state.crv_ledger) {
                         deliver_after = Some(fed.config().staleness);
                     }
                 }
@@ -627,12 +574,9 @@ impl Simulation {
     /// The placement domain of `event` under a partitioned federation:
     /// job-scoped events belong to the job's home domain, worker-scoped
     /// events to the worker's domain, and control-plane events (wakeups,
-    /// gossip) to none. `None` whenever federation is off or single-domain.
+    /// gossip) to none. `None` whenever the run is not partitioned.
     fn placement_domain(&self, event: &Event) -> Option<usize> {
         let fed = self.state.federation.as_deref()?;
-        if !fed.config().is_partitioned() {
-            return None;
-        }
         match event {
             Event::JobArrival(index) => Some(fed.domain_of_job(*index)),
             Event::ProbeRetry(probe) => Some(fed.domain_of_job(probe.job.0)),
@@ -646,14 +590,12 @@ impl Simulation {
 
     /// Chains the next gossip round while any job still has work
     /// outstanding. Gossip draws no randomness — the policy and fault RNG
-    /// streams are untouched, so a K-domain run is reproducible and a
-    /// K <= 1 run (which never schedules gossip) stays byte-identical to
-    /// the centralized engine.
+    /// streams are untouched, so a K-domain run is reproducible.
     fn schedule_next_gossip(&mut self) {
         let Some(fed) = self.state.federation() else {
             return;
         };
-        if !fed.config().is_partitioned() || self.state.outstanding_jobs == 0 {
+        if self.state.outstanding_jobs == 0 {
             return;
         }
         let interval = fed.config().gossip_interval;

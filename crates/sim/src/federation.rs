@@ -1,27 +1,26 @@
 //! Federated domain sharding and eventually-consistent CRV gossip.
 //!
 //! With [`crate::config::FederationConfig::domains`] = K > 1 the cluster is
-//! split into K contiguous worker ranges ("domains"). Each domain owns a
-//! range-restricted [`CrvLedger`] that the engine's probe/slot wrappers
-//! keep exact alongside the cluster-wide ledger (the global ledger stays
-//! authoritative for the invariant auditor and the debug oracle; domain
-//! ledgers are an additive partition of it).
+//! split into K contiguous worker ranges ("domains"). The engine's
+//! [`CrvLedger`] keeps one tally per domain next to its cluster-wide one:
+//! each probe counts in the domain of the worker queue it sits on, and a
+//! domain's supply is computed over its own worker range only.
 //!
 //! Domains learn about each other only through **gossip**: every
 //! [`crate::config::FederationConfig::gossip_interval`] the engine
 //! publishes one compact [`DomainSummary`] per domain (per-kind CRV
-//! demand/supply plus queue-pressure aggregates, O(kinds) each) and
-//! installs the batch after
+//! demand/supply plus queue-pressure aggregates, read from the domain's
+//! ledger tally) and installs the batch after
 //! [`crate::config::FederationConfig::staleness`]. Cross-domain placement
-//! reads only these stale summaries — never a remote ledger — so a crashed
-//! worker's supply leaves its home ledger immediately but leaves remote
+//! reads only these stale summaries — never a remote tally — so a crashed
+//! worker's supply leaves its home tally immediately but leaves remote
 //! views only at the next delivered gossip round. That lag is the
 //! eventual-consistency cost the federated benchmark ladder measures.
 //!
-//! Gossip is deterministic: no randomness is drawn, event times derive
-//! only from the configured interval/staleness, and with K ≤ 1 nothing
-//! here is scheduled at all (the byte-parity rule of
-//! [`crate::config::FederationConfig`]).
+//! Gossip is deterministic: no randomness is drawn and event times derive
+//! only from the configured interval/staleness. With K ≤ 1 no
+//! [`FederationState`] exists at all, so the run is the centralized engine
+//! (the byte-parity rule of [`crate::config::FederationConfig`]).
 
 use std::collections::VecDeque;
 
@@ -67,15 +66,13 @@ pub struct FederationStats {
 }
 
 /// Mutable federation state owned by the engine (one per simulation when
-/// [`FederationConfig::is_active`]).
+/// [`FederationConfig::is_partitioned`]).
 #[derive(Debug)]
 pub struct FederationState {
     config: FederationConfig,
     workers: usize,
     /// `ranges[d] = (base, len)` of domain `d`'s contiguous worker slice.
     ranges: Vec<(usize, usize)>,
-    /// Per-domain range-restricted ledgers, kept exact by the engine.
-    ledgers: Vec<CrvLedger>,
     /// Latest *installed* summary per domain (what remote placement sees).
     visible: Vec<DomainSummary>,
     /// Published-but-undelivered summary batches, FIFO (every batch waits
@@ -98,17 +95,12 @@ impl FederationState {
             base += len;
         }
         debug_assert_eq!(base, workers, "domain ranges must tile the cluster");
-        let ledgers = ranges
-            .iter()
-            .map(|&(base, len)| CrvLedger::with_range(base, len))
-            .collect();
         FederationState {
             config,
             workers,
             visible: vec![DomainSummary::default(); k],
             inflight: VecDeque::new(),
             ranges,
-            ledgers,
             stats: FederationStats::default(),
         }
     }
@@ -152,30 +144,10 @@ impl FederationState {
         d
     }
 
-    /// The contiguous worker range `(base, len)` of domain `d`.
-    pub fn range(&self, d: usize) -> (usize, usize) {
-        self.ranges[d]
-    }
-
-    /// The live ledger of domain `d` (its own domain reads this directly;
-    /// remote domains must go through [`FederationState::visible`]).
-    pub fn ledger(&self, d: usize) -> &CrvLedger {
-        &self.ledgers[d]
-    }
-
-    /// Mutable access for the engine's probe/slot wrappers.
-    pub(crate) fn ledger_mut(&mut self, d: usize) -> &mut CrvLedger {
-        &mut self.ledgers[d]
-    }
-
-    /// Re-creates every domain ledger fresh (all-idle, no demand) for the
-    /// engine's from-scratch rebuild path.
-    pub(crate) fn reset_ledgers(&mut self) {
-        self.ledgers = self
-            .ranges
-            .iter()
-            .map(|&(base, len)| CrvLedger::with_range(base, len))
-            .collect();
+    /// The contiguous worker range `(base, len)` of every domain, in
+    /// domain order.
+    pub fn ranges(&self) -> &[(usize, usize)] {
+        &self.ranges
     }
 
     /// The latest installed (stale) summary of domain `d`.
@@ -183,21 +155,22 @@ impl FederationState {
         &self.visible[d]
     }
 
-    /// Snapshots every domain ledger into a summary batch and queues it
-    /// for delivery. Returns `true` when the batch must be delivered by a
-    /// later `GossipDeliver` event (nonzero staleness); with zero
-    /// staleness the batch is installed immediately.
-    pub(crate) fn publish(&mut self, now: SimTime) -> bool {
-        let batch: Vec<DomainSummary> = self
-            .ledgers
-            .iter()
-            .map(|ledger| DomainSummary {
-                published_at: now.as_micros(),
-                demand: std::array::from_fn(|k| ledger.demand(ConstraintKind::ALL[k])),
-                idle_supply: std::array::from_fn(|k| ledger.idle_supply(ConstraintKind::ALL[k])),
-                queued_probes: ledger.queued_probes(),
-                constrained_probes: ledger.constrained_probes(),
-                idle_workers: ledger.idle_workers(),
+    /// Snapshots every domain's tally of `ledger` into a summary batch and
+    /// queues it for delivery. Returns `true` when the batch must be
+    /// delivered by a later `GossipDeliver` event (nonzero staleness); with
+    /// zero staleness the batch is installed immediately.
+    pub(crate) fn publish(&mut self, now: SimTime, ledger: &CrvLedger) -> bool {
+        let batch: Vec<DomainSummary> = (0..self.domains())
+            .map(|d| {
+                let tally = ledger.domain(d);
+                DomainSummary {
+                    published_at: now.as_micros(),
+                    demand: std::array::from_fn(|k| tally.demand(ConstraintKind::ALL[k])),
+                    idle_supply: std::array::from_fn(|k| tally.idle_supply(ConstraintKind::ALL[k])),
+                    queued_probes: tally.queued_probes(),
+                    constrained_probes: tally.constrained_probes(),
+                    idle_workers: tally.idle_workers(),
+                }
             })
             .collect();
         self.stats.gossip_rounds += 1;
@@ -300,8 +273,7 @@ mod tests {
         for (workers, k) in [(10, 4), (100, 16), (7, 3), (5, 8), (1, 1)] {
             let fed = FederationState::new(cfg(k, 0), workers);
             let mut covered = 0;
-            for d in 0..fed.domains() {
-                let (base, len) = fed.range(d);
+            for (d, &(base, len)) in fed.ranges().iter().enumerate() {
                 assert_eq!(base, covered, "{workers}w/{k}d");
                 covered += len;
                 for w in base..base + len {
@@ -323,7 +295,8 @@ mod tests {
     #[test]
     fn zero_staleness_installs_at_publish() {
         let mut fed = FederationState::new(cfg(2, 0), 8);
-        assert!(!fed.publish(SimTime(100)));
+        let ledger = CrvLedger::new(8, fed.ranges());
+        assert!(!fed.publish(SimTime(100), &ledger));
         assert_eq!(fed.visible(0).published_at, 100);
         assert_eq!(fed.visible(0).idle_workers, 4);
         assert_eq!(fed.stats.gossip_rounds, 1);
@@ -333,7 +306,8 @@ mod tests {
     #[test]
     fn nonzero_staleness_waits_for_delivery() {
         let mut fed = FederationState::new(cfg(2, 500), 8);
-        assert!(fed.publish(SimTime(100)));
+        let ledger = CrvLedger::new(8, fed.ranges());
+        assert!(fed.publish(SimTime(100), &ledger));
         // Still the default (empty) view until delivery.
         assert_eq!(fed.visible(1).published_at, 0);
         assert_eq!(fed.visible(1).idle_workers, 0);
@@ -346,7 +320,7 @@ mod tests {
     #[test]
     fn visible_aggregates_sum_over_domains() {
         let mut fed = FederationState::new(cfg(4, 0), 12);
-        fed.publish(SimTime(1));
+        fed.publish(SimTime(1), &CrvLedger::new(12, fed.ranges()));
         assert_eq!(fed.visible_idle_workers(), 12);
         assert_eq!(fed.visible_queued_probes(), 0);
     }

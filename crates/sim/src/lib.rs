@@ -81,7 +81,7 @@ pub use audit::{
 };
 pub use config::{FederationConfig, SimConfig};
 pub use context::SimCtx;
-pub use crvledger::CrvLedger;
+pub use crvledger::{CrvLedger, CrvTally};
 pub use engine::{SimState, Simulation};
 pub use event::{Event, EventQueue};
 pub use fault::FaultPlan;

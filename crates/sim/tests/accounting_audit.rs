@@ -37,9 +37,11 @@ fn simulation(scheduler: Box<dyn Scheduler>) -> Simulation {
 
 /// Sends one speculative probe, then rewrites its bound duration in place —
 /// exactly the desync `Worker::queue_mut` makes possible.
+#[cfg(debug_assertions)]
 #[derive(Debug)]
 struct DesyncingScheduler;
 
+#[cfg(debug_assertions)]
 impl Scheduler for DesyncingScheduler {
     fn name(&self) -> &str {
         "desyncing"
