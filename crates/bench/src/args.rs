@@ -154,6 +154,59 @@ impl ObserveArgs {
     }
 }
 
+/// `--only <profile>/<nodes>/<jobs>` row selection for the `scale` bin:
+/// re-measures chosen ladder rows instead of the whole sweep. Repeat the
+/// flag to select several rows; with none given every row runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowFilter {
+    /// The requested row keys, in command-line order.
+    pub keys: Vec<String>,
+}
+
+impl RowFilter {
+    /// Parses every `--only <key>` from the process arguments.
+    pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1))
+    }
+
+    /// Parses the flags from an explicit argument stream (testable).
+    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+        let args: Vec<String> = args.collect();
+        let keys = args
+            .windows(2)
+            .filter(|pair| pair[0] == "--only")
+            .map(|pair| pair[1].clone())
+            .collect();
+        RowFilter { keys }
+    }
+
+    /// Keeps the rows whose key was requested, in ladder order (every row
+    /// when no key was given). A requested key that names no row is an
+    /// error whose message lists the valid keys.
+    pub fn select<T>(&self, rows: Vec<(String, T)>) -> Result<Vec<T>, String> {
+        if self.keys.is_empty() {
+            return Ok(rows.into_iter().map(|(_, row)| row).collect());
+        }
+        if let Some(unknown) = self
+            .keys
+            .iter()
+            .find(|key| !rows.iter().any(|(k, _)| k == *key))
+        {
+            let mut valid: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
+            valid.dedup();
+            return Err(format!(
+                "unknown --only row `{unknown}`; valid rows:\n  {}",
+                valid.join("\n  ")
+            ));
+        }
+        Ok(rows
+            .into_iter()
+            .filter(|(k, _)| self.keys.contains(k))
+            .map(|(_, row)| row)
+            .collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +246,47 @@ mod tests {
         assert!(o.audit);
         let none = ObserveArgs::parse(["--scale", "quick"].iter().map(|s| s.to_string()));
         assert_eq!(none, ObserveArgs::default());
+    }
+
+    #[test]
+    fn row_filter_parses_and_selects() {
+        fn args(list: &[&str]) -> std::vec::IntoIter<String> {
+            list.iter()
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>()
+                .into_iter()
+        }
+        let rows = || {
+            vec![
+                ("yahoo/5000/25000".to_string(), 1),
+                ("yahoo/5000/50000".to_string(), 2),
+                ("yahoo+K16@2000ms/100000/12500".to_string(), 3),
+            ]
+        };
+        // No flag: every row, in order.
+        let all = RowFilter::parse(args(&["--jobs", "400"]));
+        assert_eq!(all, RowFilter::default());
+        assert_eq!(all.select(rows()), Ok(vec![1, 2, 3]));
+        // Repeated flags select in ladder order, not flag order.
+        let two = RowFilter::parse(args(&[
+            "--only",
+            "yahoo+K16@2000ms/100000/12500",
+            "--scale",
+            "smoke",
+            "--only",
+            "yahoo/5000/50000",
+        ]));
+        assert_eq!(two.keys.len(), 2);
+        assert_eq!(two.select(rows()), Ok(vec![2, 3]));
+        // An unknown key fails and lists every valid row.
+        let bad = RowFilter::parse(args(&["--only", "yahoo/5000/99"]));
+        let err = bad.select(rows()).unwrap_err();
+        assert!(err.contains("`yahoo/5000/99`"), "{err}");
+        for (key, _) in rows() {
+            assert!(err.contains(&key), "{err} must list {key}");
+        }
+        // A trailing flag with no value selects nothing.
+        assert_eq!(RowFilter::parse(args(&["--only"])), RowFilter::default());
     }
 
     #[test]

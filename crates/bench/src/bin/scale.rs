@@ -7,6 +7,11 @@
 //! (the paper's own node counts); `--scale smoke|quick|full` still applies
 //! the usual reduced factors for CI smoke runs. `--jobs N` sets the top of
 //! the job ladder (default 50,000) and `--seeds N` repeats each point.
+//! `--only <profile>/<nodes>/<jobs>` re-measures one ladder row (repeat
+//! the flag for several); a federated row's profile reads
+//! `yahoo+K<domains>@<staleness ms>ms`, as in the printed table. A key
+//! that names no row fails with the list of valid keys. Pair `--only`
+//! with `--out`, or the partial result replaces `BENCH_scale.json`.
 //!
 //! Results go to stdout as a table and to `BENCH_scale.json`
 //! (`--out <path>` to redirect) as hand-rolled JSON:
@@ -34,7 +39,7 @@
 
 use std::fmt::Write as _;
 
-use phoenix_bench::{run_specs_parallel, RunSpec, Scale, SchedulerKind};
+use phoenix_bench::{run_specs_parallel, RowFilter, RunSpec, Scale, SchedulerKind};
 use phoenix_metrics::Table;
 use phoenix_sim::{FederationConfig, ProfileScope, SimDuration};
 use phoenix_traces::TraceProfile;
@@ -47,6 +52,26 @@ fn ladder(max_jobs: usize) -> Vec<usize> {
         .collect();
     steps.dedup();
     steps
+}
+
+/// The table's profile cell: the profile name, with federated rows
+/// suffixed `+K<domains>@<staleness ms>ms`.
+fn profile_label(spec: &RunSpec) -> String {
+    if spec.federation.domains > 0 {
+        format!(
+            "{}+K{}@{}ms",
+            spec.profile.name,
+            spec.federation.domains,
+            spec.federation.staleness.as_micros() / 1_000
+        )
+    } else {
+        spec.profile.name.to_string()
+    }
+}
+
+/// A ladder row's `--only` key: `<profile label>/<nodes>/<jobs>`.
+fn row_key(spec: &RunSpec) -> String {
+    format!("{}/{}/{}", profile_label(spec), spec.nodes, spec.jobs)
 }
 
 struct ScaleRun {
@@ -270,22 +295,20 @@ fn main() {
             specs.push(spec.with_profiling());
         }
     }
+    let keyed = specs
+        .into_iter()
+        .map(|spec| (row_key(&spec), spec))
+        .collect();
+    let specs = RowFilter::from_args().select(keyed).unwrap_or_else(|msg| {
+        eprintln!("scale: {msg}");
+        std::process::exit(2);
+    });
     let outcomes = run_specs_parallel(&specs, parallel);
     let mut runs: Vec<ScaleRun> = Vec::new();
     for (spec, (result, timing)) in specs.into_iter().zip(outcomes) {
         let tasks = result.counters.tasks_completed;
-        let profile_cell = if spec.federation.domains > 0 {
-            format!(
-                "{}+K{}/{}ms",
-                spec.profile.name,
-                spec.federation.domains,
-                spec.federation.staleness.as_micros() / 1_000
-            )
-        } else {
-            spec.profile.name.to_string()
-        };
         table.add_row(vec![
-            profile_cell,
+            profile_label(&spec),
             spec.nodes.to_string(),
             spec.jobs.to_string(),
             spec.seed.to_string(),

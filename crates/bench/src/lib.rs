@@ -26,7 +26,7 @@ pub mod report;
 pub mod runner;
 pub mod summary;
 
-pub use args::{ObserveArgs, Scale};
+pub use args::{ObserveArgs, RowFilter, Scale};
 pub use report::{print_normalized_sweep, sweep, SweepPoint, SWEEP_FACTORS};
 pub use runner::{
     run_many, run_seeds, run_spec, run_spec_timed, run_specs_parallel, scenario_matrix, RunSpec,

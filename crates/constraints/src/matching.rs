@@ -16,7 +16,9 @@
 //!   machine ids grouped by distinct attribute value, values sorted. A
 //!   constraint `attr op value` then denotes a *contiguous range* of value
 //!   groups (binary search, O(log m) for m distinct values), so counting
-//!   its matches is O(1) arithmetic on the group offsets;
+//!   its matches is O(1) arithmetic on the group offsets. The lists are
+//!   laid down by a counting sort (distinct values, group counts, then an
+//!   ascending-id scatter), O(N log m) per kind;
 //! * **fixed-width bitset blocks** — for kinds with few distinct values
 //!   (every realistic profile: core counts, kernel versions, platform
 //!   generations, ... have a handful each), cumulative bitsets over the
@@ -34,7 +36,12 @@
 //! Per-set and per-constraint results are memoized exactly as before (the
 //! synthesizer produces a bounded variety of sets, so the caches converge
 //! quickly); the posting lists make the *cold* path cheap, the caches make
-//! the warm path O(1).
+//! the warm path O(1). One-off queries over sets that never recur — trace
+//! calibration draws tens of thousands of distinct candidate sets — go
+//! through the uncached entry points
+//! ([`FeasibilityIndex::count_feasible_uncached`],
+//! [`FeasibilityIndex::feasible_fraction_uncached`]) so the caches only
+//! hold sets the simulator asks about again.
 //!
 //! Every query is a pure function of the population, so the rewrite is
 //! digest-neutral: [`FeasibilityIndex::sample_feasible`] consumes the
@@ -55,9 +62,11 @@ use crate::expr::ConstraintExpr;
 
 /// Fraction of `machines` that satisfy `set`, in `[0, 1]`.
 ///
-/// Deliberately kept as a naive linear scan: this is the reference oracle
-/// the indexed paths are property-tested against. Returns 0.0 for an empty
-/// population.
+/// Deliberately kept as a naive linear scan: this is the test oracle the
+/// indexed paths are property-tested against, and it is on no production
+/// path — trace calibration and the Fig. 6 supply curve use
+/// [`FeasibilityIndex::feasible_fraction_uncached`], which returns the same
+/// `f64` bit for bit. Returns 0.0 for an empty population.
 pub fn feasible_fraction(machines: &[AttributeVector], set: &ConstraintSet) -> f64 {
     if machines.is_empty() {
         return 0.0;
@@ -102,6 +111,27 @@ pub fn count_ones_in_range(bits: &[u64], start: usize, end: usize) -> usize {
     count
 }
 
+/// The distinct values of `attrs`, ascending. Keeps a sorted vector and
+/// inserts each value not seen yet: O(N log m) for the handful of values
+/// a realistic kind has. A kind past [`PREFIX_VALUE_CAP`] values switches
+/// to sorting a copy (O(N log N)), so insertions never cost O(m) each for
+/// large m.
+fn distinct_sorted(attrs: &[u64]) -> Vec<u64> {
+    let mut values: Vec<u64> = Vec::new();
+    for &a in attrs {
+        if let Err(pos) = values.binary_search(&a) {
+            if values.len() == PREFIX_VALUE_CAP {
+                let mut all = attrs.to_vec();
+                all.sort_unstable();
+                all.dedup();
+                return all;
+            }
+            values.insert(pos, a);
+        }
+    }
+    values
+}
+
 /// One kind's posting lists: machine ids grouped by attribute value.
 #[derive(Debug)]
 struct KindPostings {
@@ -120,24 +150,33 @@ struct KindPostings {
 }
 
 impl KindPostings {
+    /// Groups the machines by this kind's attribute with a counting sort:
+    /// collect the sorted distinct values, count each group, then scatter
+    /// ids in ascending order. O(N log m) for m distinct values.
     fn build(kind: ConstraintKind, machines: &[AttributeVector], words: usize) -> Self {
-        let mut by_value: Vec<(u64, u32)> = machines
+        let attrs: Vec<u64> = machines
             .iter()
-            .enumerate()
-            .map(|(i, m)| (Constraint::machine_attribute(kind, m), i as u32))
+            .map(|m| Constraint::machine_attribute(kind, m))
             .collect();
-        by_value.sort_unstable();
-        let mut values = Vec::new();
-        let mut starts: Vec<u32> = Vec::new();
-        let mut postings = Vec::with_capacity(machines.len());
-        for (value, id) in by_value {
-            if values.last() != Some(&value) {
-                values.push(value);
-                starts.push(postings.len() as u32);
-            }
-            postings.push(id);
+        let values = distinct_sorted(&attrs);
+        let groups: Vec<u32> = attrs
+            .iter()
+            .map(|a| values.binary_search(a).expect("value was collected") as u32)
+            .collect();
+        let mut starts = vec![0u32; values.len() + 1];
+        for &g in &groups {
+            starts[g as usize + 1] += 1;
         }
-        starts.push(postings.len() as u32);
+        for i in 0..values.len() {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut postings = vec![0u32; machines.len()];
+        for (id, &g) in groups.iter().enumerate() {
+            let slot = &mut cursor[g as usize];
+            postings[*slot as usize] = id as u32;
+            *slot += 1;
+        }
         let prefix = (values.len() <= PREFIX_VALUE_CAP).then(|| {
             // prefix[i] = union of groups 0..i: copy the previous block,
             // then OR in group i's machines.
@@ -262,9 +301,10 @@ pub struct FeasibilityIndex {
 }
 
 impl FeasibilityIndex {
-    /// Builds an index over a machine population: one pass per constraint
-    /// kind to group machines by attribute value and lay down the bitset
-    /// blocks (O(kinds · N log N) once, at simulation construction).
+    /// Builds an index over a machine population: per constraint kind, a
+    /// counting sort groups machines by attribute value and the bitset
+    /// blocks are laid down over the groups (O(kinds · N log m) for m
+    /// distinct values per kind, once, at simulation construction).
     pub fn new(machines: Vec<AttributeVector>) -> Self {
         let words = machines.len().div_ceil(64);
         let kinds = ConstraintKind::ALL
@@ -526,6 +566,18 @@ impl FeasibilityIndex {
             .sum()
     }
 
+    /// Fraction of the population satisfying `set`, uncached:
+    /// [`FeasibilityIndex::count_feasible_uncached`] over
+    /// [`FeasibilityIndex::len`]. The counts equal the naive scan's, so the
+    /// result is bit-identical to [`feasible_fraction`] over
+    /// [`FeasibilityIndex::machines`]. 0.0 for an empty population.
+    pub fn feasible_fraction_uncached(&self, set: &ConstraintSet) -> f64 {
+        if self.machines.is_empty() {
+            return 0.0;
+        }
+        self.count_feasible_uncached(set) as f64 / self.machines.len() as f64
+    }
+
     /// Samples up to `k` *distinct* feasible workers uniformly at random,
     /// skipping workers for which `exclude` returns true.
     ///
@@ -633,10 +685,153 @@ impl FeasibilityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::Isa;
+    use crate::attr::{Isa, PlatformFamily};
     use crate::constraint::ConstraintOp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The sort-based build the counting sort replaced, kept verbatim as
+    /// the oracle for [`KindPostings::build`].
+    fn build_by_sort(
+        kind: ConstraintKind,
+        machines: &[AttributeVector],
+        words: usize,
+    ) -> KindPostings {
+        let mut by_value: Vec<(u64, u32)> = machines
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (Constraint::machine_attribute(kind, m), i as u32))
+            .collect();
+        by_value.sort_unstable();
+        let mut values = Vec::new();
+        let mut starts: Vec<u32> = Vec::new();
+        let mut postings = Vec::with_capacity(machines.len());
+        for (value, id) in by_value {
+            if values.last() != Some(&value) {
+                values.push(value);
+                starts.push(postings.len() as u32);
+            }
+            postings.push(id);
+        }
+        starts.push(postings.len() as u32);
+        let prefix = (values.len() <= PREFIX_VALUE_CAP).then(|| {
+            let mut prefix = vec![0u64; (values.len() + 1) * words];
+            for i in 0..values.len() {
+                let (src, dst) = (i * words, (i + 1) * words);
+                prefix.copy_within(src..src + words, dst);
+                for &id in &postings[starts[i] as usize..starts[i + 1] as usize] {
+                    prefix[dst + (id as usize >> 6)] |= 1u64 << (id & 63);
+                }
+            }
+            prefix
+        });
+        KindPostings {
+            values,
+            starts,
+            postings,
+            prefix,
+        }
+    }
+
+    /// Asserts the counting build equals the sort-based build on every kind.
+    fn assert_builds_agree(machines: &[AttributeVector]) {
+        let words = machines.len().div_ceil(64);
+        for kind in ConstraintKind::ALL {
+            let fast = KindPostings::build(kind, machines, words);
+            let slow = build_by_sort(kind, machines, words);
+            assert_eq!(
+                fast.values,
+                slow.values,
+                "{kind} values, n={}",
+                machines.len()
+            );
+            assert_eq!(
+                fast.starts,
+                slow.starts,
+                "{kind} starts, n={}",
+                machines.len()
+            );
+            assert_eq!(
+                fast.postings,
+                slow.postings,
+                "{kind} postings, n={}",
+                machines.len()
+            );
+            assert_eq!(
+                fast.prefix,
+                slow.prefix,
+                "{kind} prefix, n={}",
+                machines.len()
+            );
+        }
+    }
+
+    /// A machine drawn from `spread` distinct values per attribute.
+    fn spread_machine(bits: u64, spread: u64) -> AttributeVector {
+        let pick = |shift: u32| (bits >> shift) % spread;
+        AttributeVector::builder()
+            .isa(Isa::ALL[(pick(0) % 3) as usize])
+            .num_cores(1 + pick(8) as u32)
+            .memory_gb(8 * (1 + pick(16) as u32))
+            .num_disks(pick(24) as u32)
+            .ethernet_mbps(1_000 * (1 + pick(32) as u32))
+            .kernel_version(300 + pick(40) as u32)
+            .cpu_clock_mhz(1_800 + 100 * pick(48) as u32)
+            .platform(PlatformFamily(pick(56) as u8))
+            .rack_size(10 * (1 + pick(4) as u32))
+            .build()
+    }
+
+    proptest::proptest! {
+        /// The counting build is byte-identical to the sort-based build:
+        /// sizes straddle word boundaries, and value spreads run from one
+        /// value per kind to more than `PREFIX_VALUE_CAP` (no-prefix path).
+        #[test]
+        fn counting_build_matches_sort_build(
+            seeds in proptest::prop::collection::vec(0u64..u64::MAX, 0..300),
+            spread in 1u64..200,
+        ) {
+            let machines: Vec<AttributeVector> =
+                seeds.iter().map(|&s| spread_machine(s, spread)).collect();
+            assert_builds_agree(&machines);
+        }
+    }
+
+    #[test]
+    fn counting_build_edge_cases() {
+        // Empty population, one machine, all-equal attributes.
+        assert_builds_agree(&[]);
+        assert_builds_agree(&[spread_machine(12_345, 7)]);
+        assert_builds_agree(&vec![spread_machine(99, 5); 130]);
+        // Sizes that are not a multiple of 64, around word boundaries.
+        for n in [63, 65, 127, 129, 1_000] {
+            let machines: Vec<AttributeVector> = (0..n as u64)
+                .map(|i| spread_machine(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 9))
+                .collect();
+            assert_builds_agree(&machines);
+        }
+        // Every machine distinct: past PREFIX_VALUE_CAP, no prefix blocks.
+        let distinct: Vec<AttributeVector> = (0..500u32)
+            .rev()
+            .map(|i| AttributeVector::builder().num_cores(i + 1).build())
+            .collect();
+        let cores = KindPostings::build(ConstraintKind::NumCores, &distinct, 8);
+        assert!(cores.values.len() > PREFIX_VALUE_CAP && cores.prefix.is_none());
+        assert_builds_agree(&distinct);
+        // Exactly at the cap keeps the prefix; one past it drops it.
+        for n in [PREFIX_VALUE_CAP, PREFIX_VALUE_CAP + 1] {
+            let machines: Vec<AttributeVector> = (0..n as u32)
+                .map(|i| {
+                    AttributeVector::builder()
+                        .num_cores(i * 7 % n as u32)
+                        .build()
+                })
+                .collect();
+            let cores = KindPostings::build(ConstraintKind::NumCores, &machines, n.div_ceil(64));
+            assert_eq!(cores.prefix.is_some(), n <= PREFIX_VALUE_CAP);
+            assert_builds_agree(&machines);
+        }
+    }
 
     fn population() -> Vec<AttributeVector> {
         (0..100u32)

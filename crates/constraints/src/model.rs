@@ -17,7 +17,7 @@ use crate::constraint::{
     Constraint, ConstraintKind, ConstraintOp, ConstraintSet, PlacementConstraint,
 };
 use crate::expr::{ConstraintExpr, VectorDemand};
-use crate::matching::feasible_fraction;
+use crate::matching::FeasibilityIndex;
 use crate::supply::{weighted_pick, MachinePopulation};
 
 /// One row of Table II: a constraint kind with its observed relative
@@ -512,13 +512,15 @@ impl ConstraintStats {
 
 /// Supply curve of Fig. 6: for each `k = 1..=6`, the average percentage of
 /// nodes able to satisfy a k-constraint job, estimated from `samples`
-/// synthesized sets against `population`.
+/// synthesized sets against `population`. Each set is counted uncached on
+/// a posting-list index over the population.
 pub fn supply_curve<R: Rng + ?Sized>(
     model: &ConstraintModel,
     population: &MachinePopulation,
     samples: usize,
     rng: &mut R,
 ) -> [f64; 6] {
+    let index = FeasibilityIndex::new(population.machines().to_vec());
     let mut sums = [0.0f64; 6];
     let mut counts = [0usize; 6];
     let mut drawn = 0usize;
@@ -527,7 +529,7 @@ pub fn supply_curve<R: Rng + ?Sized>(
         let set = model.synthesize_set(rng);
         drawn += 1;
         let k = set.len().clamp(1, 6);
-        sums[k - 1] += feasible_fraction(population.machines(), &set);
+        sums[k - 1] += index.feasible_fraction_uncached(&set);
         counts[k - 1] += 1;
     }
     let mut curve = [0.0f64; 6];

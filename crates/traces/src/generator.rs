@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use phoenix_constraints::{
-    feasible_fraction, weighted_pick, AttributeVector, ConstraintSet, MachinePopulation,
+    weighted_pick, AttributeVector, ConstraintSet, FeasibilityIndex, MachinePopulation,
 };
 
 use crate::job::{Job, JobId, Trace};
@@ -67,16 +67,7 @@ impl TraceGenerator {
         let arrival_rate = target_utilization * nodes as f64 / mean_work;
         let mut arrivals = ArrivalProcess::new(arrival_rate, self.profile.burst);
         let boost = self.constrained_boost();
-        // Reference machine sample for constraint-set calibration (a fixed
-        // derived seed keeps trace generation independent of cluster
-        // generation).
-        let mut ref_rng = StdRng::seed_from_u64(self.seed ^ 0xC0FF_EE00);
-        let reference = MachinePopulation::generate(
-            self.profile.population.clone(),
-            REFERENCE_POPULATION,
-            &mut ref_rng,
-        )
-        .into_machines();
+        let reference = FeasibilityIndex::new(self.reference_sample());
 
         // Zipf(1.1) user popularity: a few heavy users, a long tail.
         let user_table: Vec<(u32, f64)> = (0..self.profile.num_users.max(1))
@@ -99,13 +90,30 @@ impl TraceGenerator {
         Trace::new(self.profile.name, jobs)
     }
 
+    /// The reference machine sample synthesized constraint sets are
+    /// calibrated against: 2,000 machines (`REFERENCE_POPULATION`) of the
+    /// profile's population mix. A fixed derived seed keeps trace
+    /// generation independent of cluster generation.
+    pub fn reference_sample(&self) -> Vec<AttributeVector> {
+        let mut ref_rng = StdRng::seed_from_u64(self.seed ^ 0xC0FF_EE00);
+        MachinePopulation::generate(
+            self.profile.population.clone(),
+            REFERENCE_POPULATION,
+            &mut ref_rng,
+        )
+        .into_machines()
+    }
+
     /// Synthesizes a constraint set whose supply on the reference
     /// population meets the profile's `min_class_supply` floor, resampling
     /// up to [`SYNTHESIS_ATTEMPTS`] times and keeping the most satisfiable
     /// candidate otherwise.
+    ///
+    /// Supply is an uncached index count: a long trace draws tens of
+    /// thousands of distinct candidate sets, none worth memoizing.
     fn synthesize_calibrated<R: Rng + ?Sized>(
         &self,
-        reference: &[AttributeVector],
+        reference: &FeasibilityIndex,
         max_count: usize,
         rng: &mut R,
     ) -> ConstraintSet {
@@ -115,7 +123,7 @@ impl TraceGenerator {
                 .profile
                 .constraint_model
                 .synthesize_set_capped(rng, max_count);
-            let supply = feasible_fraction(reference, &set);
+            let supply = reference.feasible_fraction_uncached(&set);
             if supply >= self.profile.min_class_supply {
                 return set;
             }
@@ -156,7 +164,7 @@ impl TraceGenerator {
         id: JobId,
         arrival_s: f64,
         boost: f64,
-        reference: &[AttributeVector],
+        reference: &FeasibilityIndex,
         user: u32,
         rng: &mut R,
     ) -> Job {
