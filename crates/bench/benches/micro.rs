@@ -59,12 +59,14 @@ fn bench_feasibility(c: &mut Criterion) {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % sets.len();
-            black_box(index.sample_feasible(&sets[i], 2, &mut rng, |_| false))
+            black_box(index.sample_feasible(&sets[i], 2, 0..15_000, &mut rng, |_| false))
         });
     });
     group.bench_function("sample_feasible_selective_15k", |b| {
         let mut rng = StdRng::seed_from_u64(2);
-        b.iter(|| black_box(index.sample_feasible(&selective, 4, &mut rng, |w| w % 2 == 0)));
+        b.iter(|| {
+            black_box(index.sample_feasible(&selective, 4, 0..15_000, &mut rng, |w| w % 2 == 0))
+        });
     });
     // Cold-set cost, naive scan vs the posting-list index. Both benches
     // consume the same seeded stream of freshly synthesized sets, so the

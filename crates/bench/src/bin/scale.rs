@@ -22,12 +22,18 @@
 //!            "jobs": 50000, "seed": 1, "cluster_gen_s": ..,
 //!            "trace_gen_s": .., "index_build_s": .., "sim_s": ..,
 //!            "total_s": .., "tasks_completed": .., "tasks_per_sim_s": ..,
-//!            "makespan_s": .., "utilization": .., "digest": "0x..",
+//!            "makespan_s": .., "utilization": ..,
+//!            "set_cache": {"sets": .., "sets_with_ids": ..,
+//!                          "bitset_bytes": .., "id_bytes": ..},
+//!            "digest": "0x..",
 //!            "hot_paths": {"dispatch": {"calls": .., "total_ns": ..}, ..}}]}
 //! ```
 //!
 //! The digest is the deterministic run digest: two invocations at the same
 //! scale must agree on every digest even though the timings differ.
+//! `set_cache` is what the feasibility index's per-set cache held at the
+//! end of the run (sets, sets with a built id list, and their bytes); it
+//! is deterministic too, so it must agree as exactly as the digest.
 //!
 //! Federated rows (the yahoo K-domain ladder, including the 100k-node
 //! points) additionally carry `"domains"`, `"staleness_us"`,
@@ -131,9 +137,15 @@ fn json_run(out: &mut String, run: &ScaleRun) {
         )
         .expect("writing to String cannot fail");
     }
+    let cache = &r.set_cache;
     write!(
         out,
-        "\"digest\": \"{:#018x}\", \"hot_paths\": {{",
+        "\"set_cache\": {{\"sets\": {}, \"sets_with_ids\": {}, \"bitset_bytes\": {}, \
+         \"id_bytes\": {}}}, \"digest\": \"{:#018x}\", \"hot_paths\": {{",
+        cache.sets,
+        cache.sets_with_ids,
+        cache.bitset_bytes,
+        cache.id_bytes,
         r.digest()
     )
     .expect("writing to String cannot fail");

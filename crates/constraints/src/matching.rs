@@ -12,13 +12,13 @@
 //! kernel of constraint-aware scheduling, so the index now builds, once at
 //! construction:
 //!
-//! * **per-attribute posting lists** — for every [`ConstraintKind`], the
-//!   machine ids grouped by distinct attribute value, values sorted. A
+//! * **per-attribute value groups** — for every [`ConstraintKind`], the
+//!   machines grouped by distinct attribute value, values sorted. A
 //!   constraint `attr op value` then denotes a *contiguous range* of value
 //!   groups (binary search, O(log m) for m distinct values), so counting
-//!   its matches is O(1) arithmetic on the group offsets. The lists are
-//!   laid down by a counting sort (distinct values, group counts, then an
-//!   ascending-id scatter), O(N log m) per kind;
+//!   its matches is O(1) arithmetic on the group offsets. The groups are
+//!   laid down by a counting sort (distinct values, group counts, then one
+//!   pass over the machines), O(N log m) per kind;
 //! * **fixed-width bitset blocks** — for kinds with few distinct values
 //!   (every realistic profile: core counts, kernel versions, platform
 //!   generations, ... have a handful each), cumulative bitsets over the
@@ -29,19 +29,24 @@
 //!
 //! Kinds with pathologically many distinct values (beyond
 //! [`PREFIX_VALUE_CAP`], impossible with the shipped population profiles
-//! but reachable through the public API) skip the bitset blocks and fall
-//! back to scattering/filtering their posting range, bounding index memory
-//! by O(N) per kind.
+//! but reachable through the public API) keep ascending-id posting lists
+//! instead of bitset blocks and scatter/filter their posting range,
+//! bounding index memory by O(N) per kind. A kind stores one form or the
+//! other, never both.
 //!
-//! Per-set and per-constraint results are memoized exactly as before (the
-//! synthesizer produces a bounded variety of sets, so the caches converge
-//! quickly); the posting lists make the *cold* path cheap, the caches make
-//! the warm path O(1). One-off queries over sets that never recur — trace
-//! calibration draws tens of thousands of distinct candidate sets — go
-//! through the uncached entry points
-//! ([`FeasibilityIndex::count_feasible_uncached`],
-//! [`FeasibilityIndex::feasible_fraction_uncached`]) so the caches only
-//! hold sets the simulator asks about again.
+//! Per-set results are memoized (the synthesizer produces a bounded
+//! variety of sets, so the cache converges quickly): a cached set holds its
+//! bitset and popcount, and builds its sorted id list only when a caller
+//! first walks the set ([`FeasibilityIndex::feasible`] or the exact phase
+//! of [`FeasibilityIndex::sample_feasible`]). Counting, membership tests
+//! and bitset walks ([`ones`]) never build it, so at 100,000 machines most
+//! cached sets cost N/8 bytes rather than N/8 plus 4 bytes per feasible
+//! machine. [`FeasibilityIndex::cache_stats`] reports what the cache holds.
+//! One-off queries over sets that never recur — trace calibration draws
+//! tens of thousands of distinct candidate sets — go through the uncached
+//! entry points ([`FeasibilityIndex::count_feasible_uncached`],
+//! [`FeasibilityIndex::feasible_fraction_uncached`]) so the cache only
+//! holds sets the simulator asks about again.
 //!
 //! Every query is a pure function of the population, so the rewrite is
 //! digest-neutral: [`FeasibilityIndex::sample_feasible`] consumes the
@@ -49,8 +54,9 @@
 //! equivalence is pinned by the `feasibility_oracle` proptest suite and the
 //! golden-trace snapshots).
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, Ref, RefCell};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::seq::SliceRandom;
@@ -137,22 +143,34 @@ fn distinct_sorted(attrs: &[u64]) -> Vec<u64> {
 struct KindPostings {
     /// Sorted distinct attribute values observed in the population.
     values: Vec<u64>,
-    /// Group offsets into `postings`; group `i` holds the machines whose
-    /// attribute equals `values[i]`. Length `values.len() + 1`.
+    /// Group offsets: group `i` holds the machines whose attribute equals
+    /// `values[i]`, and `starts[i + 1] - starts[i]` of them. Length
+    /// `values.len() + 1`.
     starts: Vec<u32>,
-    /// Machine ids grouped by value (ascending id within each group).
-    postings: Vec<u32>,
-    /// Cumulative bitset blocks: `prefix[i]` (a `words`-sized slice of the
+    /// The group members, in whichever one form answers range queries.
+    members: Members,
+}
+
+/// How a kind stores its value groups: prefix blocks or posting lists,
+/// never both (a query reads only one of them).
+#[derive(Debug, PartialEq)]
+enum Members {
+    /// Cumulative bitset blocks: block `i` (a `words`-sized slice of the
     /// flat vector) covers the machines in groups `0..i`. Length
-    /// `(values.len() + 1) * words`. `None` when the kind has more than
+    /// `(values.len() + 1) * words`. Every kind with at most
     /// [`PREFIX_VALUE_CAP`] distinct values.
-    prefix: Option<Vec<u64>>,
+    Prefix(Vec<u64>),
+    /// Machine ids grouped by value, ascending id within each group,
+    /// indexed by `starts`. Kinds past [`PREFIX_VALUE_CAP`].
+    Postings(Vec<u32>),
 }
 
 impl KindPostings {
     /// Groups the machines by this kind's attribute with a counting sort:
-    /// collect the sorted distinct values, count each group, then scatter
-    /// ids in ascending order. O(N log m) for m distinct values.
+    /// collect the sorted distinct values and count each group. A kind
+    /// within [`PREFIX_VALUE_CAP`] then ORs each machine into its group's
+    /// block and accumulates the blocks; a kind past it scatters ids into
+    /// posting lists in ascending order. O(N log m) for m distinct values.
     fn build(kind: ConstraintKind, machines: &[AttributeVector], words: usize) -> Self {
         let attrs: Vec<u64> = machines
             .iter()
@@ -170,31 +188,31 @@ impl KindPostings {
         for i in 0..values.len() {
             starts[i + 1] += starts[i];
         }
-        let mut cursor = starts.clone();
-        let mut postings = vec![0u32; machines.len()];
-        for (id, &g) in groups.iter().enumerate() {
-            let slot = &mut cursor[g as usize];
-            postings[*slot as usize] = id as u32;
-            *slot += 1;
-        }
-        let prefix = (values.len() <= PREFIX_VALUE_CAP).then(|| {
-            // prefix[i] = union of groups 0..i: copy the previous block,
-            // then OR in group i's machines.
+        let members = if values.len() <= PREFIX_VALUE_CAP {
+            // Block g + 1 starts as group g's machines; a running OR over
+            // the blocks then makes block i the union of groups 0..i.
             let mut prefix = vec![0u64; (values.len() + 1) * words];
-            for i in 0..values.len() {
-                let (src, dst) = (i * words, (i + 1) * words);
-                prefix.copy_within(src..src + words, dst);
-                for &id in &postings[starts[i] as usize..starts[i + 1] as usize] {
-                    prefix[dst + (id as usize >> 6)] |= 1u64 << (id & 63);
-                }
+            for (id, &g) in groups.iter().enumerate() {
+                prefix[(g as usize + 1) * words + (id >> 6)] |= 1u64 << (id & 63);
             }
-            prefix
-        });
+            for i in words..prefix.len() {
+                prefix[i] |= prefix[i - words];
+            }
+            Members::Prefix(prefix)
+        } else {
+            let mut cursor = starts.clone();
+            let mut postings = vec![0u32; machines.len()];
+            for (id, &g) in groups.iter().enumerate() {
+                let slot = &mut cursor[g as usize];
+                postings[*slot as usize] = id as u32;
+                *slot += 1;
+            }
+            Members::Postings(postings)
+        };
         KindPostings {
             values,
             starts,
-            postings,
-            prefix,
+            members,
         }
     }
 
@@ -216,24 +234,22 @@ impl KindPostings {
         (self.starts[range.1] - self.starts[range.0]) as usize
     }
 
-    /// The machine ids in a group range (grouped by value, not id-sorted).
-    fn ids(&self, range: (usize, usize)) -> &[u32] {
-        &self.postings[self.starts[range.0] as usize..self.starts[range.1] as usize]
-    }
-
     /// Writes the constraint's match set into `out` (must be zeroed),
-    /// OR-style. Uses the prefix blocks when available, else scatters the
-    /// posting range.
+    /// OR-style: two prefix blocks, or a scatter of the posting range.
     fn write_bits(&self, range: (usize, usize), words: usize, out: &mut [u64]) {
-        if let Some(prefix) = &self.prefix {
-            let lo = &prefix[range.0 * words..(range.0 + 1) * words];
-            let hi = &prefix[range.1 * words..(range.1 + 1) * words];
-            for ((out, &hi), &lo) in out.iter_mut().zip(hi).zip(lo) {
-                *out |= hi & !lo;
+        match &self.members {
+            Members::Prefix(prefix) => {
+                let lo = &prefix[range.0 * words..(range.0 + 1) * words];
+                let hi = &prefix[range.1 * words..(range.1 + 1) * words];
+                for ((out, &hi), &lo) in out.iter_mut().zip(hi).zip(lo) {
+                    *out |= hi & !lo;
+                }
             }
-        } else {
-            for &id in self.ids(range) {
-                out[id as usize >> 6] |= 1u64 << (id & 63);
+            Members::Postings(postings) => {
+                let ids = &postings[self.starts[range.0] as usize..self.starts[range.1] as usize];
+                for &id in ids {
+                    out[id as usize >> 6] |= 1u64 << (id & 63);
+                }
             }
         }
     }
@@ -247,23 +263,26 @@ impl KindPostings {
         machines: &[AttributeVector],
         acc: &mut [u64],
     ) {
-        if let Some(prefix) = &self.prefix {
-            let lo = &prefix[range.0 * words..(range.0 + 1) * words];
-            let hi = &prefix[range.1 * words..(range.1 + 1) * words];
-            for ((acc, &hi), &lo) in acc.iter_mut().zip(hi).zip(lo) {
-                *acc &= hi & !lo;
+        match &self.members {
+            Members::Prefix(prefix) => {
+                let lo = &prefix[range.0 * words..(range.0 + 1) * words];
+                let hi = &prefix[range.1 * words..(range.1 + 1) * words];
+                for ((acc, &hi), &lo) in acc.iter_mut().zip(hi).zip(lo) {
+                    *acc &= hi & !lo;
+                }
             }
-        } else {
-            // Rare fallback (more distinct values than the bitset cap):
-            // re-test only the surviving candidates.
-            for (w, word) in acc.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let bit = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let id = (w << 6) as u32 + bit;
-                    if !c.satisfied_by(&machines[id as usize]) {
-                        *word &= !(1u64 << bit);
+            Members::Postings(_) => {
+                // Rare fallback (more distinct values than the bitset cap):
+                // re-test only the surviving candidates.
+                for (w, word) in acc.iter_mut().enumerate() {
+                    let mut bits = *word;
+                    while bits != 0 {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let id = (w << 6) as u32 + bit;
+                        if !c.satisfied_by(&machines[id as usize]) {
+                            *word &= !(1u64 << bit);
+                        }
                     }
                 }
             }
@@ -271,12 +290,84 @@ impl KindPostings {
     }
 }
 
-/// A memoized per-set result: the sorted feasible id list plus the same set
-/// as a bitset (one bit per machine index) for O(1) membership tests.
-#[derive(Debug, Clone)]
+/// The set bits of a bitset as ascending machine ids: a word at a time,
+/// lowest bit first. See [`ones`].
+struct Ones<'a> {
+    bits: &'a [u64],
+    /// Index of the next word to load.
+    next: usize,
+    /// The current word, with the bits already yielded cleared.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.word == 0 {
+            self.word = *self.bits.get(self.next)?;
+            self.next += 1;
+        }
+        let id = ((self.next - 1) << 6) as u32 + self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(id)
+    }
+}
+
+/// Walks the set bits of `bits` in ascending order, yielding each bit's
+/// index (a machine id for the index's bitsets). Walking a cached set's
+/// bitset this way visits the same ids in the same order as its sorted id
+/// list, without building the list.
+pub fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    Ones {
+        bits,
+        next: 0,
+        word: 0,
+    }
+}
+
+/// A memoized per-set result: the set as a bitset (one bit per machine
+/// index) and its popcount, plus the sorted feasible id list, which is
+/// built the first time a caller walks the set.
+#[derive(Debug)]
 struct CachedSet {
-    ids: Arc<[u32]>,
     bits: Arc<[u64]>,
+    count: usize,
+    ids: OnceCell<Arc<[u32]>>,
+}
+
+impl CachedSet {
+    fn new(bits: Vec<u64>) -> Self {
+        CachedSet {
+            count: bits.iter().map(|w| w.count_ones() as usize).sum(),
+            bits: bits.into(),
+            ids: OnceCell::new(),
+        }
+    }
+
+    /// The sorted id list, collected from the bitset on first use.
+    fn ids(&self) -> &Arc<[u32]> {
+        self.ids.get_or_init(|| {
+            let mut ids = Vec::with_capacity(self.count);
+            ids.extend(ones(&self.bits));
+            ids.into()
+        })
+    }
+}
+
+/// What the per-set cache of a [`FeasibilityIndex`] holds, in sets and in
+/// bytes ([`FeasibilityIndex::cache_stats`]). A pure function of the
+/// queries asked, so a replayed run reports the same stats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Constraint sets cached; each holds a bitset and its popcount.
+    pub sets: usize,
+    /// Cached sets whose sorted id list has been built.
+    pub sets_with_ids: usize,
+    /// Bytes of the cached sets' bitsets.
+    pub bitset_bytes: usize,
+    /// Bytes of the built id lists.
+    pub id_bytes: usize,
 }
 
 /// Memoizing feasibility oracle over a fixed machine population, backed by
@@ -470,47 +561,54 @@ impl FeasibilityIndex {
         bits
     }
 
-    /// Collects the set bits of a bitset as ascending machine ids.
-    fn collect_ids(bits: &[u64]) -> Arc<[u32]> {
-        let mut ids = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                ids.push((w << 6) as u32 + word.trailing_zeros());
-                word &= word - 1;
-            }
+    /// The cache entry for `set`, computing and inserting its bitset on a
+    /// miss. The id list stays unbuilt until a caller walks it.
+    fn cached_set(&self, set: &ConstraintSet) -> Ref<'_, CachedSet> {
+        if let Ok(hit) = Ref::filter_map(self.set_cache.borrow(), |cache| cache.get(set)) {
+            return hit;
         }
-        ids.into()
-    }
-
-    fn cached_set(&self, set: &ConstraintSet) -> CachedSet {
-        if let Some(hit) = self.set_cache.borrow().get(set) {
-            return hit.clone();
-        }
-        let bits = self.compute_bits(set);
-        let cached = CachedSet {
-            ids: Self::collect_ids(&bits),
-            bits: bits.into(),
-        };
-        self.set_cache
-            .borrow_mut()
-            .insert(set.clone(), cached.clone());
-        cached
+        let cached = CachedSet::new(self.compute_bits(set));
+        self.set_cache.borrow_mut().insert(set.clone(), cached);
+        Ref::map(self.set_cache.borrow(), |cache| &cache[set])
     }
 
     /// All workers satisfying `set`, as a shared sorted slice.
     ///
-    /// Cold queries intersect the per-attribute bitset blocks (O(N/64) per
-    /// constraint) instead of scanning the population; subsequent queries
-    /// are O(1) cache hits.
+    /// A cold query intersects the per-attribute bitset blocks (O(N/64)
+    /// per constraint) and caches the set's bitset. The id list is
+    /// collected from that bitset the first time this method (or the exact
+    /// phase of [`FeasibilityIndex::sample_feasible`]) asks for it, and
+    /// cached beside it: O(N/64 + feasible) once, O(1) after. Callers that
+    /// only count or test membership should use
+    /// [`FeasibilityIndex::count_feasible`] or
+    /// [`FeasibilityIndex::feasible_bits`], which never build the list.
     pub fn feasible(&self, set: &ConstraintSet) -> Arc<[u32]> {
-        self.cached_set(set).ids
+        Arc::clone(self.cached_set(set).ids())
     }
 
     /// The workers satisfying `set` as a bitset, one bit per machine index
-    /// (same caching as [`FeasibilityIndex::feasible`]).
+    /// (cached like [`FeasibilityIndex::feasible`], without the id list).
+    /// [`ones`] walks it in ascending id order.
     pub fn feasible_bits(&self, set: &ConstraintSet) -> Arc<[u64]> {
-        self.cached_set(set).bits
+        Arc::clone(&self.cached_set(set).bits)
+    }
+
+    /// What the per-set cache holds: sets, sets with a built id list, and
+    /// the bytes of their bitsets and id lists.
+    pub fn cache_stats(&self) -> CacheStats {
+        let cache = self.set_cache.borrow();
+        let mut stats = CacheStats {
+            sets: cache.len(),
+            ..CacheStats::default()
+        };
+        for cached in cache.values() {
+            stats.bitset_bytes += std::mem::size_of_val(&*cached.bits);
+            if let Some(ids) = cached.ids.get() {
+                stats.sets_with_ids += 1;
+                stats.id_bytes += std::mem::size_of_val(&**ids);
+            }
+        }
+        stats
     }
 
     /// The workers satisfying a single constraint as a bitset, one bit per
@@ -537,9 +635,11 @@ impl FeasibilityIndex {
         postings.count(postings.group_range(constraint))
     }
 
-    /// Number of workers satisfying `set`.
+    /// Number of workers satisfying `set`: the popcount stored with the
+    /// set's cached bitset. Caches the bitset on a miss, but never builds
+    /// the id list.
     pub fn count_feasible(&self, set: &ConstraintSet) -> usize {
-        self.feasible(set).len()
+        self.cached_set(set).count
     }
 
     /// Number of workers in `[start, end)` satisfying `set` — the
@@ -578,22 +678,32 @@ impl FeasibilityIndex {
         self.count_feasible_uncached(set) as f64 / self.machines.len() as f64
     }
 
-    /// Samples up to `k` *distinct* feasible workers uniformly at random,
-    /// skipping workers for which `exclude` returns true.
+    /// Samples up to `k` *distinct* feasible workers in `span` uniformly at
+    /// random, skipping workers for which `exclude` returns true.
+    /// Cluster-wide callers pass `0..n`; a federated domain passes its
+    /// worker range. `span.end` is clamped to the population size.
     ///
     /// Uses rejection sampling against the whole population first (cheap for
-    /// permissive sets) and falls back to an exact scan for selective sets.
+    /// permissive sets) and falls back to an exact phase for selective sets.
     /// Returns fewer than `k` workers when fewer feasible non-excluded
-    /// workers exist.
+    /// workers exist in `span`.
     ///
     /// The RNG draw sequence is part of the simulator's determinism
-    /// contract: one `random_range` per rejection try, then one shuffle of
-    /// the surviving exact-phase pool — regardless of how membership and
-    /// duplicate checks are implemented internally.
+    /// contract: one `random_range(0..n)` per rejection try (a draw outside
+    /// `span` counts as a rejected try), then one shuffle of the exact-phase
+    /// pool — the ascending feasible ids in `span` that are neither picked
+    /// nor excluded. Passing a range is therefore draw-identical to passing
+    /// `0..n` with an `exclude` that rejects ids outside it; only the exact
+    /// phase's walk shrinks, to the `span` slice of the sorted id list.
+    ///
+    /// A call that the rejection phase satisfies builds neither the set's
+    /// bitset nor its id list; the exact phase builds and caches both.
+    /// `exclude` is called only for ids inside `span`.
     pub fn sample_feasible<R: Rng + ?Sized>(
         &self,
         set: &ConstraintSet,
         k: usize,
+        span: Range<u32>,
         rng: &mut R,
         mut exclude: impl FnMut(u32) -> bool,
     ) -> Vec<u32> {
@@ -601,6 +711,8 @@ impl FeasibilityIndex {
             return Vec::new();
         }
         let n = self.machines.len();
+        let end = span.end.min(n as u32);
+        let span = span.start.min(end)..end;
         // Membership: a word test when the set's bitset is already cached
         // (the steady state — schedulers query the same bounded set
         // variety), a direct comparison otherwise. Identical answers either
@@ -636,7 +748,7 @@ impl FeasibilityIndex {
             } else {
                 picked.contains(&idx)
             };
-            if dup || exclude(idx) {
+            if dup || !span.contains(&idx) || exclude(idx) {
                 continue;
             }
             if feasible_bit(idx) {
@@ -649,12 +761,14 @@ impl FeasibilityIndex {
         if picked.len() == k {
             return picked;
         }
-        // Exact phase: sample without replacement from the cached feasible
-        // list.
+        // Exact phase: sample without replacement from the span's slice of
+        // the cached, sorted feasible list.
         let feasible = self.feasible(set);
+        let from = feasible.partition_point(|&w| w < span.start);
+        let to = feasible.partition_point(|&w| w < span.end);
         let mut pool = self.sample_pool.borrow_mut();
         pool.clear();
-        pool.extend(feasible.iter().copied().filter(|&w| {
+        pool.extend(feasible[from..to].iter().copied().filter(|&w| {
             let dup = if use_mask {
                 mask[w as usize >> 6] >> (w & 63) & 1 != 0
             } else {
@@ -690,13 +804,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The sort-based build the counting sort replaced, kept verbatim as
-    /// the oracle for [`KindPostings::build`].
+    /// The sort-based build the counting sort replaced, kept as the oracle
+    /// for [`KindPostings::build`]. It lays down both the posting lists
+    /// and the prefix blocks, as the index once stored them.
+    struct SortBuild {
+        values: Vec<u64>,
+        starts: Vec<u32>,
+        postings: Vec<u32>,
+        prefix: Option<Vec<u64>>,
+    }
+
     fn build_by_sort(
         kind: ConstraintKind,
         machines: &[AttributeVector],
         words: usize,
-    ) -> KindPostings {
+    ) -> SortBuild {
         let mut by_value: Vec<(u64, u32)> = machines
             .iter()
             .enumerate()
@@ -725,7 +847,7 @@ mod tests {
             }
             prefix
         });
-        KindPostings {
+        SortBuild {
             values,
             starts,
             postings,
@@ -733,36 +855,23 @@ mod tests {
         }
     }
 
-    /// Asserts the counting build equals the sort-based build on every kind.
+    /// Asserts the counting build equals the sort-based build on every
+    /// kind: values, starts and prefix blocks always, and the posting
+    /// lists of the kinds past [`PREFIX_VALUE_CAP`] (the only kinds that
+    /// keep them).
     fn assert_builds_agree(machines: &[AttributeVector]) {
-        let words = machines.len().div_ceil(64);
+        let n = machines.len();
+        let words = n.div_ceil(64);
         for kind in ConstraintKind::ALL {
             let fast = KindPostings::build(kind, machines, words);
             let slow = build_by_sort(kind, machines, words);
-            assert_eq!(
-                fast.values,
-                slow.values,
-                "{kind} values, n={}",
-                machines.len()
-            );
-            assert_eq!(
-                fast.starts,
-                slow.starts,
-                "{kind} starts, n={}",
-                machines.len()
-            );
-            assert_eq!(
-                fast.postings,
-                slow.postings,
-                "{kind} postings, n={}",
-                machines.len()
-            );
-            assert_eq!(
-                fast.prefix,
-                slow.prefix,
-                "{kind} prefix, n={}",
-                machines.len()
-            );
+            assert_eq!(fast.values, slow.values, "{kind} values, n={n}");
+            assert_eq!(fast.starts, slow.starts, "{kind} starts, n={n}");
+            let expected = match slow.prefix {
+                Some(prefix) => Members::Prefix(prefix),
+                None => Members::Postings(slow.postings),
+            };
+            assert_eq!(fast.members, expected, "{kind} members, n={n}");
         }
     }
 
@@ -816,7 +925,8 @@ mod tests {
             .map(|i| AttributeVector::builder().num_cores(i + 1).build())
             .collect();
         let cores = KindPostings::build(ConstraintKind::NumCores, &distinct, 8);
-        assert!(cores.values.len() > PREFIX_VALUE_CAP && cores.prefix.is_none());
+        assert!(cores.values.len() > PREFIX_VALUE_CAP);
+        assert!(matches!(cores.members, Members::Postings(_)));
         assert_builds_agree(&distinct);
         // Exactly at the cap keeps the prefix; one past it drops it.
         for n in [PREFIX_VALUE_CAP, PREFIX_VALUE_CAP + 1] {
@@ -828,7 +938,10 @@ mod tests {
                 })
                 .collect();
             let cores = KindPostings::build(ConstraintKind::NumCores, &machines, n.div_ceil(64));
-            assert_eq!(cores.prefix.is_some(), n <= PREFIX_VALUE_CAP);
+            assert_eq!(
+                matches!(cores.members, Members::Prefix(_)),
+                n <= PREFIX_VALUE_CAP
+            );
             assert_builds_agree(&machines);
         }
     }
@@ -1005,7 +1118,7 @@ mod tests {
     fn sampling_returns_distinct_feasible_workers() {
         let index = FeasibilityIndex::new(population());
         let mut rng = StdRng::seed_from_u64(7);
-        let sample = index.sample_feasible(&big_cores(), 20, &mut rng, |_| false);
+        let sample = index.sample_feasible(&big_cores(), 20, 0..100, &mut rng, |_| false);
         assert_eq!(sample.len(), 20);
         let mut sorted = sample.clone();
         sorted.sort_unstable();
@@ -1019,7 +1132,7 @@ mod tests {
         let index = FeasibilityIndex::new(population());
         let mut rng = StdRng::seed_from_u64(9);
         // Exclude everything except worker 99.
-        let sample = index.sample_feasible(&big_cores(), 5, &mut rng, |w| w != 99);
+        let sample = index.sample_feasible(&big_cores(), 5, 0..100, &mut rng, |w| w != 99);
         assert_eq!(sample, vec![99]);
     }
 
@@ -1032,7 +1145,7 @@ mod tests {
             ConstraintOp::Eq,
             Isa::Arm as u64,
         )]);
-        let sample = index.sample_feasible(&arm_set, 50, &mut rng, |_| false);
+        let sample = index.sample_feasible(&arm_set, 50, 0..100, &mut rng, |_| false);
         assert_eq!(sample.len(), 10);
     }
 
@@ -1042,9 +1155,10 @@ mod tests {
         // the rejection and exact phases.
         let index = FeasibilityIndex::new(population());
         let mut rng = StdRng::seed_from_u64(13);
-        let sample = index.sample_feasible(&ConstraintSet::unconstrained(), 80, &mut rng, |w| {
-            w % 7 == 0
-        });
+        let sample =
+            index.sample_feasible(&ConstraintSet::unconstrained(), 80, 0..100, &mut rng, |w| {
+                w % 7 == 0
+            });
         let mut sorted = sample.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -1058,15 +1172,135 @@ mod tests {
         let index = FeasibilityIndex::new(population());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(index
-            .sample_feasible(&big_cores(), 0, &mut rng, |_| false)
+            .sample_feasible(&big_cores(), 0, 0..100, &mut rng, |_| false)
             .is_empty());
         let empty = FeasibilityIndex::new(Vec::new());
         assert!(empty
-            .sample_feasible(&big_cores(), 3, &mut rng, |_| false)
+            .sample_feasible(&big_cores(), 3, 0..0, &mut rng, |_| false)
             .is_empty());
         assert!(empty.is_empty());
         assert!(empty.feasible(&big_cores()).is_empty());
         assert_eq!(empty.count_feasible(&ConstraintSet::unconstrained()), 0);
+    }
+
+    /// A 1,000-machine population with a handful of values per kind.
+    fn spread_population() -> Vec<AttributeVector> {
+        (0..1_000u64)
+            .map(|i| spread_machine(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 5))
+            .collect()
+    }
+
+    fn naive_ids(machines: &[AttributeVector], set: &ConstraintSet) -> Vec<u32> {
+        (0..machines.len() as u32)
+            .filter(|&w| set.satisfied_by(&machines[w as usize]))
+            .collect()
+    }
+
+    #[test]
+    fn lazy_id_lists_match_naive_scan_before_and_after_build() {
+        let machines = spread_population();
+        let index = FeasibilityIndex::new(machines.clone());
+        let words_bytes = machines.len().div_ceil(64) * 8;
+        let sets = [
+            ConstraintSet::unconstrained(),
+            ConstraintSet::from_constraints(vec![Constraint::hard(
+                ConstraintKind::NumCores,
+                ConstraintOp::Gt,
+                2,
+            )]),
+            ConstraintSet::from_constraints(vec![
+                Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Lt, 4),
+                Constraint::hard(ConstraintKind::Memory, ConstraintOp::Gt, 16),
+                Constraint::hard(ConstraintKind::KernelVersion, ConstraintOp::Gt, 300),
+            ]),
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut lists = 0;
+        for (i, set) in sets.iter().enumerate() {
+            let naive = naive_ids(&machines, set);
+            assert!(!naive.is_empty(), "{set}");
+            // Before the list exists: counting, membership and a sample the
+            // rejection phase fills all answer from the bitset alone. (Every
+            // set here admits over a quarter of the machines, so the seeded
+            // one-worker sample never reaches the exact phase.)
+            assert_eq!(index.count_feasible(set), naive.len(), "{set}");
+            for w in 0..machines.len() as u32 {
+                assert_eq!(
+                    index.is_feasible(w, set),
+                    naive.binary_search(&w).is_ok(),
+                    "{set} worker {w}"
+                );
+            }
+            let sample = index.sample_feasible(set, 1, 0..1_000, &mut rng, |_| false);
+            assert_eq!(sample.len(), 1, "{set}");
+            let stats = index.cache_stats();
+            assert_eq!(
+                (stats.sets, stats.sets_with_ids, stats.bitset_bytes),
+                (i + 1, lists, (i + 1) * words_bytes),
+                "{set}: no list before a walk"
+            );
+            // Build the list; every answer stays the same.
+            assert_eq!(index.feasible(set).to_vec(), naive, "{set}");
+            lists += 1;
+            let stats = index.cache_stats();
+            assert_eq!(stats.sets_with_ids, lists, "{set}");
+            assert_eq!(index.count_feasible(set), naive.len(), "{set}");
+            assert_eq!(index.feasible(set).to_vec(), naive, "{set}");
+            assert_eq!(ones(&index.feasible_bits(set)).collect::<Vec<_>>(), naive);
+            assert!(Arc::ptr_eq(&index.feasible(set), &index.feasible(set)));
+        }
+        let expected_ids: usize = sets.iter().map(|s| naive_ids(&machines, s).len()).sum();
+        assert_eq!(index.cache_stats().id_bytes, expected_ids * 4);
+    }
+
+    #[test]
+    fn ones_walks_set_bits_in_ascending_order() {
+        assert_eq!(ones(&[]).count(), 0);
+        assert_eq!(ones(&[0, 0]).count(), 0);
+        let bits = [1u64 << 63 | 5, 0, 1, u64::MAX];
+        let expected: Vec<u32> = [0, 2, 63, 128].into_iter().chain(192..256).collect();
+        assert_eq!(ones(&bits).collect::<Vec<_>>(), expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Sampling within a domain's range is the full-range sample with
+        /// an exclusion of the ids outside it: same ids, same RNG state
+        /// afterwards. Requests larger than the domain's feasible supply
+        /// force the exact phase, whose walk covers only the range.
+        #[test]
+        fn domain_range_sampling_matches_range_excluding_closure(
+            lo in 0u32..1_000,
+            len in 0u32..400,
+            k in 1usize..40,
+            exclude_mod in 2u32..7,
+            cores in 0u64..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let machines = spread_population();
+            let n = machines.len() as u32;
+            let hi = (lo + len).min(n);
+            let set = ConstraintSet::from_constraints(vec![Constraint::hard(
+                ConstraintKind::NumCores,
+                ConstraintOp::Gt,
+                cores,
+            )]);
+            let ranged = FeasibilityIndex::new(machines.clone());
+            let full = FeasibilityIndex::new(machines);
+            let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let a = ranged.sample_feasible(&set, k, lo..hi, &mut rng_a, |w| w % exclude_mod == 0);
+            let b = full.sample_feasible(&set, k, 0..n, &mut rng_b, |w| {
+                w < lo || w >= hi || w % exclude_mod == 0
+            });
+            proptest::prop_assert_eq!(&a, &b);
+            proptest::prop_assert!(a.iter().all(|&w| (lo..hi).contains(&w)));
+            proptest::prop_assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
+            let supply = ranged.count_feasible_in_range(&set, lo as usize, hi as usize);
+            if k > supply {
+                proptest::prop_assert_eq!(ranged.cache_stats().sets_with_ids, 1);
+            }
+        }
     }
 
     #[test]
@@ -1080,7 +1314,7 @@ mod tests {
         assert_eq!(index.count_feasible(&impossible), 0);
         let mut rng = StdRng::seed_from_u64(3);
         assert!(index
-            .sample_feasible(&impossible, 4, &mut rng, |_| false)
+            .sample_feasible(&impossible, 4, 0..100, &mut rng, |_| false)
             .is_empty());
     }
 }

@@ -221,7 +221,7 @@ fn not_leaf_is_exact_complement_and_never_resurrects_dead_machines() {
                 // "Dead" machines (every fourth id) must stay invisible to
                 // sampling even when the complement's bitset covers them.
                 let mut rng = StdRng::seed_from_u64(7 + value_sel);
-                let sample = index.sample_feasible(&neg_set, 12, &mut rng, |w| w % 4 == 0);
+                let sample = index.sample_feasible(&neg_set, 12, 0..n, &mut rng, |w| w % 4 == 0);
                 for w in &sample {
                     assert!(w % 4 != 0, "Not({leaf}) resurrected dead machine {w}");
                 }
@@ -269,7 +269,8 @@ proptest! {
         // Cold path: the set's bitset is not cached yet, so membership
         // falls to `set.satisfied_by` (the tree evaluator).
         let mut rng_a = StdRng::seed_from_u64(rng_seed);
-        let got = index.sample_feasible(&set, k, &mut rng_a, |w| w % exclude_mod == 0);
+        let n = index.len() as u32;
+        let got = index.sample_feasible(&set, k, 0..n, &mut rng_a, |w| w % exclude_mod == 0);
         let mut rng_b = StdRng::seed_from_u64(rng_seed);
         let want = naive_sample(&machines, &expr, k, &mut rng_b, |w| w % exclude_mod == 0);
         prop_assert_eq!(&got, &want, "cold sample diverged");
@@ -279,7 +280,7 @@ proptest! {
         // membership becomes a word test — the draws must not change.
         let _ = index.count_feasible(&set);
         let mut rng_c = StdRng::seed_from_u64(rng_seed);
-        let warm = index.sample_feasible(&set, k, &mut rng_c, |w| w % exclude_mod == 0);
+        let warm = index.sample_feasible(&set, k, 0..n, &mut rng_c, |w| w % exclude_mod == 0);
         prop_assert_eq!(&warm, &want, "warm sample diverged from cold");
 
         // No resurrection: excluded ("dead") machines never appear, even
@@ -313,7 +314,7 @@ proptest! {
         // exclusion on the grown population.
         let set = ConstraintSet::from_expr(expr.clone());
         let mut rng_a = StdRng::seed_from_u64(rng_seed);
-        let got = index.sample_feasible(&set, 8, &mut rng_a, |w| w % 3 == 0);
+        let got = index.sample_feasible(&set, 8, 0..index.len() as u32, &mut rng_a, |w| w % 3 == 0);
         let mut rng_b = StdRng::seed_from_u64(rng_seed);
         let want = naive_sample(&machines, &expr, 8, &mut rng_b, |w| w % 3 == 0);
         prop_assert_eq!(got, want, "post-churn sample diverged");

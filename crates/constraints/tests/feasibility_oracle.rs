@@ -136,7 +136,7 @@ proptest! {
         let index = FeasibilityIndex::new(machines.clone());
         let mut rng = StdRng::seed_from_u64(rng_seed);
         let sample =
-            index.sample_feasible(&set, k, &mut rng, |w| w % exclude_mod == 0);
+            index.sample_feasible(&set, k, 0..index.len() as u32, &mut rng, |w| w % exclude_mod == 0);
         let available = naive_feasible(&machines, &set)
             .into_iter()
             .filter(|w| w % exclude_mod != 0)

@@ -84,12 +84,47 @@ impl WorkerStats {
             wait_memo: Cell::new(None),
         }
     }
+
+    /// `ρ = λ·E[S]` clamped to `rho_cap`; `None` until both windows have
+    /// data.
+    fn rho(&self, rho_cap: f64) -> Option<f64> {
+        let mean_gap = self.inter_arrivals.mean()?;
+        let mean_service = self.services.mean()?;
+        if mean_gap <= 0.0 {
+            return Some(rho_cap);
+        }
+        Some((mean_service / mean_gap).min(rho_cap))
+    }
+
+    /// Equation 1 from the windows, bypassing the memo.
+    fn expected_wait_uncached(&self, rho_cap: f64) -> Option<SimDuration> {
+        let rho = self.rho(rho_cap)?;
+        let es = self.services.mean()?;
+        let es2 = self.services.second_moment()?;
+        if es <= 0.0 {
+            return Some(SimDuration::ZERO);
+        }
+        let wait = rho / (1.0 - rho) * es2 / (2.0 * es);
+        Some(SimDuration::from_secs_f64(wait))
+    }
 }
 
+/// Marks a worker never observed in [`WaitEstimator::slots`].
+const UNOBSERVED: u32 = u32::MAX;
+
 /// Per-worker P-K waiting-time estimator.
+///
+/// Memory follows use, not cluster size: each worker costs one `u32` slot,
+/// and its two sample windows (328 bytes) are allocated on its first
+/// observed arrival or service. A worker never observed reads `None`, as
+/// it would with empty windows. At 100,000 workers where most never
+/// receive a probe, that is 0.4 MB of slots instead of 32.8 MB of windows.
 #[derive(Debug, Clone)]
 pub struct WaitEstimator {
-    workers: Vec<WorkerStats>,
+    /// Per worker: index into `stats`, or [`UNOBSERVED`].
+    slots: Vec<u32>,
+    /// Statistics of the observed workers, in order of first observation.
+    stats: Vec<WorkerStats>,
     /// Load cap: ρ is clamped below 1 so the estimate stays finite; queues
     /// observed above saturation simply report a very large wait.
     rho_cap: f64,
@@ -99,19 +134,38 @@ impl WaitEstimator {
     /// Creates an estimator for `n` workers.
     pub fn new(n: usize) -> Self {
         WaitEstimator {
-            workers: (0..n).map(|_| WorkerStats::new()).collect(),
+            slots: vec![UNOBSERVED; n],
+            stats: Vec::new(),
             rho_cap: 0.999,
         }
     }
 
     /// Number of workers tracked.
     pub fn len(&self) -> usize {
-        self.workers.len()
+        self.slots.len()
     }
 
     /// Whether the estimator tracks zero workers.
     pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// The statistics of `worker`, or `None` if it was never observed.
+    fn stats(&self, worker: WorkerId) -> Option<&WorkerStats> {
+        match self.slots[worker.index()] {
+            UNOBSERVED => None,
+            slot => Some(&self.stats[slot as usize]),
+        }
+    }
+
+    /// The statistics of `worker`, allocated on its first observation.
+    fn stats_mut(&mut self, worker: WorkerId) -> &mut WorkerStats {
+        let slot = &mut self.slots[worker.index()];
+        if *slot == UNOBSERVED {
+            *slot = u32::try_from(self.stats.len()).expect("fewer than u32::MAX workers");
+            self.stats.push(WorkerStats::new());
+        }
+        &mut self.stats[*slot as usize]
     }
 
     /// Records a probe/task arrival at `worker`.
@@ -123,7 +177,7 @@ impl WaitEstimator {
     /// `0.0` gap per extra probe, dragging `mean_gap` toward zero and
     /// pinning ρ at the cap for any worker that ever received a batch.
     pub fn record_arrival(&mut self, worker: WorkerId, now: SimTime) {
-        let s = &mut self.workers[worker.index()];
+        let s = self.stats_mut(worker);
         match s.last_arrival {
             None => {
                 s.last_arrival = Some(now);
@@ -142,7 +196,7 @@ impl WaitEstimator {
 
     /// Records a completed service of `duration` at `worker`.
     pub fn record_service(&mut self, worker: WorkerId, duration: SimDuration) {
-        let s = &mut self.workers[worker.index()];
+        let s = self.stats_mut(worker);
         s.services.push(duration.as_secs_f64());
         s.wait_memo.set(None);
     }
@@ -150,37 +204,19 @@ impl WaitEstimator {
     /// The offered load `ρ = λ·E[S]` observed at `worker`, clamped to the
     /// estimator's cap. `None` until both windows have data.
     pub fn rho(&self, worker: WorkerId) -> Option<f64> {
-        let s = &self.workers[worker.index()];
-        let mean_gap = s.inter_arrivals.mean()?;
-        let mean_service = s.services.mean()?;
-        if mean_gap <= 0.0 {
-            return Some(self.rho_cap);
-        }
-        Some((mean_service / mean_gap).min(self.rho_cap))
+        self.stats(worker)?.rho(self.rho_cap)
     }
 
     /// The P-K expected waiting time at `worker` (Equation 1), or `None`
     /// until enough observations exist.
     pub fn expected_wait(&self, worker: WorkerId) -> Option<SimDuration> {
-        let s = &self.workers[worker.index()];
+        let s = self.stats(worker)?;
         if let Some(memo) = s.wait_memo.get() {
             return memo;
         }
-        let wait = self.expected_wait_uncached(worker);
+        let wait = s.expected_wait_uncached(self.rho_cap);
         s.wait_memo.set(Some(wait));
         wait
-    }
-
-    fn expected_wait_uncached(&self, worker: WorkerId) -> Option<SimDuration> {
-        let s = &self.workers[worker.index()];
-        let rho = self.rho(worker)?;
-        let es = s.services.mean()?;
-        let es2 = s.services.second_moment()?;
-        if es <= 0.0 {
-            return Some(SimDuration::ZERO);
-        }
-        let wait = rho / (1.0 - rho) * es2 / (2.0 * es);
-        Some(SimDuration::from_secs_f64(wait))
     }
 }
 
@@ -359,5 +395,158 @@ mod estimator_property_tests {
                 "measured {measured} vs theory {theory}"
             );
         }
+    }
+}
+
+/// Equivalence oracle for the lazily allocated estimator: the dense
+/// layout it replaced (one full [`WorkerStats`] per worker, allocated up
+/// front) kept as the reference, fed the same random observation streams.
+#[cfg(test)]
+mod estimator_oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The dense per-worker estimator, with its original arithmetic.
+    struct DenseWaitEstimator {
+        workers: Vec<WorkerStats>,
+        rho_cap: f64,
+    }
+
+    impl DenseWaitEstimator {
+        fn new(n: usize) -> Self {
+            DenseWaitEstimator {
+                workers: (0..n).map(|_| WorkerStats::new()).collect(),
+                rho_cap: 0.999,
+            }
+        }
+
+        fn record_arrival(&mut self, worker: WorkerId, now: SimTime) {
+            let s = &mut self.workers[worker.index()];
+            match s.last_arrival {
+                None => {
+                    s.last_arrival = Some(now);
+                    s.batch = 1;
+                }
+                Some(last) if now == last => s.batch += 1,
+                Some(last) => {
+                    s.inter_arrivals
+                        .push(now.since(last).as_secs_f64() / f64::from(s.batch.max(1)));
+                    s.last_arrival = Some(now);
+                    s.batch = 1;
+                    s.wait_memo.set(None);
+                }
+            }
+        }
+
+        fn record_service(&mut self, worker: WorkerId, duration: SimDuration) {
+            let s = &mut self.workers[worker.index()];
+            s.services.push(duration.as_secs_f64());
+            s.wait_memo.set(None);
+        }
+
+        fn rho(&self, worker: WorkerId) -> Option<f64> {
+            let s = &self.workers[worker.index()];
+            let mean_gap = s.inter_arrivals.mean()?;
+            let mean_service = s.services.mean()?;
+            if mean_gap <= 0.0 {
+                return Some(self.rho_cap);
+            }
+            Some((mean_service / mean_gap).min(self.rho_cap))
+        }
+
+        fn expected_wait(&self, worker: WorkerId) -> Option<SimDuration> {
+            let s = &self.workers[worker.index()];
+            if let Some(memo) = s.wait_memo.get() {
+                return memo;
+            }
+            let wait = self.expected_wait_uncached(worker);
+            s.wait_memo.set(Some(wait));
+            wait
+        }
+
+        fn expected_wait_uncached(&self, worker: WorkerId) -> Option<SimDuration> {
+            let s = &self.workers[worker.index()];
+            let rho = self.rho(worker)?;
+            let es = s.services.mean()?;
+            let es2 = s.services.second_moment()?;
+            if es <= 0.0 {
+                return Some(SimDuration::ZERO);
+            }
+            let wait = rho / (1.0 - rho) * es2 / (2.0 * es);
+            Some(SimDuration::from_secs_f64(wait))
+        }
+    }
+
+    /// Asserts both estimators answer identically for every worker,
+    /// comparing `ρ` by `to_bits()` and the wait to the microsecond.
+    fn assert_agree(lazy: &WaitEstimator, dense: &DenseWaitEstimator, n: usize) {
+        for w in (0..n as u32).map(WorkerId) {
+            assert_eq!(
+                lazy.rho(w).map(f64::to_bits),
+                dense.rho(w).map(f64::to_bits),
+                "rho of {w}"
+            );
+            assert_eq!(lazy.expected_wait(w), dense.expected_wait(w), "E[W] of {w}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of arrivals (same-instant batches included,
+        /// since the clock often does not advance), services and queries
+        /// over many workers. Only the low `hot` worker ids are ever
+        /// observed, so most workers stay unobserved and must read `None`.
+        #[test]
+        fn lazy_estimator_matches_dense_reference(
+            ops in prop::collection::vec((0u8..4, 0u32..512, 0u64..3_000_000), 1..400),
+            n in 1usize..512,
+            hot in 1u32..64,
+        ) {
+            let mut lazy = WaitEstimator::new(n);
+            let mut dense = DenseWaitEstimator::new(n);
+            let mut now = SimTime::ZERO;
+            for &(op, raw_worker, micros) in &ops {
+                let w = WorkerId(raw_worker % hot.min(n as u32));
+                match op {
+                    // Arrival after a gap, or at the same instant (batch).
+                    0 => {
+                        now += SimDuration::from_micros(micros);
+                        lazy.record_arrival(w, now);
+                        dense.record_arrival(w, now);
+                    }
+                    1 => {
+                        lazy.record_arrival(w, now);
+                        dense.record_arrival(w, now);
+                    }
+                    2 => {
+                        let d = SimDuration::from_micros(micros % 1_000_000);
+                        lazy.record_service(w, d);
+                        dense.record_service(w, d);
+                    }
+                    // A query between observations exercises the memo.
+                    _ => {
+                        prop_assert_eq!(lazy.expected_wait(w), dense.expected_wait(w));
+                    }
+                }
+            }
+            assert_agree(&lazy, &dense, n);
+            // Unobserved workers hold no windows.
+            prop_assert!(lazy.stats.len() <= hot as usize);
+            prop_assert_eq!(lazy.len(), n);
+        }
+    }
+
+    #[test]
+    fn unobserved_workers_allocate_nothing() {
+        let mut est = WaitEstimator::new(100_000);
+        assert!(est.stats.is_empty());
+        assert!(est.rho(WorkerId(99_999)).is_none());
+        assert!(est.expected_wait(WorkerId(0)).is_none());
+        est.record_service(WorkerId(7), SimDuration::from_secs_f64(1.0));
+        est.record_arrival(WorkerId(7), SimTime::ZERO);
+        est.record_arrival(WorkerId(42), SimTime::ZERO);
+        assert_eq!(est.stats.len(), 2);
+        assert!(est.expected_wait(WorkerId(7)).is_none());
     }
 }

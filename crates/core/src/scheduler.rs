@@ -166,9 +166,10 @@ impl Phoenix {
             // For small constraint classes the monitor knows every feasible
             // worker (the `CRV_Lookup_Table` caches the class lists); rank
             // the whole class. For large classes rank the random sample.
+            // The count comes first, so only small classes build a list.
             let effective = &ctx.job(job).effective_constraints;
-            let class = ctx.feasibility().feasible(effective);
-            let candidates: Vec<WorkerId> = if class.len() <= 256 {
+            let candidates: Vec<WorkerId> = if ctx.feasibility().count_feasible(effective) <= 256 {
+                let class = ctx.feasibility().feasible(effective);
                 class.iter().map(|&w| WorkerId(w)).collect()
             } else {
                 negotiation.placement.workers().to_vec()
@@ -222,11 +223,7 @@ impl Phoenix {
             let candidates: Vec<(phoenix_sim::ProbeId, phoenix_traces::JobId, u64)> = {
                 let state = ctx.state();
                 let w = &state.workers[worker.index()];
-                let mut ahead_us: u64 = w
-                    .running_tasks()
-                    .iter()
-                    .map(|t| t.finish_at.since(state.now).as_micros())
-                    .sum();
+                let mut ahead_us = w.running_work_us(state.now);
                 let mut candidates = Vec::new();
                 for p in w.queue() {
                     let job = &state.jobs[p.job.0 as usize];

@@ -5,6 +5,7 @@
 //! skipping the partition reserved for short tasks. This module implements
 //! that planner.
 
+use phoenix_constraints::ones;
 use phoenix_sim::{SimCtx, WorkerId};
 use phoenix_traces::JobId;
 
@@ -39,30 +40,22 @@ impl CentralPlanner {
     pub fn place_job(&self, ctx: &mut SimCtx<'_>, job: JobId) -> Option<Vec<WorkerId>> {
         let set = ctx.job(job).effective_constraints.clone();
         let mut slowdown = 1.0f64;
-        let mut feasible: Vec<WorkerId> = ctx
-            .feasibility()
-            .feasible(&set)
-            .iter()
-            .map(|&w| WorkerId(w))
+        // Feasible workers in ascending id order, walked off the cached
+        // bitset so no id list is built for the (large) long-job classes.
+        let bits = ctx.feasibility().feasible_bits(&set);
+        let mut feasible: Vec<WorkerId> = ones(&bits)
+            .map(WorkerId)
             .filter(|w| w.index() >= self.reserved_workers)
             .collect();
         if feasible.is_empty() {
             // Reserved partition may have swallowed every feasible worker;
             // correctness beats the partition rule.
-            feasible = ctx
-                .feasibility()
-                .feasible(&set)
-                .iter()
-                .map(|&w| WorkerId(w))
-                .collect();
+            feasible = ones(&bits).map(WorkerId).collect();
         }
         if feasible.is_empty() {
             let hard = set.hard_only();
-            feasible = ctx
-                .feasibility()
-                .feasible(&hard)
-                .iter()
-                .map(|&w| WorkerId(w))
+            feasible = ones(&ctx.feasibility().feasible_bits(&hard))
+                .map(WorkerId)
                 .collect();
             if feasible.is_empty() {
                 ctx.fail_job(job);

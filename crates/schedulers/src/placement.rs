@@ -198,16 +198,14 @@ pub fn send_speculative_probes(
 /// executing task, plus bound task durations, plus the estimated durations
 /// of speculative probes.
 ///
-/// O(slots), not O(queue): both queue components are aggregates the worker
-/// maintains incrementally ([`phoenix_sim::Worker::queued_bound_work_us`],
-/// [`phoenix_sim::Worker::queued_spec_est_us`]).
+/// O(1), not O(queue): all three components are aggregates the worker
+/// maintains incrementally ([`phoenix_sim::Worker::running_work_us`],
+/// [`phoenix_sim::Worker::queued_bound_work_us`],
+/// [`phoenix_sim::Worker::queued_spec_est_us`]), so the central planner's
+/// walk over every feasible worker never reads a task buffer.
 pub fn estimated_queue_work_us(state: &SimState, worker: WorkerId) -> u64 {
     let w = &state.workers[worker.index()];
-    let mut total = w.queued_bound_work_us() + w.queued_spec_est_us();
-    for running in w.running_tasks() {
-        total += running.finish_at.since(state.now).as_micros();
-    }
-    total
+    w.queued_bound_work_us() + w.queued_spec_est_us() + w.running_work_us(state.now)
 }
 
 #[cfg(test)]

@@ -32,14 +32,17 @@ pub fn try_steal(
         if victim == thief {
             continue;
         }
-        // Victim must be executing a long task (head-of-line blocking is
-        // what stealing exists to fix).
-        let long_blocked = ctx
-            .worker(victim)
-            .running_tasks()
-            .iter()
-            .any(|task| task.duration_us >= is_long_task_us);
-        if !long_blocked || ctx.worker(victim).queue_len() == 0 {
+        // Victim must have queued probes and be executing a long task
+        // (head-of-line blocking is what stealing exists to fix). The
+        // queue length is checked first: it is stored inline, while the
+        // running tasks sit in a separate heap buffer.
+        let w = ctx.worker(victim);
+        if w.queue_len() == 0
+            || !w
+                .running_tasks()
+                .iter()
+                .any(|task| task.duration_us >= is_long_task_us)
+        {
             continue;
         }
         let stolen = steal_feasible_probes(ctx, victim, thief);

@@ -280,7 +280,7 @@ impl<'a> SimCtx<'a> {
         let workers = &state.workers;
         let sample: Vec<WorkerId> = state
             .feasibility
-            .sample_feasible(set, k, &mut state.rng, |w| {
+            .sample_feasible(set, k, 0..workers.len() as u32, &mut state.rng, |w| {
                 exclude(w) || !workers[w as usize].is_alive()
             })
             .into_iter()
@@ -293,7 +293,9 @@ impl<'a> SimCtx<'a> {
     /// One rung of the federated ladder: a feasible-worker sample
     /// restricted to `domain`'s contiguous worker range (plus the caller's
     /// exclusions and the aliveness filter). May return fewer than `k`
-    /// workers; empty means the rung failed.
+    /// workers; empty means the rung failed. The rejection phase still
+    /// draws over the whole cluster; the exact phase walks only the
+    /// domain's slice of the feasible list.
     fn sample_in_domain(
         &mut self,
         set: &phoenix_constraints::ConstraintSet,
@@ -312,8 +314,8 @@ impl<'a> SimCtx<'a> {
         let workers = &state.workers;
         let sample: Vec<WorkerId> = state
             .feasibility
-            .sample_feasible(set, k, &mut state.rng, |w| {
-                w < lo || w >= hi || exclude(w) || !workers[w as usize].is_alive()
+            .sample_feasible(set, k, lo..hi, &mut state.rng, |w| {
+                exclude(w) || !workers[w as usize].is_alive()
             })
             .into_iter()
             .map(WorkerId)
@@ -335,9 +337,10 @@ impl<'a> SimCtx<'a> {
     ) -> Vec<WorkerId> {
         let state = &mut *self.state;
         let started = state.profiler.begin();
+        let n = state.workers.len() as u32;
         let sample: Vec<WorkerId> = state
             .feasibility
-            .sample_feasible(set, k, &mut state.rng, |_| false)
+            .sample_feasible(set, k, 0..n, &mut state.rng, |_| false)
             .into_iter()
             .map(WorkerId)
             .collect();

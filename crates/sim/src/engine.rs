@@ -870,5 +870,6 @@ pub(crate) fn finalize_result(
         federation: state.federation.as_deref().map(|f| f.stats),
         profile: state.profiler.report(),
         audit,
+        set_cache: state.feasibility.cache_stats(),
     }
 }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use phoenix_constraints::CacheStats;
 use phoenix_metrics::{
     ClassifiedLatencies, ConstraintStatus, Distribution, JobClass, LatencyKey, TimeSeries,
 };
@@ -222,6 +223,11 @@ pub struct SimResult {
     /// without participating, so this is excluded from `digest()` — an
     /// audited run must digest identically to an unaudited one.
     pub audit: Option<AuditReport>,
+    /// What the feasibility index's per-set cache held at the end of the
+    /// run ([`phoenix_constraints::FeasibilityIndex::cache_stats`]).
+    /// Deterministic for a given run, so it replays exactly, but it is a
+    /// memory measurement, not an outcome: excluded from `digest()`.
+    pub set_cache: CacheStats,
 }
 
 impl SimResult {
@@ -453,6 +459,7 @@ mod tests {
             federation: None,
             profile: None,
             audit: None,
+            set_cache: CacheStats::default(),
         }
     }
 
@@ -506,6 +513,7 @@ mod tests {
             federation: None,
             profile: None,
             audit: None,
+            set_cache: CacheStats::default(),
             job_outcomes: vec![JobOutcome {
                 job: JobId(7),
                 short: true,

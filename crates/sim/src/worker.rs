@@ -58,6 +58,10 @@ pub struct RunningTask {
 pub struct Worker {
     slots: usize,
     running: Vec<RunningTask>,
+    /// Sum of the running tasks' `finish_at`, microseconds: with the task
+    /// count it gives [`Worker::running_work_us`] without reading the
+    /// tasks, whose buffer sits elsewhere on the heap.
+    running_finish_sum_us: u64,
     /// Probe queue as a head-offset ring over a `Vec`: the live queue is
     /// `queue[head..]`, so popping the head (the overwhelmingly common
     /// removal — every dispatch) is a pointer bump instead of an O(queue)
@@ -101,7 +105,10 @@ impl Worker {
         assert!(slots >= 1, "a worker needs at least one slot");
         Worker {
             slots,
-            running: Vec::with_capacity(slots),
+            // Reserved on the first launch: at 100k workers most never run
+            // a task, and an up-front reservation costs 48 bytes each.
+            running: Vec::new(),
+            running_finish_sum_us: 0,
             queue: Vec::new(),
             head: 0,
             busy_us: 0,
@@ -135,6 +142,7 @@ impl Worker {
     /// at dispatch but never actually runs).
     pub fn take_running_tasks(&mut self, now: SimTime) -> (Vec<RunningTask>, u64) {
         let killed: Vec<RunningTask> = self.running.drain(..).collect();
+        self.running_finish_sum_us = 0;
         let unspent: u64 = killed
             .iter()
             .map(|t| t.finish_at.since(now).as_micros())
@@ -177,7 +185,32 @@ impl Worker {
     pub fn start_task(&mut self, task: RunningTask, now: SimTime) {
         assert!(self.has_free_slot(), "worker slot already busy");
         self.busy_us += task.finish_at.since(now).as_micros();
+        if self.running.capacity() == 0 {
+            self.running.reserve_exact(self.slots);
+        }
+        self.running_finish_sum_us += task.finish_at.as_micros();
         self.running.push(task);
+    }
+
+    /// Microseconds of work left on the running tasks at `now`: the sum of
+    /// `finish_at − now` over the occupied slots. A running task never
+    /// outlives its `finish_at` (its completion event fires then), so this
+    /// is the finish-time sum less `now` per task — O(1), without reading
+    /// the tasks.
+    pub fn running_work_us(&self, now: SimTime) -> u64 {
+        let work = self
+            .running_finish_sum_us
+            .checked_sub(self.running.len() as u64 * now.as_micros())
+            .expect("a running task outlived its finish time");
+        debug_assert_eq!(
+            work,
+            self.running
+                .iter()
+                .map(|t| t.finish_at.since(now).as_micros())
+                .sum::<u64>(),
+            "a running task outlived its finish time"
+        );
+        work
     }
 
     /// Clears the slot running the task with engine sequence `seq`,
@@ -192,7 +225,9 @@ impl Worker {
             .iter()
             .position(|t| t.seq == seq)
             .expect("no task running");
-        self.running.swap_remove(idx)
+        let task = self.running.swap_remove(idx);
+        self.running_finish_sum_us -= task.finish_at.as_micros();
+        task
     }
 
     /// The probe queue, in service order.
@@ -558,6 +593,7 @@ mod tests {
         }
         assert_eq!(w.busy_us(), 200);
         assert!(w.has_running_seq(1));
+        assert_eq!(w.running_work_us(SimTime(60)), 80);
         // Crash at t=60: each task has 40 µs it will never execute.
         let (killed, unspent) = w.take_running_tasks(SimTime(60));
         assert_eq!(killed.len(), 2);
@@ -565,6 +601,31 @@ mod tests {
         assert_eq!(w.busy_us(), 120);
         assert!(w.is_idle());
         assert!(!w.has_running_seq(1));
+        assert_eq!(w.running_work_us(SimTime(60)), 0);
+    }
+
+    #[test]
+    fn running_work_tracks_starts_and_finishes() {
+        let task = |seq: u64, finish_at: u64| RunningTask {
+            job: JobId(seq as u32),
+            finish_at: SimTime(finish_at),
+            duration_us: finish_at,
+            raw_duration_us: finish_at,
+            slowdown: 1.0,
+            bound: false,
+            seq,
+        };
+        let mut w = Worker::with_slots(3);
+        assert_eq!(w.running_work_us(SimTime(5)), 0);
+        w.start_task(task(0, 100), SimTime::ZERO);
+        w.start_task(task(1, 40), SimTime(10));
+        w.start_task(task(2, 70), SimTime(20));
+        assert_eq!(w.running_work_us(SimTime(30)), 70 + 10 + 40);
+        w.finish_task(1);
+        assert_eq!(w.running_work_us(SimTime(40)), 60 + 30);
+        w.finish_task(2);
+        assert_eq!(w.running_work_us(SimTime(70)), 30);
+        assert_eq!(w.running_work_us(SimTime(100)), 0);
     }
 
     #[test]
