@@ -8,7 +8,7 @@ use std::hint::black_box;
 use phoenix_bench::{run_spec, RunSpec, SchedulerKind};
 use phoenix_constraints::{
     Constraint, ConstraintExpr, ConstraintKind, ConstraintModel, ConstraintOp, ConstraintSet,
-    FeasibilityIndex, MachinePopulation, PopulationProfile, VectorDemand,
+    FeasibilityIndex, MachinePopulation, PopulationProfile, SetId, SetTable, VectorDemand,
 };
 use phoenix_core::{CrvMonitor, WaitEstimator};
 use phoenix_sim::{Probe, ProbeId, SimDuration, SimTime, WorkerId};
@@ -42,30 +42,32 @@ fn bench_feasibility(c: &mut Criterion) {
     let machines = population.into_machines();
     let index = FeasibilityIndex::new(machines.clone());
     let model = ConstraintModel::google();
-    let sets: Vec<_> = (0..64).map(|_| model.synthesize_set(&mut rng)).collect();
-    // Warm the cache as a scheduler would.
-    for set in &sets {
-        let _ = index.feasible(set);
+    let mut table = SetTable::default();
+    let sets: Vec<SetId> = (0..64)
+        .map(|_| table.intern(&model.synthesize_set(&mut rng)))
+        .collect();
+    // Warm the table as a scheduler would.
+    for &set in &sets {
+        let _ = table.ids(&index, set);
     }
     // The most selective warmed set: sampling has to fall through the
     // rejection phase into the exact phase almost every time.
-    let selective = sets
+    let selective = *sets
         .iter()
-        .min_by_key(|s| index.count_feasible(s))
-        .expect("non-empty set pool")
-        .clone();
+        .min_by_key(|&&s| table.count(&index, s))
+        .expect("non-empty set pool");
     group.bench_function("sample_feasible_2_of_15k", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % sets.len();
-            black_box(index.sample_feasible(&sets[i], 2, 0..15_000, &mut rng, |_| false))
+            black_box(table.sample(&index, sets[i], 2, 0..15_000, &mut rng, |_| false))
         });
     });
     group.bench_function("sample_feasible_selective_15k", |b| {
         let mut rng = StdRng::seed_from_u64(2);
         b.iter(|| {
-            black_box(index.sample_feasible(&selective, 4, 0..15_000, &mut rng, |w| w % 2 == 0))
+            black_box(table.sample(&index, selective, 4, 0..15_000, &mut rng, |w| w % 2 == 0))
         });
     });
     // Cold-set cost, naive scan vs the posting-list index. Both benches
@@ -82,16 +84,16 @@ fn bench_feasibility(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| {
             let fresh = model.synthesize_set(&mut rng);
-            // Uncached: every iteration pays the full bitset intersection,
-            // never a memo hit (synthesized sets repeat eventually).
-            black_box(index.count_feasible_uncached(&fresh))
+            // The index caches nothing: every iteration pays the full
+            // bitset intersection (synthesized sets repeat eventually).
+            black_box(index.count_feasible(&fresh))
         });
     });
     group.bench_function("cached_hit_15k", |b| {
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % sets.len();
-            black_box(index.feasible(&sets[i]).len())
+            black_box(table.ids(&index, sets[i]).len())
         });
     });
     group.finish();
@@ -139,10 +141,10 @@ fn bench_feasibility_expr(c: &mut Criterion) {
         Constraint::hard(ConstraintKind::Memory, ConstraintOp::Gt, 15),
     ]);
     group.bench_function("cold_depth3_expr_15k", |b| {
-        b.iter(|| black_box(index.count_feasible_uncached(black_box(&depth3))));
+        b.iter(|| black_box(index.count_feasible(black_box(&depth3))));
     });
     group.bench_function("cold_flat_and_15k", |b| {
-        b.iter(|| black_box(index.count_feasible_uncached(black_box(&flat))));
+        b.iter(|| black_box(index.count_feasible(black_box(&flat))));
     });
     group.finish();
 }

@@ -31,9 +31,9 @@
 //!
 //! The digest is the deterministic run digest: two invocations at the same
 //! scale must agree on every digest even though the timings differ.
-//! `set_cache` is what the feasibility index's per-set cache held at the
-//! end of the run (sets, sets with a built id list, and their bytes); it
-//! is deterministic too, so it must agree as exactly as the digest.
+//! `set_cache` is what the run's set table had built by the end of the
+//! run (sets with a bitset, sets with a built id list, and their bytes);
+//! it is deterministic too, so it must agree as exactly as the digest.
 //!
 //! Federated rows (the yahoo K-domain ladder, including the 100k-node
 //! points) additionally carry `"domains"`, `"staleness_us"`,

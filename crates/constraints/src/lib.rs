@@ -17,7 +17,8 @@
 //! * [`expr`] — compositional constraint expressions: `All`/`Any`/`Not`
 //!   trees and multi-dimensional [`VectorDemand`] packing leaves
 //!   ([`ConstraintExpr`]), compiled to bitset plans by the matcher.
-//! * [`matching`] — feasibility checks between machines and constraint sets.
+//! * [`matching`] — feasibility checks between machines and constraint sets
+//!   ([`FeasibilityIndex`]), memoized per run by a [`SetTable`].
 //! * [`model`] — the Google-trace constraint distribution (Table II and
 //!   Fig. 6 of the paper) and the synthesizer that embeds representative
 //!   constraints into arbitrary workloads (used for the Yahoo and Cloudera
@@ -63,7 +64,8 @@ pub use constraint::{
 };
 pub use crv::{Crv, CrvDimension, CrvTable};
 pub use expr::{ConstraintExpr, VectorDemand};
-pub use matching::{count_ones_in_range, feasible_fraction, ones, CacheStats, FeasibilityIndex};
+pub use matching::{count_ones_in_range, feasible_fraction, ones, FeasibilityIndex};
+pub use matching::{CacheStats, SetId, SetTable};
 pub use model::{
     supply_curve, table_ii_row, ConstraintModel, ConstraintStats, KindProfile,
     CONSTRAINT_COUNT_DISTRIBUTION, TABLE_II,

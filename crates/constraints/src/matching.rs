@@ -34,30 +34,33 @@
 //! bounding index memory by O(N) per kind. A kind stores one form or the
 //! other, never both.
 //!
-//! Per-set results are memoized (the synthesizer produces a bounded
-//! variety of sets, so the cache converges quickly): a cached set holds its
-//! bitset and popcount, and builds its sorted id list only when a caller
-//! first walks the set ([`FeasibilityIndex::feasible`] or the exact phase
-//! of [`FeasibilityIndex::sample_feasible`]). Counting, membership tests
-//! and bitset walks ([`ones`]) never build it, so at 100,000 machines most
-//! cached sets cost N/8 bytes rather than N/8 plus 4 bytes per feasible
-//! machine. [`FeasibilityIndex::cache_stats`] reports what the cache holds.
-//! One-off queries over sets that never recur — trace calibration draws
-//! tens of thousands of distinct candidate sets — go through the uncached
-//! entry points ([`FeasibilityIndex::count_feasible_uncached`],
-//! [`FeasibilityIndex::feasible_fraction_uncached`]) so the cache only
-//! holds sets the simulator asks about again.
+//! The index is a pure function of the population: it caches nothing, so
+//! it is immutable, `Send + Sync`, and every query costs the same on every
+//! call. One-off queries over sets that never recur (trace calibration
+//! draws tens of thousands of distinct candidate sets) ask it directly.
 //!
-//! Every query is a pure function of the population, so the rewrite is
-//! digest-neutral: [`FeasibilityIndex::sample_feasible`] consumes the
-//! exact same RNG draws as the historical scan-based implementation (the
-//! equivalence is pinned by the `feasibility_oracle` proptest suite and the
-//! golden-trace snapshots).
+//! # The set table
+//!
+//! A simulation asks about a bounded variety of sets again and again: a few
+//! hundred distinct sets per run, and every probe of a job asks about the
+//! same one. The per-run [`SetTable`] interns each distinct set once into a
+//! `Copy` [`SetId`]; from then on every query is a vector index, never a
+//! hash of the set. Per set it keeps the feasible bitset and its popcount,
+//! built over the index on the first count, bits or walk, and the sorted id
+//! list, built only when a caller walks the set ([`SetTable::ids`] or the
+//! exact phase of [`SetTable::sample`]). Counting, membership and bitset
+//! walks ([`ones`]) never build the list, so at 100,000 machines most sets
+//! cost N/8 bytes rather than N/8 plus 4 bytes per feasible machine.
+//! [`SetTable::stats`] reports what the table holds.
+//!
+//! Every answer is a pure function of the population, so none of this
+//! changes a digest: [`SetTable::sample`] consumes the exact same RNG draws
+//! as the historical scan-based implementation (the equivalence is pinned
+//! by the `feasibility_oracle` proptest suite and the golden-trace
+//! snapshots).
 
-use std::cell::{OnceCell, Ref, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -71,7 +74,7 @@ use crate::expr::ConstraintExpr;
 /// Deliberately kept as a naive linear scan: this is the test oracle the
 /// indexed paths are property-tested against, and it is on no production
 /// path — trace calibration and the Fig. 6 supply curve use
-/// [`FeasibilityIndex::feasible_fraction_uncached`], which returns the same
+/// [`FeasibilityIndex::feasible_fraction`], which returns the same
 /// `f64` bit for bit. Returns 0.0 for an empty population.
 pub fn feasible_fraction(machines: &[AttributeVector], set: &ConstraintSet) -> f64 {
     if machines.is_empty() {
@@ -85,12 +88,6 @@ pub fn feasible_fraction(machines: &[AttributeVector], set: &ConstraintSet) -> f
 /// bitset blocks (memory would grow O(m·N/64)) and answers from the posting
 /// ranges alone. All shipped population profiles stay far below the cap.
 const PREFIX_VALUE_CAP: usize = 64;
-
-/// Sample sizes at or below this use a plain linear duplicate check in
-/// [`FeasibilityIndex::sample_feasible`]; larger requests switch to a
-/// reusable bitmask (O(1) membership instead of O(k) per draw). Both checks
-/// are RNG-neutral — only wall-clock changes.
-const SMALL_SAMPLE: usize = 16;
 
 /// Number of set bits of `bits` at positions `[start, end)`: popcounts
 /// the word span, masking the partial edge words, so ranges need not be
@@ -315,9 +312,9 @@ impl Iterator for Ones<'_> {
 }
 
 /// Walks the set bits of `bits` in ascending order, yielding each bit's
-/// index (a machine id for the index's bitsets). Walking a cached set's
-/// bitset this way visits the same ids in the same order as its sorted id
-/// list, without building the list.
+/// index (a machine id for the index's bitsets). Walking a set's bitset
+/// this way visits the same ids in the same order as its sorted id list,
+/// without building the list.
 pub fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     Ones {
         bits,
@@ -326,52 +323,9 @@ pub fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     }
 }
 
-/// A memoized per-set result: the set as a bitset (one bit per machine
-/// index) and its popcount, plus the sorted feasible id list, which is
-/// built the first time a caller walks the set.
-#[derive(Debug)]
-struct CachedSet {
-    bits: Arc<[u64]>,
-    count: usize,
-    ids: OnceCell<Arc<[u32]>>,
-}
-
-impl CachedSet {
-    fn new(bits: Vec<u64>) -> Self {
-        CachedSet {
-            count: bits.iter().map(|w| w.count_ones() as usize).sum(),
-            bits: bits.into(),
-            ids: OnceCell::new(),
-        }
-    }
-
-    /// The sorted id list, collected from the bitset on first use.
-    fn ids(&self) -> &Arc<[u32]> {
-        self.ids.get_or_init(|| {
-            let mut ids = Vec::with_capacity(self.count);
-            ids.extend(ones(&self.bits));
-            ids.into()
-        })
-    }
-}
-
-/// What the per-set cache of a [`FeasibilityIndex`] holds, in sets and in
-/// bytes ([`FeasibilityIndex::cache_stats`]). A pure function of the
-/// queries asked, so a replayed run reports the same stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Constraint sets cached; each holds a bitset and its popcount.
-    pub sets: usize,
-    /// Cached sets whose sorted id list has been built.
-    pub sets_with_ids: usize,
-    /// Bytes of the cached sets' bitsets.
-    pub bitset_bytes: usize,
-    /// Bytes of the built id lists.
-    pub id_bytes: usize,
-}
-
-/// Memoizing feasibility oracle over a fixed machine population, backed by
+/// Feasibility oracle over a fixed machine population, backed by
 /// per-attribute posting lists and bitset blocks (see the module docs).
+/// Pure: it caches nothing, so it is immutable and `Send + Sync`.
 ///
 /// Machines are addressed by their dense index in the population (the same
 /// index the simulator uses as worker id).
@@ -382,13 +336,6 @@ pub struct FeasibilityIndex {
     words: usize,
     /// One posting structure per [`ConstraintKind`], in `ALL` order.
     kinds: Vec<KindPostings>,
-    set_cache: RefCell<HashMap<ConstraintSet, CachedSet>>,
-    single_cache: RefCell<HashMap<Constraint, Arc<[u64]>>>,
-    /// Reusable duplicate-guard bitmask for large sampling requests.
-    sample_mask: RefCell<Vec<u64>>,
-    /// Reusable exact-phase candidate pool (avoids an allocation per
-    /// selective sampling call).
-    sample_pool: RefCell<Vec<u32>>,
 }
 
 impl FeasibilityIndex {
@@ -406,10 +353,6 @@ impl FeasibilityIndex {
             machines,
             words,
             kinds,
-            set_cache: RefCell::new(HashMap::new()),
-            single_cache: RefCell::new(HashMap::new()),
-            sample_mask: RefCell::new(Vec::new()),
-            sample_pool: RefCell::new(Vec::new()),
         }
     }
 
@@ -426,24 +369,6 @@ impl FeasibilityIndex {
     /// Whether the population is empty.
     pub fn is_empty(&self) -> bool {
         self.machines.is_empty()
-    }
-
-    /// Direct feasibility check for one worker: a single word test when the
-    /// set's bitset is already cached, a direct attribute comparison
-    /// otherwise (one-off queries never pay for building the set's bitset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `worker` is out of range for the population.
-    pub fn is_feasible(&self, worker: u32, set: &ConstraintSet) -> bool {
-        assert!(
-            (worker as usize) < self.machines.len(),
-            "worker {worker} out of range"
-        );
-        if let Some(hit) = self.set_cache.borrow().get(set) {
-            return hit.bits[worker as usize >> 6] >> (worker & 63) & 1 != 0;
-        }
-        set.satisfied_by(&self.machines[worker as usize])
     }
 
     /// The all-machines bitset (every population bit set, tail trimmed).
@@ -467,18 +392,11 @@ impl FeasibilityIndex {
     /// — no per-machine predicate evaluation on any path.
     fn compute_expr_bits(&self, expr: &ConstraintExpr) -> Vec<u64> {
         match expr {
-            ConstraintExpr::Leaf(c) => {
-                let mut bits = vec![0u64; self.words];
-                let postings = &self.kinds[c.kind.index()];
-                postings.write_bits(postings.group_range(c), self.words, &mut bits);
-                bits
-            }
+            ConstraintExpr::Leaf(c) => self.feasible_single(c),
             ConstraintExpr::Vector(v) => {
                 let mut acc = self.universe_bits();
                 for c in v.to_constraints() {
-                    let mut bits = vec![0u64; self.words];
-                    let postings = &self.kinds[c.kind.index()];
-                    postings.write_bits(postings.group_range(&c), self.words, &mut bits);
+                    let bits = self.feasible_single(&c);
                     for (a, b) in acc.iter_mut().zip(&bits) {
                         *a &= b;
                     }
@@ -517,11 +435,12 @@ impl FeasibilityIndex {
         }
     }
 
-    /// Computes (uncached) the bitset of machines satisfying `set`.
-    fn compute_bits(&self, set: &ConstraintSet) -> Vec<u64> {
-        let mut bits = vec![0u64; self.words];
+    /// The machines satisfying `set` as a bitset, one bit per machine
+    /// index: O(N/64) per constraint. [`ones`] walks it in ascending id
+    /// order.
+    pub fn feasible_bits(&self, set: &ConstraintSet) -> Vec<u64> {
         if self.machines.is_empty() {
-            return bits;
+            return Vec::new();
         }
         // Expression sets compile recursively; this must run before the
         // is_empty() shortcut (a pure-Not tree has an empty projection but
@@ -530,12 +449,7 @@ impl FeasibilityIndex {
             return self.compute_expr_bits(expr);
         }
         if set.is_empty() {
-            bits.fill(!0u64);
-            let rem = self.machines.len() % 64;
-            if rem != 0 {
-                bits[self.words - 1] = (1u64 << rem) - 1;
-            }
-            return bits;
+            return self.universe_bits();
         }
         // Resolve every constraint to its value-group range, then intersect
         // most-selective first so the fallback paths touch few candidates.
@@ -548,6 +462,7 @@ impl FeasibilityIndex {
             })
             .collect();
         ranges.sort_by_key(|&(count, _, _)| count);
+        let mut bits = vec![0u64; self.words];
         let mut first = true;
         for (_, c, range) in ranges {
             let postings = &self.kinds[c.kind.index()];
@@ -561,229 +476,41 @@ impl FeasibilityIndex {
         bits
     }
 
-    /// The cache entry for `set`, computing and inserting its bitset on a
-    /// miss. The id list stays unbuilt until a caller walks it.
-    fn cached_set(&self, set: &ConstraintSet) -> Ref<'_, CachedSet> {
-        if let Ok(hit) = Ref::filter_map(self.set_cache.borrow(), |cache| cache.get(set)) {
-            return hit;
-        }
-        let cached = CachedSet::new(self.compute_bits(set));
-        self.set_cache.borrow_mut().insert(set.clone(), cached);
-        Ref::map(self.set_cache.borrow(), |cache| &cache[set])
-    }
-
-    /// All workers satisfying `set`, as a shared sorted slice.
-    ///
-    /// A cold query intersects the per-attribute bitset blocks (O(N/64)
-    /// per constraint) and caches the set's bitset. The id list is
-    /// collected from that bitset the first time this method (or the exact
-    /// phase of [`FeasibilityIndex::sample_feasible`]) asks for it, and
-    /// cached beside it: O(N/64 + feasible) once, O(1) after. Callers that
-    /// only count or test membership should use
-    /// [`FeasibilityIndex::count_feasible`] or
-    /// [`FeasibilityIndex::feasible_bits`], which never build the list.
-    pub fn feasible(&self, set: &ConstraintSet) -> Arc<[u32]> {
-        Arc::clone(self.cached_set(set).ids())
-    }
-
-    /// The workers satisfying `set` as a bitset, one bit per machine index
-    /// (cached like [`FeasibilityIndex::feasible`], without the id list).
-    /// [`ones`] walks it in ascending id order.
-    pub fn feasible_bits(&self, set: &ConstraintSet) -> Arc<[u64]> {
-        Arc::clone(&self.cached_set(set).bits)
-    }
-
-    /// What the per-set cache holds: sets, sets with a built id list, and
-    /// the bytes of their bitsets and id lists.
-    pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.set_cache.borrow();
-        let mut stats = CacheStats {
-            sets: cache.len(),
-            ..CacheStats::default()
-        };
-        for cached in cache.values() {
-            stats.bitset_bytes += std::mem::size_of_val(&*cached.bits);
-            if let Some(ids) = cached.ids.get() {
-                stats.sets_with_ids += 1;
-                stats.id_bytes += std::mem::size_of_val(&**ids);
-            }
-        }
-        stats
-    }
-
-    /// The workers satisfying a single constraint as a bitset, one bit per
-    /// machine index, cached.
-    pub fn feasible_single(&self, constraint: &Constraint) -> Arc<[u64]> {
-        if let Some(hit) = self.single_cache.borrow().get(constraint) {
-            return Arc::clone(hit);
-        }
-        let postings = &self.kinds[constraint.kind.index()];
-        let range = postings.group_range(constraint);
-        let mut bits = vec![0u64; self.words];
-        postings.write_bits(range, self.words, &mut bits);
-        let bits: Arc<[u64]> = bits.into();
-        self.single_cache
-            .borrow_mut()
-            .insert(*constraint, Arc::clone(&bits));
-        bits
-    }
-
-    /// Number of workers satisfying a single constraint: pure posting-range
-    /// arithmetic, O(log m) with no materialization.
-    pub fn count_single(&self, constraint: &Constraint) -> usize {
-        let postings = &self.kinds[constraint.kind.index()];
-        postings.count(postings.group_range(constraint))
-    }
-
-    /// Number of workers satisfying `set`: the popcount stored with the
-    /// set's cached bitset. Caches the bitset on a miss, but never builds
-    /// the id list.
+    /// Number of machines satisfying `set`: the popcount of
+    /// [`FeasibilityIndex::feasible_bits`].
     pub fn count_feasible(&self, set: &ConstraintSet) -> usize {
-        self.cached_set(set).count
-    }
-
-    /// Number of workers in `[start, end)` satisfying `set` — the
-    /// partitioned view federated domains use to skip remote domains with
-    /// no feasible machine at all. Popcounts the cached feasibility bitset
-    /// over the word span (O(range/64)), masking the edge words; shares
-    /// the memo cache with [`FeasibilityIndex::feasible`].
-    pub fn count_feasible_in_range(&self, set: &ConstraintSet, start: usize, end: usize) -> usize {
-        let end = end.min(self.machines.len());
-        if start >= end {
-            return 0;
-        }
-        count_ones_in_range(&self.feasible_bits(set), start, end)
-    }
-
-    /// Like [`FeasibilityIndex::count_feasible`] but bypassing (and not
-    /// populating) the memo cache: every call pays the bitset intersection
-    /// and nothing is retained. For one-off queries over sets that will
-    /// never recur — and for benchmarking the cold path honestly.
-    pub fn count_feasible_uncached(&self, set: &ConstraintSet) -> usize {
-        self.compute_bits(set)
+        self.feasible_bits(set)
             .iter()
             .map(|w| w.count_ones() as usize)
             .sum()
     }
 
-    /// Fraction of the population satisfying `set`, uncached:
-    /// [`FeasibilityIndex::count_feasible_uncached`] over
-    /// [`FeasibilityIndex::len`]. The counts equal the naive scan's, so the
-    /// result is bit-identical to [`feasible_fraction`] over
-    /// [`FeasibilityIndex::machines`]. 0.0 for an empty population.
-    pub fn feasible_fraction_uncached(&self, set: &ConstraintSet) -> f64 {
+    /// Fraction of the population satisfying `set`:
+    /// [`FeasibilityIndex::count_feasible`] over [`FeasibilityIndex::len`].
+    /// The counts equal the naive scan's, so the result is bit-identical to
+    /// [`feasible_fraction`] over [`FeasibilityIndex::machines`]. 0.0 for
+    /// an empty population.
+    pub fn feasible_fraction(&self, set: &ConstraintSet) -> f64 {
         if self.machines.is_empty() {
             return 0.0;
         }
-        self.count_feasible_uncached(set) as f64 / self.machines.len() as f64
+        self.count_feasible(set) as f64 / self.machines.len() as f64
     }
 
-    /// Samples up to `k` *distinct* feasible workers in `span` uniformly at
-    /// random, skipping workers for which `exclude` returns true.
-    /// Cluster-wide callers pass `0..n`; a federated domain passes its
-    /// worker range. `span.end` is clamped to the population size.
-    ///
-    /// Uses rejection sampling against the whole population first (cheap for
-    /// permissive sets) and falls back to an exact phase for selective sets.
-    /// Returns fewer than `k` workers when fewer feasible non-excluded
-    /// workers exist in `span`.
-    ///
-    /// The RNG draw sequence is part of the simulator's determinism
-    /// contract: one `random_range(0..n)` per rejection try (a draw outside
-    /// `span` counts as a rejected try), then one shuffle of the exact-phase
-    /// pool — the ascending feasible ids in `span` that are neither picked
-    /// nor excluded. Passing a range is therefore draw-identical to passing
-    /// `0..n` with an `exclude` that rejects ids outside it; only the exact
-    /// phase's walk shrinks, to the `span` slice of the sorted id list.
-    ///
-    /// A call that the rejection phase satisfies builds neither the set's
-    /// bitset nor its id list; the exact phase builds and caches both.
-    /// `exclude` is called only for ids inside `span`.
-    pub fn sample_feasible<R: Rng + ?Sized>(
-        &self,
-        set: &ConstraintSet,
-        k: usize,
-        span: Range<u32>,
-        rng: &mut R,
-        mut exclude: impl FnMut(u32) -> bool,
-    ) -> Vec<u32> {
-        if k == 0 || self.machines.is_empty() {
-            return Vec::new();
-        }
-        let n = self.machines.len();
-        let end = span.end.min(n as u32);
-        let span = span.start.min(end)..end;
-        // Membership: a word test when the set's bitset is already cached
-        // (the steady state — schedulers query the same bounded set
-        // variety), a direct comparison otherwise. Identical answers either
-        // way, so the draw sequence is unaffected.
-        let cached_bits: Option<Arc<[u64]>> = self
-            .set_cache
-            .borrow()
-            .get(set)
-            .map(|hit| Arc::clone(&hit.bits));
-        let feasible_bit = |idx: u32| match &cached_bits {
-            Some(bits) => bits[idx as usize >> 6] >> (idx & 63) & 1 != 0,
-            None => set.satisfied_by(&self.machines[idx as usize]),
-        };
-        // Duplicate guard: linear scan for small k (cheaper than touching
-        // the mask at all), reusable bitmask beyond — the old
-        // `picked.contains` made large placements O(k²).
-        let use_mask = k > SMALL_SAMPLE;
-        let mut mask = self.sample_mask.borrow_mut();
-        if use_mask {
-            mask.clear();
-            mask.resize(self.words, 0);
-        }
-        let mut picked: Vec<u32> = Vec::with_capacity(k.min(n));
-        // Rejection phase: a few tries per requested sample.
-        let budget = k * 6 + 16;
-        for _ in 0..budget {
-            if picked.len() == k {
-                return picked;
-            }
-            let idx = rng.random_range(0..n) as u32;
-            let dup = if use_mask {
-                mask[idx as usize >> 6] >> (idx & 63) & 1 != 0
-            } else {
-                picked.contains(&idx)
-            };
-            if dup || !span.contains(&idx) || exclude(idx) {
-                continue;
-            }
-            if feasible_bit(idx) {
-                picked.push(idx);
-                if use_mask {
-                    mask[idx as usize >> 6] |= 1u64 << (idx & 63);
-                }
-            }
-        }
-        if picked.len() == k {
-            return picked;
-        }
-        // Exact phase: sample without replacement from the span's slice of
-        // the cached, sorted feasible list.
-        let feasible = self.feasible(set);
-        let from = feasible.partition_point(|&w| w < span.start);
-        let to = feasible.partition_point(|&w| w < span.end);
-        let mut pool = self.sample_pool.borrow_mut();
-        pool.clear();
-        pool.extend(feasible[from..to].iter().copied().filter(|&w| {
-            let dup = if use_mask {
-                mask[w as usize >> 6] >> (w & 63) & 1 != 0
-            } else {
-                picked.contains(&w)
-            };
-            !dup && !exclude(w)
-        }));
-        pool.shuffle(rng);
-        for &w in pool.iter() {
-            if picked.len() == k {
-                break;
-            }
-            picked.push(w);
-        }
-        picked
+    /// The machines satisfying a single constraint as a bitset, one bit per
+    /// machine index: two prefix blocks, or a scatter of the posting range.
+    pub fn feasible_single(&self, constraint: &Constraint) -> Vec<u64> {
+        let postings = &self.kinds[constraint.kind.index()];
+        let mut bits = vec![0u64; self.words];
+        postings.write_bits(postings.group_range(constraint), self.words, &mut bits);
+        bits
+    }
+
+    /// Number of machines satisfying a single constraint: pure
+    /// posting-range arithmetic, O(log m) with no materialization.
+    pub fn count_single(&self, constraint: &Constraint) -> usize {
+        let postings = &self.kinds[constraint.kind.index()];
+        postings.count(postings.group_range(constraint))
     }
 
     /// Per-kind population supply: for each constraint kind, how many
@@ -796,13 +523,299 @@ impl FeasibilityIndex {
     }
 }
 
+/// Sample sizes at or below this use a plain linear duplicate check in
+/// [`SetTable::sample`]; larger requests switch to a reusable bitmask (O(1)
+/// membership instead of O(k) per draw). Both checks are RNG-neutral —
+/// only wall-clock changes.
+const SMALL_SAMPLE: usize = 16;
+
+/// Handle of a constraint set interned in a [`SetTable`]: the dense index
+/// of its entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SetId(u32);
+
+impl SetId {
+    /// The dense index of the set in its table (for side tables kept
+    /// parallel to it).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// What a [`SetTable`] holds, in sets and in bytes ([`SetTable::stats`]).
+/// A pure function of the queries asked, so a replayed run reports the
+/// same stats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Sets whose bitset and popcount have been built.
+    pub sets: usize,
+    /// Sets whose sorted id list has been built.
+    pub sets_with_ids: usize,
+    /// Bytes of the built bitsets.
+    pub bitset_bytes: usize,
+    /// Bytes of the built id lists.
+    pub id_bytes: usize,
+}
+
+/// One interned set and what has been built for it so far.
+#[derive(Debug)]
+struct Entry {
+    set: ConstraintSet,
+    /// The feasible machines, one bit per machine index.
+    bits: Option<Box<[u64]>>,
+    /// Popcount of `bits` (0 until they are built).
+    count: usize,
+    /// The feasible machine ids, ascending.
+    ids: Option<Box<[u32]>>,
+}
+
+impl Entry {
+    /// The set's bitset, built over `index` on first use.
+    fn bits(&mut self, index: &FeasibilityIndex) -> &[u64] {
+        if self.bits.is_none() {
+            let bits = index.feasible_bits(&self.set);
+            self.count = bits.iter().map(|w| w.count_ones() as usize).sum();
+            self.bits = Some(bits.into());
+        }
+        self.bits.as_deref().expect("bits were just built")
+    }
+
+    /// Whether machine `w` satisfies the set: a word test once the bitset
+    /// is built, a direct comparison before (same answer either way).
+    fn contains(&self, index: &FeasibilityIndex, w: u32) -> bool {
+        match &self.bits {
+            Some(bits) => bits[w as usize >> 6] >> (w & 63) & 1 != 0,
+            None => self.set.satisfied_by(&index.machines()[w as usize]),
+        }
+    }
+
+    /// The set's sorted id list, collected from its bitset on first use.
+    fn ids(&mut self, index: &FeasibilityIndex) -> &[u32] {
+        if self.ids.is_none() {
+            // Build the bitset first: its popcount sizes the list exactly.
+            self.bits(index);
+            let mut ids = Vec::with_capacity(self.count);
+            ids.extend(ones(self.bits(index)));
+            self.ids = Some(ids.into());
+        }
+        self.ids.as_deref().expect("ids were just built")
+    }
+}
+
+/// The constraint sets of one run, interned into [`SetId`]s, with their
+/// feasibility results memoized over a [`FeasibilityIndex`] (see the
+/// module docs). Every query takes the index the table's results are built
+/// over; a table must be used with one index only. It never evicts: every
+/// interned set belongs to a job of the run.
+#[derive(Debug, Default)]
+pub struct SetTable {
+    handles: HashMap<ConstraintSet, SetId>,
+    entries: Vec<Entry>,
+    /// Reusable duplicate guard for samples larger than `SMALL_SAMPLE`.
+    mask: Vec<u64>,
+    /// Reusable exact-phase candidate pool.
+    pool: Vec<u32>,
+}
+
+impl SetTable {
+    /// The handle of `set`, interning it on first sight. Equal sets get
+    /// the same handle. Builds nothing.
+    pub fn intern(&mut self, set: &ConstraintSet) -> SetId {
+        if let Some(&id) = self.handles.get(set) {
+            return id;
+        }
+        let id = SetId(u32::try_from(self.entries.len()).expect("fewer than 2^32 sets"));
+        self.entries.push(Entry {
+            set: set.clone(),
+            bits: None,
+            count: 0,
+            ids: None,
+        });
+        self.handles.insert(set.clone(), id);
+        id
+    }
+
+    /// The set behind a handle.
+    pub fn get(&self, id: SetId) -> &ConstraintSet {
+        &self.entries[id.index()].set
+    }
+
+    /// Number of machines satisfying the set: the popcount stored with its
+    /// bitset. Builds the bitset on first use, never the id list.
+    pub fn count(&mut self, index: &FeasibilityIndex, id: SetId) -> usize {
+        let entry = &mut self.entries[id.index()];
+        entry.bits(index);
+        entry.count
+    }
+
+    /// The machines satisfying the set as a bitset, one bit per machine
+    /// index, built on first use. [`ones`] walks it in ascending id order.
+    pub fn bits(&mut self, index: &FeasibilityIndex, id: SetId) -> &[u64] {
+        self.entries[id.index()].bits(index)
+    }
+
+    /// The machines satisfying the set as a sorted id list. The first call
+    /// builds the list from the bitset: O(N/64 + feasible) once, O(1)
+    /// after. Callers that only count or test membership should use
+    /// [`SetTable::count`] or [`SetTable::contains`], which never build it.
+    pub fn ids(&mut self, index: &FeasibilityIndex, id: SetId) -> &[u32] {
+        self.entries[id.index()].ids(index)
+    }
+
+    /// Whether machine `worker` satisfies the set: a word test when the
+    /// set's bitset is built, a direct attribute comparison otherwise (a
+    /// one-off membership test never pays for building the bitset).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `worker` is out of range for the population.
+    pub fn contains(&self, index: &FeasibilityIndex, id: SetId, worker: u32) -> bool {
+        assert!(
+            (worker as usize) < index.len(),
+            "worker {worker} out of range"
+        );
+        self.entries[id.index()].contains(index, worker)
+    }
+
+    /// Number of machines in `[start, end)` satisfying the set — the
+    /// partitioned view federated domains use to skip remote domains with
+    /// no feasible machine at all. Popcounts the bitset over the word span
+    /// (O(range/64)), masking the edge words; bits past the population are
+    /// never set, so `end` may run past it.
+    pub fn count_in_range(
+        &mut self,
+        index: &FeasibilityIndex,
+        id: SetId,
+        start: usize,
+        end: usize,
+    ) -> usize {
+        count_ones_in_range(self.bits(index, id), start, end)
+    }
+
+    /// Samples up to `k` *distinct* machines in `span` satisfying the set,
+    /// uniformly at random, skipping machines for which `exclude` returns
+    /// true. Cluster-wide callers pass `0..n`; a federated domain passes
+    /// its worker range. `span.end` is clamped to the population size.
+    ///
+    /// Uses rejection sampling against the whole population first (cheap for
+    /// permissive sets) and falls back to an exact phase for selective sets.
+    /// Returns fewer than `k` machines when fewer feasible non-excluded
+    /// machines exist in `span`.
+    ///
+    /// The RNG draw sequence is part of the simulator's determinism
+    /// contract: one `random_range(0..n)` per rejection try (a draw outside
+    /// `span` counts as a rejected try), then one shuffle of the exact-phase
+    /// pool — the ascending feasible ids in `span` that are neither picked
+    /// nor excluded. Passing a range is therefore draw-identical to passing
+    /// `0..n` with an `exclude` that rejects ids outside it; only the exact
+    /// phase's walk shrinks, to the `span` slice of the sorted id list.
+    ///
+    /// A call that the rejection phase satisfies builds neither the set's
+    /// bitset nor its id list; the exact phase builds both. `exclude` is
+    /// called only for ids inside `span`.
+    pub fn sample<R: Rng + ?Sized>(
+        &mut self,
+        index: &FeasibilityIndex,
+        id: SetId,
+        k: usize,
+        span: Range<u32>,
+        rng: &mut R,
+        mut exclude: impl FnMut(u32) -> bool,
+    ) -> Vec<u32> {
+        let n = index.len();
+        if k == 0 || n == 0 {
+            return Vec::new();
+        }
+        let end = span.end.min(n as u32);
+        let span = span.start.min(end)..end;
+        let SetTable {
+            entries,
+            mask,
+            pool,
+            ..
+        } = self;
+        let entry = &mut entries[id.index()];
+        // Duplicate guard: linear scan for small k (cheaper than touching
+        // the mask at all), reusable bitmask beyond — a plain
+        // `picked.contains` would make large placements O(k²).
+        let use_mask = k > SMALL_SAMPLE;
+        if use_mask {
+            mask.clear();
+            mask.resize(n.div_ceil(64), 0);
+        }
+        let is_dup = |mask: &[u64], picked: &[u32], w: u32| {
+            if use_mask {
+                mask[w as usize >> 6] >> (w & 63) & 1 != 0
+            } else {
+                picked.contains(&w)
+            }
+        };
+        let mut picked: Vec<u32> = Vec::with_capacity(k.min(n));
+        // Rejection phase: a few tries per requested sample. Membership's
+        // two forms give the same answer, so the draws do not depend on
+        // whether the bitset is built yet.
+        let budget = k * 6 + 16;
+        for _ in 0..budget {
+            if picked.len() == k {
+                return picked;
+            }
+            let w = rng.random_range(0..n) as u32;
+            if is_dup(mask, &picked, w) || !span.contains(&w) || exclude(w) {
+                continue;
+            }
+            if entry.contains(index, w) {
+                picked.push(w);
+                if use_mask {
+                    mask[w as usize >> 6] |= 1u64 << (w & 63);
+                }
+            }
+        }
+        if picked.len() == k {
+            return picked;
+        }
+        // Exact phase: sample without replacement from the span's slice of
+        // the sorted feasible list.
+        let feasible = entry.ids(index);
+        let from = feasible.partition_point(|&w| w < span.start);
+        let to = feasible.partition_point(|&w| w < span.end);
+        pool.clear();
+        pool.extend(
+            feasible[from..to]
+                .iter()
+                .copied()
+                .filter(|&w| !is_dup(mask, &picked, w) && !exclude(w)),
+        );
+        pool.shuffle(rng);
+        let missing = k - picked.len();
+        picked.extend(pool.iter().take(missing));
+        picked
+    }
+
+    /// What the table holds: sets with a built bitset, sets with a built id
+    /// list, and the bytes of both.
+    pub fn stats(&self) -> CacheStats {
+        let mut stats = CacheStats::default();
+        for entry in &self.entries {
+            if let Some(bits) = &entry.bits {
+                stats.sets += 1;
+                stats.bitset_bytes += std::mem::size_of_val(&**bits);
+            }
+            if let Some(ids) = &entry.ids {
+                stats.sets_with_ids += 1;
+                stats.id_bytes += std::mem::size_of_val(&**ids);
+            }
+        }
+        stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::{Isa, PlatformFamily};
     use crate::constraint::ConstraintOp;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// The sort-based build the counting sort replaced, kept as the oracle
     /// for [`KindPostings::build`]. It lays down both the posting lists
@@ -965,6 +978,11 @@ mod tests {
         )])
     }
 
+    /// An index over `machines` and an empty set table.
+    fn index_and_table(machines: Vec<AttributeVector>) -> (FeasibilityIndex, SetTable) {
+        (FeasibilityIndex::new(machines), SetTable::default())
+    }
+
     #[test]
     fn feasible_fraction_counts_exactly() {
         let pop = population();
@@ -974,13 +992,32 @@ mod tests {
             feasible_fraction(&pop, &ConstraintSet::unconstrained()),
             1.0
         );
+        let index = FeasibilityIndex::new(pop);
+        assert_eq!(index.feasible_fraction(&big_cores()), 0.5);
+        assert_eq!(
+            FeasibilityIndex::new(Vec::new()).feasible_fraction(&big_cores()),
+            0.0
+        );
+    }
+
+    #[test]
+    fn interning_an_equal_set_twice_returns_the_same_id() {
+        let mut table = SetTable::default();
+        let a = table.intern(&big_cores());
+        let b = table.intern(&big_cores());
+        let other = table.intern(&ConstraintSet::unconstrained());
+        assert_eq!(a, b);
+        assert_ne!(a, other);
+        assert_eq!(table.get(a), &big_cores());
+        // Interning builds nothing.
+        assert_eq!(table.stats(), CacheStats::default());
     }
 
     #[test]
     fn range_counts_match_filtered_lists() {
-        let index = FeasibilityIndex::new(population());
-        let set = big_cores();
-        let all: Vec<u32> = index.feasible(&set).to_vec();
+        let (index, mut table) = index_and_table(population());
+        let set = table.intern(&big_cores());
+        let all: Vec<u32> = table.ids(&index, set).to_vec();
         // Every alignment case: word-interior, word-straddling, edge-exact.
         for (start, end) in [
             (0, 100),
@@ -996,33 +1033,36 @@ mod tests {
                 .filter(|&&w| (start..end.min(100)).contains(&(w as usize)))
                 .count();
             assert_eq!(
-                index.count_feasible_in_range(&set, start, end),
+                table.count_in_range(&index, set, start, end),
                 expected,
                 "[{start}, {end})"
             );
         }
         // Unconstrained sets count the whole slice.
-        assert_eq!(
-            index.count_feasible_in_range(&ConstraintSet::unconstrained(), 10, 30),
-            20
-        );
-        assert_eq!(index.count_feasible_in_range(&set, 80, 20), 0);
+        let any = table.intern(&ConstraintSet::unconstrained());
+        assert_eq!(table.count_in_range(&index, any, 10, 30), 20);
+        assert_eq!(table.count_in_range(&index, set, 80, 20), 0);
     }
 
     #[test]
-    fn feasible_lists_are_cached_and_correct() {
-        let index = FeasibilityIndex::new(population());
-        let a = index.feasible(&big_cores());
-        let b = index.feasible(&big_cores());
-        assert!(Arc::ptr_eq(&a, &b), "second query must hit the cache");
-        assert_eq!(a.len(), 50);
-        assert!(a.iter().all(|&w| w >= 50));
+    fn feasible_lists_are_built_once_and_correct() {
+        let (index, mut table) = index_and_table(population());
+        let set = table.intern(&big_cores());
+        let first = table.ids(&index, set).as_ptr();
+        assert_eq!(
+            table.ids(&index, set).as_ptr(),
+            first,
+            "second walk reuses the list"
+        );
+        let ids = table.ids(&index, set);
+        assert_eq!(ids.len(), 50);
+        assert!(ids.iter().all(|&w| w >= 50));
     }
 
     #[test]
     fn feasible_matches_naive_scan_on_operator_mix() {
         let pop = population();
-        let index = FeasibilityIndex::new(pop.clone());
+        let (index, mut table) = index_and_table(pop.clone());
         for set in [
             ConstraintSet::unconstrained(),
             big_cores(),
@@ -1045,12 +1085,14 @@ mod tests {
                 .filter(|(_, m)| set.satisfied_by(m))
                 .map(|(i, _)| i as u32)
                 .collect();
-            assert_eq!(index.count_feasible_uncached(&set), naive.len(), "{set}");
-            assert_eq!(index.feasible(&set).to_vec(), naive, "{set}");
             assert_eq!(index.count_feasible(&set), naive.len(), "{set}");
+            assert_eq!(ones(&index.feasible_bits(&set)).collect::<Vec<_>>(), naive);
+            let id = table.intern(&set);
+            assert_eq!(table.ids(&index, id).to_vec(), naive, "{set}");
+            assert_eq!(table.count(&index, id), naive.len(), "{set}");
             for w in 0..pop.len() as u32 {
                 assert_eq!(
-                    index.is_feasible(w, &set),
+                    table.contains(&index, id, w),
                     set.satisfied_by(&pop[w as usize]),
                     "{set} worker {w}"
                 );
@@ -1060,14 +1102,14 @@ mod tests {
 
     #[test]
     fn bitsets_agree_with_id_lists() {
-        let index = FeasibilityIndex::new(population());
-        let set = big_cores();
-        let bits = index.feasible_bits(&set);
-        let ids = index.feasible(&set);
+        let (index, mut table) = index_and_table(population());
+        let set = table.intern(&big_cores());
+        let bits = table.bits(&index, set).to_vec();
+        assert_eq!(bits, index.feasible_bits(&big_cores()));
         let from_bits: Vec<u32> = (0..index.len() as u32)
             .filter(|&w| bits[w as usize >> 6] >> (w & 63) & 1 != 0)
             .collect();
-        assert_eq!(from_bits, ids.to_vec());
+        assert_eq!(from_bits, table.ids(&index, set).to_vec());
     }
 
     #[test]
@@ -1089,7 +1131,7 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(naive.len(), 100);
-        assert_eq!(index.feasible(&set).to_vec(), naive);
+        assert_eq!(ones(&index.feasible_bits(&set)).collect::<Vec<_>>(), naive);
         let single = Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Gt, 150);
         assert_eq!(index.count_single(&single), 50);
         let bits = index.feasible_single(&single);
@@ -1098,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn single_constraint_cache_counts() {
+    fn single_constraint_counts() {
         let index = FeasibilityIndex::new(population());
         let arm = Constraint::hard(
             ConstraintKind::Architecture,
@@ -1114,11 +1156,24 @@ mod tests {
         assert_eq!(supply, vec![(ConstraintKind::Architecture, 10)]);
     }
 
+    /// Samples `k` of `set` over the whole population of `index`.
+    fn sample_all(
+        index: &FeasibilityIndex,
+        table: &mut SetTable,
+        set: &ConstraintSet,
+        k: usize,
+        rng: &mut StdRng,
+        exclude: impl FnMut(u32) -> bool,
+    ) -> Vec<u32> {
+        let id = table.intern(set);
+        table.sample(index, id, k, 0..index.len() as u32, rng, exclude)
+    }
+
     #[test]
     fn sampling_returns_distinct_feasible_workers() {
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let mut rng = StdRng::seed_from_u64(7);
-        let sample = index.sample_feasible(&big_cores(), 20, 0..100, &mut rng, |_| false);
+        let sample = sample_all(&index, &mut table, &big_cores(), 20, &mut rng, |_| false);
         assert_eq!(sample.len(), 20);
         let mut sorted = sample.clone();
         sorted.sort_unstable();
@@ -1129,23 +1184,23 @@ mod tests {
 
     #[test]
     fn sampling_respects_exclusion_and_small_pools() {
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let mut rng = StdRng::seed_from_u64(9);
         // Exclude everything except worker 99.
-        let sample = index.sample_feasible(&big_cores(), 5, 0..100, &mut rng, |w| w != 99);
+        let sample = sample_all(&index, &mut table, &big_cores(), 5, &mut rng, |w| w != 99);
         assert_eq!(sample, vec![99]);
     }
 
     #[test]
     fn sampling_more_than_available_returns_all() {
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let mut rng = StdRng::seed_from_u64(11);
         let arm_set = ConstraintSet::from_constraints(vec![Constraint::hard(
             ConstraintKind::Architecture,
             ConstraintOp::Eq,
             Isa::Arm as u64,
         )]);
-        let sample = index.sample_feasible(&arm_set, 50, 0..100, &mut rng, |_| false);
+        let sample = sample_all(&index, &mut table, &arm_set, 50, &mut rng, |_| false);
         assert_eq!(sample.len(), 10);
     }
 
@@ -1153,12 +1208,10 @@ mod tests {
     fn large_samples_use_the_mask_and_stay_distinct() {
         // k > SMALL_SAMPLE exercises the bitmask duplicate guard in both
         // the rejection and exact phases.
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let mut rng = StdRng::seed_from_u64(13);
-        let sample =
-            index.sample_feasible(&ConstraintSet::unconstrained(), 80, 0..100, &mut rng, |w| {
-                w % 7 == 0
-            });
+        let any = ConstraintSet::unconstrained();
+        let sample = sample_all(&index, &mut table, &any, 80, &mut rng, |w| w % 7 == 0);
         let mut sorted = sample.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -1169,18 +1222,18 @@ mod tests {
 
     #[test]
     fn sampling_zero_or_empty_population() {
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(index
-            .sample_feasible(&big_cores(), 0, 0..100, &mut rng, |_| false)
-            .is_empty());
-        let empty = FeasibilityIndex::new(Vec::new());
-        assert!(empty
-            .sample_feasible(&big_cores(), 3, 0..0, &mut rng, |_| false)
+        assert!(sample_all(&index, &mut table, &big_cores(), 0, &mut rng, |_| false).is_empty());
+        let (empty, mut table) = index_and_table(Vec::new());
+        let set = table.intern(&big_cores());
+        assert!(table
+            .sample(&empty, set, 3, 0..0, &mut rng, |_| false)
             .is_empty());
         assert!(empty.is_empty());
-        assert!(empty.feasible(&big_cores()).is_empty());
-        assert_eq!(empty.count_feasible(&ConstraintSet::unconstrained()), 0);
+        assert!(table.ids(&empty, set).is_empty());
+        let any = table.intern(&ConstraintSet::unconstrained());
+        assert_eq!(table.count(&empty, any), 0);
     }
 
     /// A 1,000-machine population with a handful of values per kind.
@@ -1199,7 +1252,7 @@ mod tests {
     #[test]
     fn lazy_id_lists_match_naive_scan_before_and_after_build() {
         let machines = spread_population();
-        let index = FeasibilityIndex::new(machines.clone());
+        let (index, mut table) = index_and_table(machines.clone());
         let words_bytes = machines.len().div_ceil(64) * 8;
         let sets = [
             ConstraintSet::unconstrained(),
@@ -1219,38 +1272,49 @@ mod tests {
         for (i, set) in sets.iter().enumerate() {
             let naive = naive_ids(&machines, set);
             assert!(!naive.is_empty(), "{set}");
-            // Before the list exists: counting, membership and a sample the
-            // rejection phase fills all answer from the bitset alone. (Every
-            // set here admits over a quarter of the machines, so the seeded
-            // one-worker sample never reaches the exact phase.)
-            assert_eq!(index.count_feasible(set), naive.len(), "{set}");
+            let id = table.intern(set);
+            // Membership and a sample the rejection phase fills answer by
+            // direct comparison and build nothing. (Every set here admits
+            // over a quarter of the machines, so the seeded one-worker
+            // sample never reaches the exact phase.)
             for w in 0..machines.len() as u32 {
                 assert_eq!(
-                    index.is_feasible(w, set),
+                    table.contains(&index, id, w),
                     naive.binary_search(&w).is_ok(),
                     "{set} worker {w}"
                 );
             }
-            let sample = index.sample_feasible(set, 1, 0..1_000, &mut rng, |_| false);
+            let sample = table.sample(&index, id, 1, 0..1_000, &mut rng, |_| false);
             assert_eq!(sample.len(), 1, "{set}");
-            let stats = index.cache_stats();
+            assert_eq!(table.stats().sets, i, "{set}: nothing built before a count");
+            // Counting builds the bitset, never the list; membership and
+            // the rejection phase then answer from the bitset.
+            assert_eq!(table.count(&index, id), naive.len(), "{set}");
+            for w in 0..machines.len() as u32 {
+                assert_eq!(
+                    table.contains(&index, id, w),
+                    naive.binary_search(&w).is_ok()
+                );
+            }
+            let sample = table.sample(&index, id, 1, 0..1_000, &mut rng, |_| false);
+            assert_eq!(sample.len(), 1, "{set}");
+            let stats = table.stats();
             assert_eq!(
                 (stats.sets, stats.sets_with_ids, stats.bitset_bytes),
                 (i + 1, lists, (i + 1) * words_bytes),
                 "{set}: no list before a walk"
             );
             // Build the list; every answer stays the same.
-            assert_eq!(index.feasible(set).to_vec(), naive, "{set}");
+            assert_eq!(table.ids(&index, id).to_vec(), naive, "{set}");
             lists += 1;
-            let stats = index.cache_stats();
-            assert_eq!(stats.sets_with_ids, lists, "{set}");
-            assert_eq!(index.count_feasible(set), naive.len(), "{set}");
-            assert_eq!(index.feasible(set).to_vec(), naive, "{set}");
-            assert_eq!(ones(&index.feasible_bits(set)).collect::<Vec<_>>(), naive);
-            assert!(Arc::ptr_eq(&index.feasible(set), &index.feasible(set)));
+            assert_eq!(table.stats().sets_with_ids, lists, "{set}");
+            assert_eq!(table.count(&index, id), naive.len(), "{set}");
+            assert_eq!(ones(table.bits(&index, id)).collect::<Vec<_>>(), naive);
+            let first = table.ids(&index, id).as_ptr();
+            assert_eq!(table.ids(&index, id).as_ptr(), first);
         }
         let expected_ids: usize = sets.iter().map(|s| naive_ids(&machines, s).len()).sum();
-        assert_eq!(index.cache_stats().id_bytes, expected_ids * 4);
+        assert_eq!(table.stats().id_bytes, expected_ids * 4);
     }
 
     #[test]
@@ -1286,26 +1350,27 @@ mod tests {
                 ConstraintOp::Gt,
                 cores,
             )]);
-            let ranged = FeasibilityIndex::new(machines.clone());
-            let full = FeasibilityIndex::new(machines);
+            let index = FeasibilityIndex::new(machines);
+            let (mut ranged, mut full) = (SetTable::default(), SetTable::default());
+            let (a_id, b_id) = (ranged.intern(&set), full.intern(&set));
             let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let a = ranged.sample_feasible(&set, k, lo..hi, &mut rng_a, |w| w % exclude_mod == 0);
-            let b = full.sample_feasible(&set, k, 0..n, &mut rng_b, |w| {
+            let a = ranged.sample(&index, a_id, k, lo..hi, &mut rng_a, |w| w % exclude_mod == 0);
+            let b = full.sample(&index, b_id, k, 0..n, &mut rng_b, |w| {
                 w < lo || w >= hi || w % exclude_mod == 0
             });
             proptest::prop_assert_eq!(&a, &b);
             proptest::prop_assert!(a.iter().all(|&w| (lo..hi).contains(&w)));
             proptest::prop_assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>());
-            let supply = ranged.count_feasible_in_range(&set, lo as usize, hi as usize);
+            let supply = ranged.count_in_range(&index, a_id, lo as usize, hi as usize);
             if k > supply {
-                proptest::prop_assert_eq!(ranged.cache_stats().sets_with_ids, 1);
+                proptest::prop_assert_eq!(ranged.stats().sets_with_ids, 1);
             }
         }
     }
 
     #[test]
     fn infeasible_set_yields_empty_everything() {
-        let index = FeasibilityIndex::new(population());
+        let (index, mut table) = index_and_table(population());
         let impossible = ConstraintSet::from_constraints(vec![Constraint::hard(
             ConstraintKind::NumCores,
             ConstraintOp::Gt,
@@ -1313,8 +1378,6 @@ mod tests {
         )]);
         assert_eq!(index.count_feasible(&impossible), 0);
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(index
-            .sample_feasible(&impossible, 4, 0..100, &mut rng, |_| false)
-            .is_empty());
+        assert!(sample_all(&index, &mut table, &impossible, 4, &mut rng, |_| false).is_empty());
     }
 }

@@ -529,7 +529,7 @@ pub fn supply_curve<R: Rng + ?Sized>(
         let set = model.synthesize_set(rng);
         drawn += 1;
         let k = set.len().clamp(1, 6);
-        sums[k - 1] += index.feasible_fraction_uncached(&set);
+        sums[k - 1] += index.feasible_fraction(&set);
         counts[k - 1] += 1;
     }
     let mut curve = [0.0f64; 6];

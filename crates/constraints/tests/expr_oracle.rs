@@ -6,13 +6,14 @@
 //! plans to the naive recursive evaluator [`ConstraintExpr::eval`] over
 //! random trees (depth ≤ 5, every kind and operator, nested `Not`/`Any`,
 //! vector leaves, high-cardinality fallback kinds) and random clusters:
-//! `feasible()`, `count_feasible()`, `count_feasible_uncached()`,
-//! `is_feasible()`, and **exact `sample_feasible()` RNG-draw parity** —
-//! including after machine add/remove/crash churn.
+//! the index's bits and count, the set table's id list, count and
+//! membership (before and after the bitset is built), and **exact
+//! `SetTable::sample` RNG-draw parity**, cold and warm — including after
+//! machine add/remove/crash churn.
 
 use phoenix_constraints::{
-    AttributeVector, Constraint, ConstraintExpr, ConstraintKind, ConstraintOp, ConstraintSet,
-    FeasibilityIndex, Isa, VectorDemand,
+    ones, AttributeVector, Constraint, ConstraintExpr, ConstraintKind, ConstraintOp, ConstraintSet,
+    FeasibilityIndex, Isa, SetTable, VectorDemand,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,7 +105,7 @@ fn naive_feasible(machines: &[AttributeVector], expr: &ConstraintExpr) -> Vec<u3
         .collect()
 }
 
-/// A from-scratch mirror of `sample_feasible`'s documented RNG contract,
+/// A from-scratch mirror of `SetTable::sample`'s documented RNG contract,
 /// with membership answered by the naive recursive evaluator: one
 /// `random_range` per rejection try (budget `k*6 + 16`), then one shuffle
 /// of the surviving exact-phase pool (ascending ids). Draw-for-draw parity
@@ -151,25 +152,49 @@ fn naive_sample(
     picked
 }
 
+/// Samples `k` machines of `set` over the whole population through a
+/// fresh set table (the set's bitset not built yet).
+fn sample_cold(
+    index: &FeasibilityIndex,
+    set: &ConstraintSet,
+    k: usize,
+    rng: &mut StdRng,
+    exclude: impl FnMut(u32) -> bool,
+) -> Vec<u32> {
+    let mut table = SetTable::default();
+    let id = table.intern(set);
+    table.sample(index, id, k, 0..index.len() as u32, rng, exclude)
+}
+
 fn check_parity(machines: &[AttributeVector], index: &FeasibilityIndex, expr: &ConstraintExpr) {
     let set = ConstraintSet::from_expr(expr.clone());
     let naive = naive_feasible(machines, expr);
     assert_eq!(
-        index.count_feasible_uncached(&set),
+        index.count_feasible(&set),
         naive.len(),
-        "count_feasible_uncached vs naive: {expr}"
+        "index count vs naive: {expr}"
     );
+    let mut table = SetTable::default();
+    let id = table.intern(&set);
+    // Membership before the bitset is built (direct comparison) ...
+    for w in 0..machines.len() as u32 {
+        assert_eq!(
+            table.contains(index, id, w),
+            expr.eval(&machines[w as usize])
+        );
+    }
     assert_eq!(
-        index.feasible(&set).to_vec(),
+        table.ids(index, id).to_vec(),
         naive,
         "feasible list vs naive: {expr}"
     );
-    assert_eq!(index.count_feasible(&set), naive.len());
+    assert_eq!(table.count(index, id), naive.len());
+    // ... and after (a word test).
     for w in 0..machines.len() as u32 {
         assert_eq!(
-            index.is_feasible(w, &set),
+            table.contains(index, id, w),
             expr.eval(&machines[w as usize]),
-            "is_feasible worker {w}: {expr}"
+            "membership of worker {w}: {expr}"
         );
         assert_eq!(
             set.satisfied_by(&machines[w as usize]),
@@ -212,7 +237,7 @@ fn not_leaf_is_exact_complement_and_never_resurrects_dead_machines() {
                 let neg_set = ConstraintSet::from_expr(neg.clone());
                 let complement: Vec<u32> = (0..n).filter(|w| !pos_ids.contains(w)).collect();
                 assert_eq!(
-                    index.feasible(&neg_set).to_vec(),
+                    ones(&index.feasible_bits(&neg_set)).collect::<Vec<_>>(),
                     complement,
                     "Not({leaf}) is not the set complement"
                 );
@@ -221,7 +246,7 @@ fn not_leaf_is_exact_complement_and_never_resurrects_dead_machines() {
                 // "Dead" machines (every fourth id) must stay invisible to
                 // sampling even when the complement's bitset covers them.
                 let mut rng = StdRng::seed_from_u64(7 + value_sel);
-                let sample = index.sample_feasible(&neg_set, 12, 0..n, &mut rng, |w| w % 4 == 0);
+                let sample = sample_cold(&index, &neg_set, 12, &mut rng, |w| w % 4 == 0);
                 for w in &sample {
                     assert!(w % 4 != 0, "Not({leaf}) resurrected dead machine {w}");
                 }
@@ -248,7 +273,7 @@ proptest! {
         check_parity(&machines, &index, &expr);
     }
 
-    /// Exact RNG-draw parity of `sample_feasible` between the compiled
+    /// Exact RNG-draw parity of `SetTable::sample` between the compiled
     /// plan and the naive mirror sampler: same picks, and the two RNG
     /// streams remain synchronized afterwards (proving identical draw
     /// counts), under exclusion predicates standing in for dead machines.
@@ -266,21 +291,23 @@ proptest! {
         let set = ConstraintSet::from_expr(expr.clone());
         let index = FeasibilityIndex::new(machines.clone());
 
-        // Cold path: the set's bitset is not cached yet, so membership
+        // Cold path: the set's bitset is not built yet, so membership
         // falls to `set.satisfied_by` (the tree evaluator).
+        let mut table = SetTable::default();
+        let id = table.intern(&set);
         let mut rng_a = StdRng::seed_from_u64(rng_seed);
         let n = index.len() as u32;
-        let got = index.sample_feasible(&set, k, 0..n, &mut rng_a, |w| w % exclude_mod == 0);
+        let got = table.sample(&index, id, k, 0..n, &mut rng_a, |w| w % exclude_mod == 0);
         let mut rng_b = StdRng::seed_from_u64(rng_seed);
         let want = naive_sample(&machines, &expr, k, &mut rng_b, |w| w % exclude_mod == 0);
         prop_assert_eq!(&got, &want, "cold sample diverged");
         prop_assert_eq!(rng_a.random::<u64>(), rng_b.random::<u64>(), "draw counts diverged");
 
-        // Warm path: after a feasibility query the bitset is cached and
-        // membership becomes a word test — the draws must not change.
-        let _ = index.count_feasible(&set);
+        // Warm path: after a count the bitset is built and membership
+        // becomes a word test — the draws must not change.
+        let _ = table.count(&index, id);
         let mut rng_c = StdRng::seed_from_u64(rng_seed);
-        let warm = index.sample_feasible(&set, k, 0..n, &mut rng_c, |w| w % exclude_mod == 0);
+        let warm = table.sample(&index, id, k, 0..n, &mut rng_c, |w| w % exclude_mod == 0);
         prop_assert_eq!(&warm, &want, "warm sample diverged from cold");
 
         // No resurrection: excluded ("dead") machines never appear, even
@@ -314,7 +341,7 @@ proptest! {
         // exclusion on the grown population.
         let set = ConstraintSet::from_expr(expr.clone());
         let mut rng_a = StdRng::seed_from_u64(rng_seed);
-        let got = index.sample_feasible(&set, 8, 0..index.len() as u32, &mut rng_a, |w| w % 3 == 0);
+        let got = sample_cold(&index, &set, 8, &mut rng_a, |w| w % 3 == 0);
         let mut rng_b = StdRng::seed_from_u64(rng_seed);
         let want = naive_sample(&machines, &expr, 8, &mut rng_b, |w| w % 3 == 0);
         prop_assert_eq!(got, want, "post-churn sample diverged");

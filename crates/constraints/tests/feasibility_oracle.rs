@@ -1,4 +1,5 @@
-//! Equivalence oracle for the posting-list `FeasibilityIndex`.
+//! Equivalence oracle for the posting-list `FeasibilityIndex` and the
+//! `SetTable` memo built over it.
 //!
 //! The index answers feasibility queries from per-attribute posting lists
 //! and bitset blocks; the simulator's determinism (golden digests, RNG
@@ -9,8 +10,8 @@
 //! fallback path (more distinct values than the bitset cap).
 
 use phoenix_constraints::{
-    feasible_fraction, AttributeVector, Constraint, ConstraintKind, ConstraintOp, ConstraintSet,
-    FeasibilityIndex, Isa,
+    feasible_fraction, ones, AttributeVector, Constraint, ConstraintKind, ConstraintOp,
+    ConstraintSet, FeasibilityIndex, Isa, SetTable,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,8 +72,9 @@ fn naive_feasible(machines: &[AttributeVector], set: &ConstraintSet) -> Vec<u32>
 }
 
 proptest! {
-    /// The indexed `feasible` list equals the naive scan (same ids, same
-    /// ascending order) and every derived query agrees with it.
+    /// The index's bitset and the table's id list equal the naive scan
+    /// (same ids, same ascending order) and every derived query agrees
+    /// with it.
     #[test]
     fn index_matches_naive_scan(
         seeds in prop::collection::vec(0u64..u64::MAX, 1..300),
@@ -84,11 +86,14 @@ proptest! {
             .map(|&(k, o, v, h)| constraint(k, o, v, h == 0))
             .collect();
         let index = FeasibilityIndex::new(machines.clone());
+        let mut table = SetTable::default();
+        let id = table.intern(&set);
 
         let naive = naive_feasible(&machines, &set);
-        prop_assert_eq!(index.count_feasible_uncached(&set), naive.len(), "{}", &set);
-        prop_assert_eq!(index.feasible(&set).to_vec(), naive.clone(), "{}", &set);
-        prop_assert_eq!(index.count_feasible(&set), naive.len());
+        prop_assert_eq!(index.count_feasible(&set), naive.len(), "{}", &set);
+        prop_assert_eq!(ones(&index.feasible_bits(&set)).collect::<Vec<_>>(), naive.clone());
+        prop_assert_eq!(table.ids(&index, id).to_vec(), naive.clone(), "{}", &set);
+        prop_assert_eq!(table.count(&index, id), naive.len());
         prop_assert!(
             (feasible_fraction(&machines, &set)
                 - naive.len() as f64 / machines.len() as f64)
@@ -97,7 +102,7 @@ proptest! {
         );
         for w in 0..machines.len() as u32 {
             prop_assert_eq!(
-                index.is_feasible(w, &set),
+                table.contains(&index, id, w),
                 set.satisfied_by(&machines[w as usize])
             );
         }
@@ -134,9 +139,11 @@ proptest! {
             .map(|&(kk, o, v, h)| constraint(kk, o, v, h == 0))
             .collect();
         let index = FeasibilityIndex::new(machines.clone());
+        let mut table = SetTable::default();
+        let id = table.intern(&set);
         let mut rng = StdRng::seed_from_u64(rng_seed);
-        let sample =
-            index.sample_feasible(&set, k, 0..index.len() as u32, &mut rng, |w| w % exclude_mod == 0);
+        let n = index.len() as u32;
+        let sample = table.sample(&index, id, k, 0..n, &mut rng, |w| w % exclude_mod == 0);
         let available = naive_feasible(&machines, &set)
             .into_iter()
             .filter(|w| w % exclude_mod != 0)
@@ -151,4 +158,34 @@ proptest! {
             prop_assert!(set.satisfied_by(&machines[w as usize]));
         }
     }
+
+    /// Interning is by value: two handles are equal exactly when their
+    /// sets are, and a handle's set is the one interned.
+    #[test]
+    fn interning_equal_sets_returns_one_handle(
+        raw in prop::collection::vec((0u8..255, 0u8..255, 0u8..255, 0u8..2), 0..5),
+    ) {
+        let constraints: Vec<Constraint> = raw
+            .iter()
+            .map(|&(k, o, v, h)| constraint(k, o, v, h == 0))
+            .collect();
+        let set: ConstraintSet = constraints.iter().copied().collect();
+        let mut table = SetTable::default();
+        let id = table.intern(&set);
+        prop_assert_eq!(table.intern(&constraints.iter().copied().collect()), id);
+        prop_assert_eq!(table.get(id), &set);
+        for other in [
+            constraints.iter().rev().copied().collect::<ConstraintSet>(),
+            set.hard_only(),
+            ConstraintSet::unconstrained(),
+        ] {
+            prop_assert_eq!(table.intern(&other) == id, other == set);
+        }
+    }
 }
+
+/// The index caches nothing, so it can be shared across threads.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<FeasibilityIndex>();
+};

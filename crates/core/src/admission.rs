@@ -17,7 +17,7 @@
 //! soft constraints wholesale; otherwise it falls back to the whole
 //! expression's hard relaxation (soft literals replaced by `true`).
 
-use phoenix_constraints::{ConstraintExpr, ConstraintModel, ConstraintSet, CrvTable};
+use phoenix_constraints::{ConstraintExpr, ConstraintModel, ConstraintSet, CrvTable, SetId};
 use phoenix_schedulers::Placement;
 use phoenix_sim::SimCtx;
 
@@ -26,9 +26,9 @@ use phoenix_sim::SimCtx;
 pub struct Negotiation {
     /// The placement to use.
     pub placement: Placement,
-    /// The effective constraint set after relaxation (equal to the input
-    /// set when nothing was relaxed).
-    pub effective: ConstraintSet,
+    /// The effective constraint set after relaxation (the input set when
+    /// nothing was relaxed).
+    pub effective: SetId,
     /// Number of soft constraints dropped.
     pub relaxed: usize,
 }
@@ -41,20 +41,20 @@ pub struct Negotiation {
 /// placement impossible).
 pub fn negotiate_targets(
     ctx: &mut SimCtx<'_>,
-    set: &ConstraintSet,
+    set: SetId,
     count: usize,
     table: &CrvTable,
     mut exclude: impl FnMut(u32) -> bool,
 ) -> Option<Negotiation> {
-    if set.expr().is_some() {
-        return negotiate_expr_targets(ctx, set, count, table, exclude);
+    if let Some(expr) = ctx.sets().get(set).expr().cloned() {
+        return negotiate_expr_targets(ctx, set, &expr, count, table, exclude);
     }
-    let mut current = set.clone();
+    let mut current = set;
     let mut relaxed = 0usize;
     let mut slowdown = 1.0f64;
     loop {
-        if ctx.feasibility().count_feasible(&current) > 0 {
-            let targets = sample_targets(ctx, &current, count, &mut exclude);
+        if ctx.count_feasible(current) > 0 {
+            let targets = sample_targets(ctx, current, count, &mut exclude);
             let placement = if relaxed == 0 {
                 Placement::Full(targets)
             } else {
@@ -67,7 +67,8 @@ pub fn negotiate_targets(
             });
         }
         // Pick the soft constraint with the most contended kind.
-        let victim = current
+        let relaxing = ctx.sets().get(current);
+        let victim = relaxing
             .soft_constraints()
             .max_by(|a, b| {
                 let ra = table.ratio(a.kind);
@@ -80,9 +81,10 @@ pub fn negotiate_targets(
             return None;
         };
         slowdown = slowdown.max(ConstraintModel::relative_slowdown(victim.kind));
-        current = current
+        let next = relaxing
             .relax_constraint(&victim)
             .expect("victim is a soft constraint of the set");
+        current = ctx.intern(&next);
         relaxed += 1;
     }
 }
@@ -93,7 +95,7 @@ pub fn negotiate_targets(
 /// retry path). The caller must have checked `count_feasible > 0`.
 fn sample_targets(
     ctx: &mut SimCtx<'_>,
-    set: &ConstraintSet,
+    set: SetId,
     count: usize,
     exclude: &mut impl FnMut(u32) -> bool,
 ) -> Vec<phoenix_sim::WorkerId> {
@@ -123,28 +125,28 @@ fn sample_targets(
 /// 4. Else the job fails.
 fn negotiate_expr_targets(
     ctx: &mut SimCtx<'_>,
-    set: &ConstraintSet,
+    set: SetId,
+    expr: &ConstraintExpr,
     count: usize,
     table: &CrvTable,
     mut exclude: impl FnMut(u32) -> bool,
 ) -> Option<Negotiation> {
-    if ctx.feasibility().count_feasible(set) > 0 {
+    if ctx.count_feasible(set) > 0 {
         let targets = sample_targets(ctx, set, count, &mut exclude);
         return Some(Negotiation {
             placement: Placement::Full(targets),
-            effective: set.clone(),
+            effective: set,
             relaxed: 0,
         });
     }
-    let expr = set
-        .expr()
-        .expect("caller checked the set carries an expression");
     if let ConstraintExpr::Any(branches) = expr {
-        let mut best: Option<(f64, usize, usize, ConstraintSet, f64)> = None;
+        let placement = ctx.sets().get(set).placement();
+        let mut best: Option<(f64, usize, usize, SetId, f64)> = None;
         for (i, branch) in branches.iter().enumerate() {
             let branch_set =
-                ConstraintSet::from_expr(branch.hard_relaxation()).with_placement(set.placement());
-            if ctx.feasibility().count_feasible(&branch_set) == 0 {
+                ConstraintSet::from_expr(branch.hard_relaxation()).with_placement(placement);
+            let branch_set = ctx.intern(&branch_set);
+            if ctx.count_feasible(branch_set) == 0 {
                 continue;
             }
             // CRV-guided branch cost: the summed demand/supply contention
@@ -177,7 +179,7 @@ fn negotiate_expr_targets(
             }
         }
         if let Some((_, relaxed, _, branch_set, slowdown)) = best {
-            let targets = sample_targets(ctx, &branch_set, count, &mut exclude);
+            let targets = sample_targets(ctx, branch_set, count, &mut exclude);
             // Every branch was infeasible as written (stage 1 covers the
             // union), so running under a branch's hard relaxation always
             // counts as a negotiated placement.
@@ -188,9 +190,10 @@ fn negotiate_expr_targets(
             });
         }
     }
-    let hard = set.hard_only();
-    if ctx.feasibility().count_feasible(&hard) > 0 {
-        let targets = sample_targets(ctx, &hard, count, &mut exclude);
+    let hard = ctx.sets().get(set).hard_only();
+    let hard = ctx.intern(&hard);
+    if ctx.count_feasible(hard) > 0 {
+        let targets = sample_targets(ctx, hard, count, &mut exclude);
         let slowdown = expr
             .soft_leaf_kinds()
             .iter()
@@ -226,14 +229,13 @@ mod tests {
         }
 
         fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
-            let set = ctx.job(job).constraints.clone();
+            let set = ctx.job(job).effective();
             let table = CrvTable::new();
-            match negotiate_targets(ctx, &set, 2, &table, |_| false) {
+            match negotiate_targets(ctx, set, 2, &table, |_| false) {
                 Some(n) => {
                     self.outcomes
                         .push(Some((n.relaxed, n.placement.slowdown())));
-                    let effective = n.effective;
-                    ctx.job_mut(job).effective_constraints = effective;
+                    ctx.job_mut(job).set_effective(n.effective);
                     let worker = n.placement.workers()[0];
                     let mut probe = ctx.new_probe(job);
                     probe.slowdown = n.placement.slowdown();
@@ -350,10 +352,11 @@ mod tests {
                 "check"
             }
             fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
-                let n = negotiate_targets(ctx, &self.set, 1, &self.table, |_| false)
+                let set = ctx.intern(&self.set);
+                let n = negotiate_targets(ctx, set, 1, &self.table, |_| false)
                     .expect("empty set is always feasible");
                 assert_eq!(n.relaxed, 2);
-                assert!(n.effective.is_empty());
+                assert!(ctx.sets().get(n.effective).is_empty());
                 // Slowdown is the max of both kinds: ethernet 1.91.
                 assert!((n.placement.slowdown() - 1.91).abs() < 1e-9);
                 ctx.fail_job(job); // end the run quickly
@@ -371,22 +374,25 @@ mod tests {
     }
 
     /// Drives `negotiate_targets` once against the uniform 4-node cluster
-    /// and hands the outcome (with the input set) to `verify`.
+    /// and hands the outcome (with the input set, and the effective set of
+    /// a successful negotiation) to `verify`.
     fn negotiate_once(
         constraints: Vec<Constraint>,
-        verify: impl Fn(&ConstraintSet, Option<&Negotiation>) + 'static,
+        verify: impl Fn(&ConstraintSet, Option<(&Negotiation, &ConstraintSet)>) + 'static,
     ) {
         struct Harness<F> {
             set: ConstraintSet,
             verify: F,
         }
-        impl<F: Fn(&ConstraintSet, Option<&Negotiation>)> Scheduler for Harness<F> {
+        impl<F: Fn(&ConstraintSet, Option<(&Negotiation, &ConstraintSet)>)> Scheduler for Harness<F> {
             fn name(&self) -> &str {
                 "harness"
             }
             fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
-                let n = negotiate_targets(ctx, &self.set, 2, &CrvTable::new(), |_| false);
-                (self.verify)(&self.set, n.as_ref());
+                let set = ctx.intern(&self.set);
+                let n = negotiate_targets(ctx, set, 2, &CrvTable::new(), |_| false);
+                let outcome = n.as_ref().map(|n| (n, ctx.sets().get(n.effective)));
+                (self.verify)(&self.set, outcome);
                 ctx.fail_job(job); // end the run quickly
             }
         }
@@ -429,16 +435,16 @@ mod tests {
                 Constraint::soft(ConstraintKind::EthernetSpeed, ConstraintOp::Gt, 999_999),
             ],
             |input, n| {
-                let n = n.expect("hard subset is satisfiable");
+                let (n, effective) = n.expect("hard subset is satisfiable");
                 assert_eq!(n.relaxed, 2, "both soft constraints relaxed");
                 for hard in input.hard_constraints() {
                     assert!(
-                        n.effective.iter().any(|c| c == hard),
+                        effective.iter().any(|c| c == hard),
                         "hard constraint dropped by negotiation: {hard:?}"
                     );
                 }
                 assert!(
-                    n.effective.soft_constraints().next().is_none(),
+                    effective.soft_constraints().next().is_none(),
                     "unsatisfiable soft constraints must all be gone"
                 );
             },

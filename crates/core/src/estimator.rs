@@ -96,8 +96,8 @@ impl WorkerStats {
         Some((mean_service / mean_gap).min(rho_cap))
     }
 
-    /// Equation 1 from the windows, bypassing the memo.
-    fn expected_wait_uncached(&self, rho_cap: f64) -> Option<SimDuration> {
+    /// Equation 1 from the windows (the memo stores its result).
+    fn compute_expected_wait(&self, rho_cap: f64) -> Option<SimDuration> {
         let rho = self.rho(rho_cap)?;
         let es = self.services.mean()?;
         let es2 = self.services.second_moment()?;
@@ -214,7 +214,7 @@ impl WaitEstimator {
         if let Some(memo) = s.wait_memo.get() {
             return memo;
         }
-        let wait = s.expected_wait_uncached(self.rho_cap);
+        let wait = s.compute_expected_wait(self.rho_cap);
         s.wait_memo.set(Some(wait));
         wait
     }
@@ -459,12 +459,12 @@ mod estimator_oracle {
             if let Some(memo) = s.wait_memo.get() {
                 return memo;
             }
-            let wait = self.expected_wait_uncached(worker);
+            let wait = self.compute_expected_wait(worker);
             s.wait_memo.set(Some(wait));
             wait
         }
 
-        fn expected_wait_uncached(&self, worker: WorkerId) -> Option<SimDuration> {
+        fn compute_expected_wait(&self, worker: WorkerId) -> Option<SimDuration> {
             let s = &self.workers[worker.index()];
             let rho = self.rho(worker)?;
             let es = s.services.mean()?;

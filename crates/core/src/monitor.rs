@@ -150,7 +150,7 @@ impl CrvMonitor {
             for probe in worker.queue() {
                 snapshot.queued_probes += 1;
                 let job = &state.jobs[probe.job.0 as usize];
-                let set = &job.effective_constraints;
+                let set = state.sets.get(job.effective());
                 if set.is_unconstrained() {
                     continue;
                 }

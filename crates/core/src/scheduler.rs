@@ -119,11 +119,7 @@ impl Phoenix {
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks, constrained) = {
             let j = ctx.job(job);
-            (
-                j.effective_constraints.clone(),
-                j.num_tasks(),
-                j.is_constrained(),
-            )
+            (j.effective(), j.num_tasks(), j.is_constrained())
         };
         let want = tasks * self.config.baseline.probe_ratio as usize;
         // Constrained jobs fight over few feasible workers; Phoenix
@@ -133,25 +129,28 @@ impl Phoenix {
         let sample = if constrained { want * 3 } else { want };
         let negotiation = if self.config.admission_control {
             let long_busy = &self.long_busy;
-            negotiate_targets(ctx, &set, sample, self.monitor.table(), |w| {
+            negotiate_targets(ctx, set, sample, self.monitor.table(), |w| {
                 long_busy.is_long_busy(WorkerId(w))
             })
         } else {
             // Ablation: fall back to the baselines' trivial ladder.
             let long_busy = &self.long_busy;
-            phoenix_schedulers::choose_targets(ctx, &set, sample, |w| {
+            let placement = phoenix_schedulers::choose_targets(ctx, set, sample, |w| {
                 long_busy.is_long_busy(WorkerId(w))
-            })
-            .map(|placement| crate::admission::Negotiation {
-                effective: match &placement {
-                    phoenix_schedulers::Placement::Full(_) => set.clone(),
-                    phoenix_schedulers::Placement::HardOnly(..) => set.hard_only(),
-                },
-                relaxed: usize::from(matches!(
+            });
+            placement.map(|placement| {
+                let relaxed = matches!(placement, phoenix_schedulers::Placement::HardOnly(..));
+                let effective = if relaxed {
+                    let hard = ctx.sets().get(set).hard_only();
+                    ctx.intern(&hard)
+                } else {
+                    set
+                };
+                crate::admission::Negotiation {
                     placement,
-                    phoenix_schedulers::Placement::HardOnly(..)
-                )),
-                placement,
+                    effective,
+                    relaxed: usize::from(relaxed),
+                }
             })
         };
         let Some(negotiation) = negotiation else {
@@ -159,7 +158,7 @@ impl Phoenix {
             return;
         };
         if negotiation.relaxed > 0 {
-            ctx.job_mut(job).effective_constraints = negotiation.effective;
+            ctx.job_mut(job).set_effective(negotiation.effective);
         }
         let slowdown = negotiation.placement.slowdown();
         let workers = if constrained {
@@ -167,9 +166,9 @@ impl Phoenix {
             // worker (the `CRV_Lookup_Table` caches the class lists); rank
             // the whole class. For large classes rank the random sample.
             // The count comes first, so only small classes build a list.
-            let effective = &ctx.job(job).effective_constraints;
-            let candidates: Vec<WorkerId> = if ctx.feasibility().count_feasible(effective) <= 256 {
-                let class = ctx.feasibility().feasible(effective);
+            let effective = ctx.job(job).effective();
+            let candidates: Vec<WorkerId> = if ctx.count_feasible(effective) <= 256 {
+                let class = ctx.feasible_ids(effective);
                 class.iter().map(|&w| WorkerId(w)).collect()
             } else {
                 negotiation.placement.workers().to_vec()
@@ -180,7 +179,7 @@ impl Phoenix {
             phoenix_schedulers::apply_placement_preference(
                 ctx.state(),
                 ranked,
-                ctx.job(job).effective_constraints.placement(),
+                ctx.sets().get(effective).placement(),
             )
         } else {
             negotiation.placement.workers().to_vec()
@@ -240,9 +239,8 @@ impl Phoenix {
                 candidates
             };
             for (probe_id, job, wait_here) in candidates {
-                let set = ctx.job(job).effective_constraints.clone();
-                let alternatives =
-                    ctx.sample_feasible_workers_excluding(&set, 6, |w| w == worker.0);
+                let set = ctx.job(job).effective();
+                let alternatives = ctx.sample_feasible_workers_excluding(set, 6, |w| w == worker.0);
                 let best = self
                     .pick_least_wait(ctx, alternatives, 1)
                     .into_iter()
@@ -449,8 +447,8 @@ impl Scheduler for Phoenix {
             }
             return;
         }
-        let set = job.effective_constraints.clone();
-        let candidates = ctx.sample_feasible_workers(&set, 4);
+        let set = job.effective();
+        let candidates = ctx.sample_feasible_workers(set, 4);
         match self.pick_least_wait(ctx, candidates, 1).into_iter().next() {
             Some(w) => ctx.resend_probe(w, probe),
             None => ctx.retry_probe_later(probe),

@@ -222,7 +222,7 @@ impl RangeRescan {
         for w in &state.workers[start..end] {
             for p in w.queue() {
                 r.queued += 1;
-                let set = &state.jobs[p.job.0 as usize].effective_constraints;
+                let set = state.sets.get(state.jobs[p.job.0 as usize].effective());
                 if set.is_unconstrained() {
                     continue;
                 }

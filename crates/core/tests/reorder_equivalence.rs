@@ -151,8 +151,9 @@ proptest! {
             .map(|p| ModelProbe {
                 id: p.id.0,
                 hot: !p.is_bound()
-                    && state.jobs[p.job.0 as usize]
-                        .effective_constraints
+                    && state
+                        .sets
+                        .get(state.jobs[p.job.0 as usize].effective())
                         .iter()
                         .any(|c| c.kind.crv_dimension() == hot_dim),
                 bypass_count: p.bypass_count,

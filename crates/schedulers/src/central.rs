@@ -38,31 +38,30 @@ impl CentralPlanner {
     /// least-loaded candidate, accounting for the work this very job has
     /// just queued.
     pub fn place_job(&self, ctx: &mut SimCtx<'_>, job: JobId) -> Option<Vec<WorkerId>> {
-        let set = ctx.job(job).effective_constraints.clone();
+        let set = ctx.job(job).effective();
         let mut slowdown = 1.0f64;
-        // Feasible workers in ascending id order, walked off the cached
+        // Feasible workers in ascending id order, walked off the set's
         // bitset so no id list is built for the (large) long-job classes.
-        let bits = ctx.feasibility().feasible_bits(&set);
-        let mut feasible: Vec<WorkerId> = ones(&bits)
+        let bits = ctx.feasible_bits(set);
+        let mut feasible: Vec<WorkerId> = ones(bits)
             .map(WorkerId)
             .filter(|w| w.index() >= self.reserved_workers)
             .collect();
         if feasible.is_empty() {
             // Reserved partition may have swallowed every feasible worker;
             // correctness beats the partition rule.
-            feasible = ones(&bits).map(WorkerId).collect();
+            feasible = ones(bits).map(WorkerId).collect();
         }
         if feasible.is_empty() {
-            let hard = set.hard_only();
-            feasible = ones(&ctx.feasibility().feasible_bits(&hard))
-                .map(WorkerId)
-                .collect();
+            let hard = ctx.sets().get(set).hard_only();
+            let hard = ctx.intern(&hard);
+            feasible = ones(ctx.feasible_bits(hard)).map(WorkerId).collect();
             if feasible.is_empty() {
                 ctx.fail_job(job);
                 return None;
             }
-            slowdown = relaxation_slowdown(&set);
-            ctx.job_mut(job).effective_constraints = hard;
+            slowdown = relaxation_slowdown(ctx.sets().get(set));
+            ctx.job_mut(job).set_effective(hard);
         }
 
         // Under fault injection, prefer live workers when any exist; if the

@@ -20,7 +20,7 @@ use phoenix_sim::{Scheduler, SimCtx, WorkerId};
 use phoenix_traces::JobId;
 
 use crate::config::BaselineConfig;
-use crate::placement::relaxation_slowdown;
+use crate::placement::resolve_constraint_level;
 
 /// The Choosy-C scheduler.
 #[derive(Debug, Clone, Default)]
@@ -80,8 +80,7 @@ impl ChoosyC {
         self.pending.retain(|&j| ctx.job(j).has_pending());
         let mut best: Option<(u64, u64, usize, JobId)> = None;
         for (order, &job) in self.pending.iter().enumerate() {
-            let set = &ctx.job(job).effective_constraints;
-            if !ctx.feasibility().is_feasible(worker.0, set) {
+            if !ctx.is_feasible(worker, ctx.job(job).effective()) {
                 continue;
             }
             let user = ctx.job(job).user;
@@ -131,16 +130,10 @@ impl Scheduler for ChoosyC {
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         // Resolve the constraint level once (up-front soft relaxation).
-        let set = ctx.job(job).effective_constraints.clone();
-        if ctx.feasibility().count_feasible(&set) == 0 {
-            let hard = set.hard_only();
-            if ctx.feasibility().count_feasible(&hard) == 0 {
-                ctx.fail_job(job);
-                return;
-            }
-            self.slowdown.insert(job, relaxation_slowdown(&set));
-            ctx.job_mut(job).effective_constraints = hard;
-        }
+        let Some((_, slowdown)) = resolve_constraint_level(ctx, job) else {
+            return;
+        };
+        self.slowdown.insert(job, slowdown);
         self.pending.push(job);
         self.fill_idle_workers(ctx);
     }

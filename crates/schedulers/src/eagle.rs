@@ -76,11 +76,11 @@ impl EagleC {
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks) = {
             let j = ctx.job(job);
-            (j.effective_constraints.clone(), j.num_tasks())
+            (j.effective(), j.num_tasks())
         };
         let want = tasks * self.config.probe_ratio as usize;
         let long_busy = &self.long_busy;
-        match choose_targets(ctx, &set, want, |w| long_busy.is_long_busy(WorkerId(w))) {
+        match choose_targets(ctx, set, want, |w| long_busy.is_long_busy(WorkerId(w))) {
             Some(placement) => send_speculative_probes(ctx, job, &placement, want),
             None => ctx.fail_job(job),
         }

@@ -59,11 +59,7 @@ impl Scheduler for HawkC {
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks, est) = {
             let j = ctx.job(job);
-            (
-                j.effective_constraints.clone(),
-                j.num_tasks(),
-                j.estimated_task_us,
-            )
+            (j.effective(), j.num_tasks(), j.estimated_task_us)
         };
         if !self.config.is_short(est) {
             let planner = self.planner(ctx);
@@ -71,7 +67,7 @@ impl Scheduler for HawkC {
             return;
         }
         let want = tasks * self.config.probe_ratio as usize;
-        match choose_targets(ctx, &set, want, |_| false) {
+        match choose_targets(ctx, set, want, |_| false) {
             Some(placement) => send_speculative_probes(ctx, job, &placement, want),
             None => ctx.fail_job(job),
         }

@@ -16,7 +16,7 @@ use phoenix_traces::JobId;
 
 use crate::central::CentralPlanner;
 use crate::config::BaselineConfig;
-use crate::placement::{estimated_queue_work_us, relaxation_slowdown};
+use crate::placement::{estimated_queue_work_us, resolve_constraint_level};
 
 /// The Mercury-C scheduler.
 #[derive(Debug, Clone)]
@@ -40,24 +40,14 @@ impl MercuryC {
     }
 
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let set = ctx.job(job).effective_constraints.clone();
-        let (set, slowdown) = if ctx.feasibility().count_feasible(&set) > 0 {
-            (set, 1.0)
-        } else {
-            let hard = set.hard_only();
-            if ctx.feasibility().count_feasible(&hard) == 0 {
-                ctx.fail_job(job);
-                return;
-            }
-            let slowdown = relaxation_slowdown(&set);
-            ctx.job_mut(job).effective_constraints = hard.clone();
-            (hard, slowdown)
+        let Some((set, slowdown)) = resolve_constraint_level(ctx, job) else {
+            return;
         };
         let d = (self.config.probe_ratio as usize * 2).max(2);
         let bound = self.config.queue_bound;
         while ctx.job(job).has_pending() {
             let duration = ctx.job_mut(job).take_task();
-            let candidates = ctx.sample_feasible_workers(&set, d);
+            let candidates = ctx.sample_feasible_workers(set, d);
             debug_assert!(!candidates.is_empty());
             let best = candidates
                 .iter()

@@ -8,7 +8,7 @@
 //! slowdown of the dropped soft constraints, mirroring the penalty Table II
 //! associates with unsatisfied resource preferences.
 
-use phoenix_constraints::{ConstraintModel, ConstraintSet, PlacementConstraint};
+use phoenix_constraints::{ConstraintModel, ConstraintSet, PlacementConstraint, SetId};
 use phoenix_sim::{SimCtx, SimState, WorkerId};
 use phoenix_traces::JobId;
 
@@ -123,19 +123,20 @@ pub fn apply_placement_preference(
 /// 5. `None` — the job is hard-unsatisfiable on this cluster.
 pub fn choose_targets(
     ctx: &mut SimCtx<'_>,
-    set: &ConstraintSet,
+    set: SetId,
     count: usize,
     mut exclude: impl FnMut(u32) -> bool,
 ) -> Option<Placement> {
+    let placement = ctx.sets().get(set).placement();
     // Affinity preferences profit from a wider candidate pool to pick
     // racks from.
-    let sample = if set.placement() == PlacementConstraint::None {
+    let sample = if placement == PlacementConstraint::None {
         count
     } else {
         count * 2
     };
     let arrange = |state: &SimState, targets: Vec<WorkerId>| {
-        apply_placement_preference(state, targets, set.placement())
+        apply_placement_preference(state, targets, placement)
     };
     let targets = ctx.sample_feasible_workers_excluding(set, sample, &mut exclude);
     if !targets.is_empty() {
@@ -147,11 +148,13 @@ pub fn choose_targets(
         let targets = arrange(ctx.state(), targets);
         return Some(Placement::Full(targets));
     }
-    let hard = set.hard_only();
-    let targets = ctx.sample_feasible_workers(&hard, sample);
+    let hard = ctx.sets().get(set).hard_only();
+    let hard = ctx.intern(&hard);
+    let slowdown = relaxation_slowdown(ctx.sets().get(set));
+    let targets = ctx.sample_feasible_workers(hard, sample);
     if !targets.is_empty() {
         let targets = arrange(ctx.state(), targets);
-        return Some(Placement::HardOnly(targets, relaxation_slowdown(set)));
+        return Some(Placement::HardOnly(targets, slowdown));
     }
     // Gated on fault injection: with faults disabled these rungs are never
     // reached for satisfiable jobs, and skipping them keeps unsatisfiable
@@ -162,13 +165,34 @@ pub fn choose_targets(
             let targets = arrange(ctx.state(), targets);
             return Some(Placement::Full(targets));
         }
-        let targets = ctx.sample_feasible_workers_any(&hard, sample);
+        let targets = ctx.sample_feasible_workers_any(hard, sample);
         if !targets.is_empty() {
             let targets = arrange(ctx.state(), targets);
-            return Some(Placement::HardOnly(targets, relaxation_slowdown(set)));
+            return Some(Placement::HardOnly(targets, slowdown));
         }
     }
     None
+}
+
+/// Resolves a job's constraint level once, up front: its effective set if
+/// any worker satisfies it (no slowdown), else its hard subset with the
+/// [`relaxation_slowdown`] of the dropped soft constraints, recorded as the
+/// job's new effective set. Fails the job and returns `None` when even the
+/// hard subset is unsatisfiable.
+pub fn resolve_constraint_level(ctx: &mut SimCtx<'_>, job: JobId) -> Option<(SetId, f64)> {
+    let set = ctx.job(job).effective();
+    if ctx.count_feasible(set) > 0 {
+        return Some((set, 1.0));
+    }
+    let hard = ctx.sets().get(set).hard_only();
+    let hard = ctx.intern(&hard);
+    if ctx.count_feasible(hard) == 0 {
+        ctx.fail_job(job);
+        return None;
+    }
+    let slowdown = relaxation_slowdown(ctx.sets().get(set));
+    ctx.job_mut(job).set_effective(hard);
+    Some((hard, slowdown))
 }
 
 /// Sends `count` speculative probes for `job` round-robin over `placement`'s
@@ -182,7 +206,8 @@ pub fn send_speculative_probes(
 ) {
     if let Placement::HardOnly(..) = placement {
         let hard = ctx.job(job).constraints.hard_only();
-        ctx.job_mut(job).effective_constraints = hard;
+        let hard = ctx.intern(&hard);
+        ctx.job_mut(job).set_effective(hard);
     }
     let slowdown = placement.slowdown();
     let workers = placement.workers();

@@ -39,10 +39,10 @@ impl Scheduler for SparrowC {
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks) = {
             let j = ctx.job(job);
-            (j.effective_constraints.clone(), j.num_tasks())
+            (j.effective(), j.num_tasks())
         };
         let want = tasks * self.config.probe_ratio as usize;
-        match choose_targets(ctx, &set, want, |_| false) {
+        match choose_targets(ctx, set, want, |_| false) {
             Some(placement) => send_speculative_probes(ctx, job, &placement, want),
             None => ctx.fail_job(job),
         }

@@ -80,10 +80,7 @@ fn steal_feasible_probes(ctx: &mut SimCtx<'_>, victim: WorkerId, thief: WorkerId
         .queue()
         .iter()
         .filter(|p| !p.is_bound())
-        .filter(|p| {
-            let set = &ctx.job(p.job).effective_constraints;
-            ctx.feasibility().is_feasible(thief.0, set)
-        })
+        .filter(|p| ctx.is_feasible(thief, ctx.job(p.job).effective()))
         .map(|p| p.id)
         .collect();
     steal_ids

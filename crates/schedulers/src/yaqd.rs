@@ -13,7 +13,7 @@ use phoenix_sim::{Scheduler, SimCtx, WorkerId};
 use phoenix_traces::JobId;
 
 use crate::config::BaselineConfig;
-use crate::placement::{estimated_queue_work_us, relaxation_slowdown};
+use crate::placement::{estimated_queue_work_us, resolve_constraint_level};
 use crate::srpt::srpt_insert_tail;
 
 /// The Yaq-d scheduler.
@@ -45,32 +45,22 @@ impl Scheduler for YaqD {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let set = ctx.job(job).effective_constraints.clone();
         // Resolve the constraint level once per job.
-        let (set, slowdown) = if ctx.feasibility().count_feasible(&set) > 0 {
-            (set, 1.0)
-        } else {
-            let hard = set.hard_only();
-            if ctx.feasibility().count_feasible(&hard) == 0 {
-                ctx.fail_job(job);
-                return;
-            }
-            let slowdown = relaxation_slowdown(&set);
-            ctx.job_mut(job).effective_constraints = hard.clone();
-            (hard, slowdown)
+        let Some((set, slowdown)) = resolve_constraint_level(ctx, job) else {
+            return;
         };
 
         let d = self.candidates_per_task();
         let bound = self.config.queue_bound;
         while ctx.job(job).has_pending() {
             let duration = ctx.job_mut(job).take_task();
-            let mut candidates = ctx.sample_feasible_workers(&set, d);
+            let mut candidates = ctx.sample_feasible_workers(set, d);
             if candidates.is_empty() {
                 // Only reachable under fault injection: every feasible
                 // worker is down right now. Bind to a dead worker anyway —
                 // the engine bounces the probe into the retry path.
                 debug_assert!(ctx.config().faults.is_active(), "feasibility checked above");
-                candidates = ctx.sample_feasible_workers_any(&set, d);
+                candidates = ctx.sample_feasible_workers_any(set, d);
             }
             // Prefer under-bound queues; among them, least estimated work.
             let best = candidates
@@ -98,9 +88,9 @@ impl Scheduler for YaqD {
         if job.is_failed() || (!probe.is_bound() && !job.has_pending()) {
             return;
         }
-        let set = job.effective_constraints.clone();
+        let set = job.effective();
         let bound = self.config.queue_bound;
-        let candidates = ctx.sample_feasible_workers(&set, self.candidates_per_task());
+        let candidates = ctx.sample_feasible_workers(set, self.candidates_per_task());
         let best = candidates.iter().copied().min_by_key(|&w| {
             let over = usize::from(ctx.worker(w).queue_len() >= bound);
             (over, estimated_queue_work_us(ctx.state(), w), w.0)

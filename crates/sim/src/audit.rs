@@ -491,7 +491,7 @@ impl InvariantAuditor {
             // semantically instead — the machine must also satisfy the hard
             // relaxation of whatever admission negotiated (e.g. the chosen
             // `Any` branch).
-            if !j.effective_constraints.hard_satisfied_by(machine) {
+            if !state.sets.get(j.effective()).hard_satisfied_by(machine) {
                 self.violation(
                     now,
                     format!(
@@ -502,8 +502,9 @@ impl InvariantAuditor {
             }
             return;
         }
+        let effective = state.sets.get(j.effective());
         for hard in j.constraints.hard_constraints() {
-            if !j.effective_constraints.iter().any(|c| c == hard) {
+            if !effective.iter().any(|c| c == hard) {
                 self.violation(
                     now,
                     format!(
@@ -622,6 +623,7 @@ impl ReferenceExecutor {
         match event {
             Event::JobArrival(index) => {
                 let id = JobId(index);
+                state.job_arrived(id);
                 let mut ctx = SimCtx { state, events };
                 scheduler.on_job_arrival(id, &mut ctx);
             }

@@ -1,9 +1,11 @@
 //! The mutation interface schedulers use during hooks.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use phoenix_constraints::FeasibilityIndex;
+use phoenix_constraints::{ConstraintSet, SetId, SetTable};
 use phoenix_traces::JobId;
 
 use crate::config::SimConfig;
@@ -77,8 +79,8 @@ impl<'a> SimCtx<'a> {
         &self.state.jobs[id.0 as usize]
     }
 
-    /// Mutable access to a job (admission control rewrites
-    /// `effective_constraints`).
+    /// Mutable access to a job (admission control replaces its effective
+    /// set).
     pub fn job_mut(&mut self, id: JobId) -> &mut JobState {
         &mut self.state.jobs[id.0 as usize]
     }
@@ -88,9 +90,40 @@ impl<'a> SimCtx<'a> {
         &self.state.jobs
     }
 
-    /// The feasibility oracle over the cluster's machines.
-    pub fn feasibility(&self) -> &FeasibilityIndex {
-        &self.state.feasibility
+    /// The run's interned constraint sets.
+    pub fn sets(&self) -> &SetTable {
+        &self.state.sets
+    }
+
+    /// The handle of `set` in the run's table, interning it on first sight.
+    pub fn intern(&mut self, set: &ConstraintSet) -> SetId {
+        self.state.sets.intern(set)
+    }
+
+    /// Number of workers able to satisfy `set` (see [`SetTable::count`]).
+    pub fn count_feasible(&mut self, set: SetId) -> usize {
+        let state = &mut *self.state;
+        state.sets.count(&state.feasibility, set)
+    }
+
+    /// Whether `worker` satisfies `set` (see [`SetTable::contains`]).
+    pub fn is_feasible(&self, worker: WorkerId, set: SetId) -> bool {
+        self.state
+            .sets
+            .contains(&self.state.feasibility, set, worker.0)
+    }
+
+    /// The workers satisfying `set` as a bitset (see [`SetTable::bits`]).
+    pub fn feasible_bits(&mut self, set: SetId) -> &[u64] {
+        let state = &mut *self.state;
+        state.sets.bits(&state.feasibility, set)
+    }
+
+    /// The workers satisfying `set` as a sorted id list (see
+    /// [`SetTable::ids`]).
+    pub fn feasible_ids(&mut self, set: SetId) -> &[u32] {
+        let state = &mut *self.state;
+        state.sets.ids(&state.feasibility, set)
     }
 
     /// The simulation's deterministic RNG.
@@ -221,15 +254,10 @@ impl<'a> SimCtx<'a> {
     }
 
     /// Samples up to `k` distinct workers able to satisfy `set`, uniformly
-    /// at random (see
-    /// [`FeasibilityIndex::sample_feasible`]). Crashed workers are never
+    /// at random (see [`SetTable::sample`]). Crashed workers are never
     /// returned; when every worker is alive the draws are identical to a
     /// run without the aliveness filter.
-    pub fn sample_feasible_workers(
-        &mut self,
-        set: &phoenix_constraints::ConstraintSet,
-        k: usize,
-    ) -> Vec<WorkerId> {
+    pub fn sample_feasible_workers(&mut self, set: SetId, k: usize) -> Vec<WorkerId> {
         self.sample_feasible_workers_excluding(set, k, |_| false)
     }
 
@@ -243,27 +271,30 @@ impl<'a> SimCtx<'a> {
     /// (3) fall back to an unrestricted cluster-wide sample, so liveness
     /// (`lost_tasks == 0`) never depends on summary freshness. With K ≤ 1
     /// the ladder is skipped entirely and the draws are identical to the
-    /// centralized engine (the byte-parity rule).
+    /// centralized engine (the byte-parity rule). A domain rung's
+    /// rejection phase still draws over the whole cluster; its exact phase
+    /// walks only the domain's slice of the feasible list.
     pub fn sample_feasible_workers_excluding(
         &mut self,
-        set: &phoenix_constraints::ConstraintSet,
+        set: SetId,
         k: usize,
         mut exclude: impl FnMut(u32) -> bool,
     ) -> Vec<WorkerId> {
+        let mut live = |w: u32, worker: &Worker| exclude(w) || !worker.is_alive();
         if let Some(home) = self.state.active_domain {
-            let sample = self.sample_in_domain(set, k, home, &mut exclude);
+            let sample = self.sample_span(set, k, self.domain_span(home), &mut live);
             if !sample.is_empty() {
                 if let Some(fed) = self.state.federation_mut() {
                     fed.stats.home_samples += 1;
                 }
                 return sample;
             }
-            let remote = self
-                .state
-                .federation()
-                .and_then(|fed| fed.best_remote_domain(home, set, &self.state.feasibility));
+            let state = &mut *self.state;
+            let remote = state.federation.as_deref().and_then(|fed| {
+                fed.best_remote_domain(home, set, &mut state.sets, &state.feasibility)
+            });
             if let Some(remote) = remote {
-                let sample = self.sample_in_domain(set, k, remote, &mut exclude);
+                let sample = self.sample_span(set, k, self.domain_span(remote), &mut live);
                 if !sample.is_empty() {
                     if let Some(fed) = self.state.federation_mut() {
                         fed.stats.remote_samples += 1;
@@ -275,53 +306,8 @@ impl<'a> SimCtx<'a> {
                 fed.stats.cluster_fallbacks += 1;
             }
         }
-        let state = &mut *self.state;
-        let started = state.profiler.begin();
-        let workers = &state.workers;
-        let sample: Vec<WorkerId> = state
-            .feasibility
-            .sample_feasible(set, k, 0..workers.len() as u32, &mut state.rng, |w| {
-                exclude(w) || !workers[w as usize].is_alive()
-            })
-            .into_iter()
-            .map(WorkerId)
-            .collect();
-        state.profiler.end(crate::ProfileScope::Sample, started);
-        sample
-    }
-
-    /// One rung of the federated ladder: a feasible-worker sample
-    /// restricted to `domain`'s contiguous worker range (plus the caller's
-    /// exclusions and the aliveness filter). May return fewer than `k`
-    /// workers; empty means the rung failed. The rejection phase still
-    /// draws over the whole cluster; the exact phase walks only the
-    /// domain's slice of the feasible list.
-    fn sample_in_domain(
-        &mut self,
-        set: &phoenix_constraints::ConstraintSet,
-        k: usize,
-        domain: usize,
-        exclude: &mut impl FnMut(u32) -> bool,
-    ) -> Vec<WorkerId> {
-        let (base, len) = self
-            .state
-            .federation()
-            .expect("domain sampling without federation")
-            .ranges()[domain];
-        let (lo, hi) = (base as u32, (base + len) as u32);
-        let state = &mut *self.state;
-        let started = state.profiler.begin();
-        let workers = &state.workers;
-        let sample: Vec<WorkerId> = state
-            .feasibility
-            .sample_feasible(set, k, lo..hi, &mut state.rng, |w| {
-                exclude(w) || !workers[w as usize].is_alive()
-            })
-            .into_iter()
-            .map(WorkerId)
-            .collect();
-        state.profiler.end(crate::ProfileScope::Sample, started);
-        sample
+        let all = 0..self.state.workers.len() as u32;
+        self.sample_span(set, k, all, live)
     }
 
     /// Samples feasible workers *ignoring aliveness* — the last-resort rung
@@ -330,17 +316,39 @@ impl<'a> SimCtx<'a> {
     /// retry path, so a dead target only costs one backoff. Call this only
     /// on fault-gated paths: it consumes RNG draws, so reaching it with
     /// faults disabled would perturb the deterministic stream.
-    pub fn sample_feasible_workers_any(
+    pub fn sample_feasible_workers_any(&mut self, set: SetId, k: usize) -> Vec<WorkerId> {
+        let all = 0..self.state.workers.len() as u32;
+        self.sample_span(set, k, all, |_, _| false)
+    }
+
+    /// The worker range of federated domain `domain`.
+    fn domain_span(&self, domain: usize) -> Range<u32> {
+        let (base, len) = self
+            .state
+            .federation()
+            .expect("domain sampling without federation")
+            .ranges()[domain];
+        base as u32..(base + len) as u32
+    }
+
+    /// The one sampling body: up to `k` workers of `span` satisfying `set`,
+    /// skipping those `exclude` rejects, timed under
+    /// [`crate::ProfileScope::Sample`].
+    fn sample_span(
         &mut self,
-        set: &phoenix_constraints::ConstraintSet,
+        set: SetId,
         k: usize,
+        span: Range<u32>,
+        mut exclude: impl FnMut(u32, &Worker) -> bool,
     ) -> Vec<WorkerId> {
         let state = &mut *self.state;
         let started = state.profiler.begin();
-        let n = state.workers.len() as u32;
-        let sample: Vec<WorkerId> = state
-            .feasibility
-            .sample_feasible(set, k, 0..n, &mut state.rng, |_| false)
+        let workers = &state.workers;
+        let sample = state
+            .sets
+            .sample(&state.feasibility, set, k, span, &mut state.rng, |w| {
+                exclude(w, &workers[w as usize])
+            })
             .into_iter()
             .map(WorkerId)
             .collect();
@@ -389,8 +397,8 @@ impl<'a> SimCtx<'a> {
             }
             return;
         }
-        let set = job.effective_constraints.clone();
-        match self.sample_feasible_workers(&set, 1).first() {
+        let set = job.effective();
+        match self.sample_feasible_workers(set, 1).first() {
             Some(&w) => self.resend_probe(w, probe),
             None => self.retry_probe_later(probe),
         }

@@ -7,29 +7,29 @@
 //! what is cheap to keep exact on every move and derives the rest on read:
 //!
 //! * **Demand**: one unit per queued probe per constraint of its job's
-//!   effective set, plus a refcount per distinct constraint instance. The
-//!   set a probe demands is interned at enqueue time (jobs' effective
-//!   constraints are final before any of their probes arrive; a debug
-//!   assertion checks this).
+//!   effective set, plus a refcount per distinct constraint instance. A
+//!   probe demands the set its job's effective [`SetId`] names when it is
+//!   enqueued; its removal subtracts that same set.
 //! * **Idle bitset**: one bit per worker, set while the worker is idle and
 //!   alive. Idle↔busy transitions flip one bit.
 //! * **Supply** (on read): per kind, the idle workers satisfying at least
 //!   one demanded instance of that kind — `popcount(idle ∧ ⋁ bits(i))` over
 //!   the demanded instances `i` of the kind. Each instance's bitset comes
 //!   from [`FeasibilityIndex::feasible_single`] once, when the instance is
-//!   first interned.
+//!   first seen.
 //!
 //! Counters live in a [`CrvTally`]: one for the whole cluster and, on a
 //! partitioned federated run, one per domain. A domain tally counts only the
 //! probes queued on its own workers, and its supply is the same popcount
 //! restricted to its worker range over the instances *those* probes demand.
-//! All tallies share the set/instance interning and the idle bitset.
+//! All tallies share the instance lists and the idle bitset.
 //!
-//! The per-probe steady state is hash-free: sets are interned once per *job*
-//! into a dense id, each queued probe's set id lives in a dense vector
-//! indexed by the sequential probe id, and refcounts are plain vector slots
-//! addressed by interned instance ids. Hash maps are only touched when a
-//! never-seen set or instance is interned.
+//! The ledger is hash-free per probe: sets arrive as [`SetId`]s from the
+//! run's [`SetTable`], each set's instance ids live in a vector indexed by
+//! the set id, each queued probe's set id lives in a dense vector indexed by
+//! the sequential probe id, and refcounts are plain vector slots addressed
+//! by instance id. The one hash map, from constraint to instance id, is
+//! touched only the first time a set is seen.
 //!
 //! All probe movement between queues and all slot transitions must go
 //! through the [`crate::SimState`] / [`crate::SimCtx`] wrappers that feed
@@ -37,12 +37,10 @@
 //! it (the monitor's debug oracle and the invariant auditor catch that).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use phoenix_constraints::{
-    count_ones_in_range, Constraint, ConstraintKind, ConstraintSet, FeasibilityIndex,
+    count_ones_in_range, Constraint, ConstraintKind, FeasibilityIndex, SetId, SetTable,
 };
-use phoenix_traces::JobId;
 
 use crate::probe::ProbeId;
 
@@ -56,23 +54,17 @@ pub struct CrvLedger {
     cluster: Tally,
     /// One tally per federated domain; empty unless the run is partitioned.
     domains: Vec<Tally>,
-    /// Interned constraint sets, by set id (kept for the debug check that a
-    /// job's set never changes).
-    sets: Vec<Vec<Constraint>>,
-    /// Interned instance ids of each set, parallel to `sets`.
-    set_instances: Vec<Vec<u32>>,
-    set_ids: HashMap<Vec<Constraint>, u32>,
-    /// Memoized set id per job (dense by job index, `ABSENT` until the
-    /// job's first constrained probe is enqueued).
-    job_sets: Vec<u32>,
-    /// Interned set id of each queued *constrained* probe, dense by probe
-    /// id (`ABSENT` = unconstrained or not queued).
+    /// Instance ids of each constrained set, by [`SetId`] index (empty
+    /// until a probe demanding the set is first enqueued).
+    set_instances: Vec<Box<[u32]>>,
+    /// Set id of each queued *constrained* probe, dense by probe id
+    /// (`ABSENT` = unconstrained or not queued).
     probe_set: Vec<u32>,
     /// Interned distinct constraint instances, by instance id.
     instances: Vec<Constraint>,
     /// Feasible workers of each instance as a bitset (parallel to
     /// `instances`).
-    instance_bits: Vec<Arc<[u64]>>,
+    instance_bits: Vec<Vec<u64>>,
     instance_ids: HashMap<Constraint, u32>,
     /// One bit per worker: set while the worker is idle and alive. Bits
     /// past the last worker are never read: every count masks to a range.
@@ -243,37 +235,20 @@ impl CrvLedger {
         self.domains.len()
     }
 
-    /// Records a probe of `job` demanding `set` entering the queue of a
-    /// worker in `domain` (`None` for a centralized run). `set` must be the
-    /// job's effective set — it is interned once per job and subsequent
-    /// probes reuse the handle.
+    /// Records probe `id`, demanding the interned `set` of `sets`,
+    /// entering the queue of a worker in `domain` (`None` for a centralized
+    /// run). `set` must be the effective set of the probe's job.
     pub fn probe_enqueued(
         &mut self,
         id: ProbeId,
-        job: JobId,
-        set: &ConstraintSet,
+        set: SetId,
+        sets: &SetTable,
         feasibility: &FeasibilityIndex,
         domain: Option<usize>,
     ) {
-        let set_id = if set.is_unconstrained() {
+        let instances = if sets.get(set).is_unconstrained() {
             None
         } else {
-            let job_idx = job.0 as usize;
-            if self.job_sets.len() <= job_idx {
-                self.job_sets.resize(job_idx + 1, ABSENT);
-            }
-            let mut set_id = self.job_sets[job_idx];
-            if set_id == ABSENT {
-                set_id = self.intern(set, feasibility);
-                self.job_sets[job_idx] = set_id;
-            }
-            debug_assert!(
-                self.sets[set_id as usize]
-                    .iter()
-                    .copied()
-                    .eq(set.iter().copied()),
-                "job {job:?} effective set changed after its first probe was interned"
-            );
             let pid = usize::try_from(id.0).expect("probe id fits usize");
             if self.probe_set.len() <= pid {
                 self.probe_set.resize(pid + 1, ABSENT);
@@ -282,13 +257,13 @@ impl CrvLedger {
                 self.probe_set[pid], ABSENT,
                 "probe {id:?} enqueued twice without removal"
             );
-            self.probe_set[pid] = set_id;
-            Some(set_id)
+            self.probe_set[pid] = set.index() as u32;
+            self.instances_of(set, sets, feasibility);
+            Some(&*self.set_instances[set.index()])
         };
-        let set = set_id.map(|s| self.set_instances[s as usize].as_slice());
-        self.cluster.probe_enqueued(set, &self.instances);
+        self.cluster.probe_enqueued(instances, &self.instances);
         if let Some(d) = domain {
-            self.domains[d].probe_enqueued(set, &self.instances);
+            self.domains[d].probe_enqueued(instances, &self.instances);
         }
     }
 
@@ -303,7 +278,7 @@ impl CrvLedger {
             }
             _ => None, // unconstrained probe
         };
-        let set = set_id.map(|s| self.set_instances[s as usize].as_slice());
+        let set = set_id.map(|s| &*self.set_instances[s as usize]);
         self.cluster.probe_removed(set, &self.instances);
         if let Some(d) = domain {
             self.domains[d].probe_removed(set, &self.instances);
@@ -322,40 +297,50 @@ impl CrvLedger {
         self.idle[worker >> 6] |= 1u64 << (worker & 63);
     }
 
-    /// Interns a constraint set (and each of its instances) into dense
-    /// ids. Only reached once per distinct set — per-probe traffic goes
-    /// through the `job_sets` memo.
-    fn intern(&mut self, set: &ConstraintSet, feasibility: &FeasibilityIndex) -> u32 {
-        let key: Vec<Constraint> = set.iter().copied().collect();
-        if let Some(&id) = self.set_ids.get(&key) {
-            return id;
+    /// Fills the instance ids of `set` on its first sighting, interning
+    /// each never-seen constraint instance with its feasible bitset. (A set
+    /// with no instances is refilled, at no cost, on every sighting.)
+    fn instances_of(&mut self, set: SetId, sets: &SetTable, feasibility: &FeasibilityIndex) {
+        if self.set_instances.len() <= set.index() {
+            self.set_instances.resize(set.index() + 1, Box::default());
         }
-        let id = u32::try_from(self.sets.len()).expect("fewer than 2^32 distinct sets");
-        let instances = key
+        if !self.set_instances[set.index()].is_empty() {
+            return;
+        }
+        let instances = sets
+            .get(set)
             .iter()
             .map(|c| {
-                if let Some(&i) = self.instance_ids.get(c) {
-                    return i;
-                }
-                let i = u32::try_from(self.instances.len())
-                    .expect("fewer than 2^32 distinct instances");
-                self.instances.push(*c);
-                self.instance_bits.push(feasibility.feasible_single(c));
-                self.instance_ids.insert(*c, i);
-                i
+                *self.instance_ids.entry(*c).or_insert_with(|| {
+                    self.instances.push(*c);
+                    self.instance_bits.push(feasibility.feasible_single(c));
+                    u32::try_from(self.instances.len() - 1)
+                        .expect("fewer than 2^32 distinct instances")
+                })
             })
             .collect();
-        self.sets.push(key.clone());
-        self.set_instances.push(instances);
-        self.set_ids.insert(key, id);
-        id
+        self.set_instances[set.index()] = instances;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoenix_constraints::{AttributeVector, ConstraintExpr, ConstraintOp};
+    use phoenix_constraints::{AttributeVector, ConstraintExpr, ConstraintOp, ConstraintSet};
+
+    /// Interns `set` and records probe `id` demanding it entering a queue
+    /// in `domain`.
+    fn enqueue(
+        ledger: &mut CrvLedger,
+        sets: &mut SetTable,
+        index: &FeasibilityIndex,
+        id: u64,
+        set: &ConstraintSet,
+        domain: Option<usize>,
+    ) {
+        let set = sets.intern(set);
+        ledger.probe_enqueued(ProbeId(id), set, sets, index, domain);
+    }
 
     fn machines() -> Vec<AttributeVector> {
         // Two big-core machines, two small-core ones.
@@ -379,9 +364,10 @@ mod tests {
     fn demand_and_supply_track_probe_lifecycle() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
+        let mut sets = SetTable::default();
         let set = cores_gt(4);
-        ledger.probe_enqueued(ProbeId(1), JobId(0), &set, &index, None);
-        ledger.probe_enqueued(ProbeId(2), JobId(0), &set, &index, None);
+        enqueue(&mut ledger, &mut sets, &index, 1, &set, None);
+        enqueue(&mut ledger, &mut sets, &index, 2, &set, None);
         let cluster = ledger.cluster();
         assert_eq!(cluster.demand(ConstraintKind::NumCores), 2);
         assert_eq!(cluster.idle_supply(ConstraintKind::NumCores), 2);
@@ -405,13 +391,9 @@ mod tests {
     fn unconstrained_probes_only_count_queue_depth() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
-        ledger.probe_enqueued(
-            ProbeId(9),
-            JobId(3),
-            &ConstraintSet::unconstrained(),
-            &index,
-            None,
-        );
+        let mut sets = SetTable::default();
+        let any = ConstraintSet::unconstrained();
+        enqueue(&mut ledger, &mut sets, &index, 9, &any, None);
         assert_eq!(ledger.cluster().queued_probes(), 1);
         assert_eq!(ledger.cluster().constrained_probes(), 0);
         ledger.probe_removed(ProbeId(9), None);
@@ -424,12 +406,13 @@ mod tests {
         // instance: it counts as a constrained probe and demands nothing.
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[(0, 2), (2, 2)]);
+        let mut sets = SetTable::default();
         let not_big = ConstraintSet::from_expr(ConstraintExpr::not(ConstraintExpr::leaf(
             Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Gt, 4),
         )));
         assert!(!not_big.is_unconstrained());
         assert_eq!(not_big.iter().count(), 0);
-        ledger.probe_enqueued(ProbeId(1), JobId(0), &not_big, &index, Some(1));
+        enqueue(&mut ledger, &mut sets, &index, 1, &not_big, Some(1));
         for tally in [ledger.cluster(), ledger.domain(1)] {
             assert_eq!(tally.queued_probes(), 1);
             assert_eq!(tally.constrained_probes(), 1);
@@ -449,7 +432,8 @@ mod tests {
     fn crash_and_recover_flip_the_idle_bit() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
-        ledger.probe_enqueued(ProbeId(1), JobId(0), &cores_gt(4), &index, None);
+        let mut sets = SetTable::default();
+        enqueue(&mut ledger, &mut sets, &index, 1, &cores_gt(4), None);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 2);
         // Busy, then crashed while busy: both clear the same bit.
         ledger.worker_busy(0);
@@ -472,14 +456,15 @@ mod tests {
     fn overlapping_sets_share_instances() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
+        let mut sets = SetTable::default();
         let shared = Constraint::hard(ConstraintKind::NumCores, ConstraintOp::Gt, 4);
         let a = ConstraintSet::from_constraints(vec![shared]);
         let b = ConstraintSet::from_constraints(vec![
             shared,
             Constraint::hard(ConstraintKind::MinDisks, ConstraintOp::Gt, 0),
         ]);
-        ledger.probe_enqueued(ProbeId(1), JobId(0), &a, &index, None);
-        ledger.probe_enqueued(ProbeId(2), JobId(1), &b, &index, None);
+        enqueue(&mut ledger, &mut sets, &index, 1, &a, None);
+        enqueue(&mut ledger, &mut sets, &index, 2, &b, None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 2);
         assert_eq!(ledger.cluster().distinct_instances(), 2);
         // Removing the pure-core probe keeps the shared instance alive.
@@ -501,11 +486,12 @@ mod tests {
             .collect();
         let index = FeasibilityIndex::new(machines);
         let mut ledger = CrvLedger::new(130, &[(0, 67), (67, 63)]);
+        let mut sets = SetTable::default();
         assert_eq!(ledger.domain(0).idle_workers(), 67);
         assert_eq!(ledger.domain(1).idle_workers(), 63);
         // A big-core probe queued in domain A: B demands nothing, so its
         // big-core workers are no supply of B's, even though they are idle.
-        ledger.probe_enqueued(ProbeId(1), JobId(0), &cores_gt(4), &index, Some(0));
+        enqueue(&mut ledger, &mut sets, &index, 1, &cores_gt(4), Some(0));
         assert_eq!(ledger.domain(0).demand(ConstraintKind::NumCores), 1);
         assert_eq!(ledger.domain(0).idle_supply(ConstraintKind::NumCores), 34);
         assert_eq!(ledger.domain(1).demand(ConstraintKind::NumCores), 0);
@@ -513,7 +499,7 @@ mod tests {
         assert_eq!(ledger.domain(1).distinct_instances(), 0);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 65);
         // A weaker instance demanded in B counts B's workers only.
-        ledger.probe_enqueued(ProbeId(2), JobId(1), &cores_gt(1), &index, Some(1));
+        enqueue(&mut ledger, &mut sets, &index, 2, &cores_gt(1), Some(1));
         assert_eq!(ledger.domain(1).idle_supply(ConstraintKind::NumCores), 63);
         assert_eq!(ledger.domain(0).idle_supply(ConstraintKind::NumCores), 34);
         // Busy workers on either side of the edge leave their own domain.
@@ -530,14 +516,15 @@ mod tests {
     }
 
     #[test]
-    fn probe_ids_and_job_memo_reuse_dense_handles() {
+    fn probe_ids_reuse_dense_handles() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
+        let mut sets = SetTable::default();
         let set = cores_gt(4);
         // Re-enqueue after removal (migration) reuses the probe id slot.
-        ledger.probe_enqueued(ProbeId(5), JobId(2), &set, &index, None);
+        enqueue(&mut ledger, &mut sets, &index, 5, &set, None);
         ledger.probe_removed(ProbeId(5), None);
-        ledger.probe_enqueued(ProbeId(5), JobId(2), &set, &index, None);
+        enqueue(&mut ledger, &mut sets, &index, 5, &set, None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 1);
         assert_eq!(ledger.cluster().constrained_probes(), 1);
         ledger.probe_removed(ProbeId(5), None);

@@ -3,8 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use phoenix_constraints::FeasibilityIndex;
-use phoenix_traces::Trace;
+use phoenix_constraints::{FeasibilityIndex, SetTable};
+use phoenix_traces::{JobId, Trace};
 
 use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, TeeSink};
 use crate::config::SimConfig;
@@ -35,6 +35,9 @@ pub struct SimState {
     pub jobs: Vec<JobState>,
     /// Feasibility oracle over the cluster's machine attributes.
     pub feasibility: FeasibilityIndex,
+    /// The run's constraint sets, interned, with their feasibility results
+    /// over `feasibility` memoized.
+    pub sets: SetTable,
     /// Metrics under accumulation.
     pub metrics: SimMetrics,
     pub(crate) rng: StdRng,
@@ -48,7 +51,7 @@ pub struct SimState {
     /// Federated domain state (`None` unless
     /// [`crate::config::FederationConfig::is_partitioned`]). The
     /// `crv_ledger` above then keeps one tally per domain.
-    federation: Option<Box<FederationState>>,
+    pub(crate) federation: Option<Box<FederationState>>,
     /// The placement domain of the event currently being handled (the
     /// job's home domain, or the domain of the worker an event fired on).
     /// `None` outside federated runs and for cluster-wide control-plane
@@ -150,9 +153,15 @@ impl SimState {
     /// Counts `probe` entering `worker`'s queue in the CRV ledger.
     fn ledger_enqueued(&mut self, worker: WorkerId, probe: &Probe) {
         let domain = self.domain_of(worker);
-        let set = &self.jobs[probe.job.0 as usize].effective_constraints;
+        let set = self.jobs[probe.job.0 as usize].effective();
         self.crv_ledger
-            .probe_enqueued(probe.id, probe.job, set, &self.feasibility, domain);
+            .probe_enqueued(probe.id, set, &self.sets, &self.feasibility, domain);
+    }
+
+    /// Interns an arriving job's constraint set as its effective set.
+    pub(crate) fn job_arrived(&mut self, job: JobId) {
+        let job = &mut self.jobs[job.0 as usize];
+        job.set_effective(self.sets.intern(&job.constraints));
     }
 
     /// Removes and returns the probe at `index` of `worker`'s queue,
@@ -237,12 +246,6 @@ impl SimState {
         }
     }
 
-    /// Rebuilds the CRV ledger from scratch out of the current queues and
-    /// slots. For tests and harnesses that mutate workers directly.
-    pub fn rebuild_crv_ledger(&mut self) {
-        self.crv_ledger = self.derive_crv_ledger();
-    }
-
     /// A CRV ledger derived from scratch out of the current queues and
     /// slots (the invariant auditor compares it with the live one).
     pub(crate) fn derive_crv_ledger(&self) -> CrvLedger {
@@ -254,8 +257,8 @@ impl SimState {
             }
             let domain = self.domain_of(WorkerId(i as u32));
             for p in w.queue() {
-                let set = &self.jobs[p.job.0 as usize].effective_constraints;
-                ledger.probe_enqueued(p.id, p.job, set, &self.feasibility, domain);
+                let set = self.jobs[p.job.0 as usize].effective();
+                ledger.probe_enqueued(p.id, set, &self.sets, &self.feasibility, domain);
             }
         }
         ledger
@@ -350,6 +353,7 @@ impl Simulation {
                 workers,
                 jobs,
                 feasibility,
+                sets: SetTable::default(),
                 metrics,
                 rng: StdRng::seed_from_u64(seed),
                 fault_rng,
@@ -413,10 +417,14 @@ impl Simulation {
     }
 
     /// Consumes the simulation, returning its state without running it.
+    /// Every job counts as arrived: its effective set is interned.
     ///
     /// Intended for tests and policy harnesses that drive state directly
     /// (e.g. exercising queue-reordering helpers on a realistic state).
-    pub fn into_state_for_tests(self) -> SimState {
+    pub fn into_state_for_tests(mut self) -> SimState {
+        for i in 0..self.state.jobs.len() {
+            self.state.job_arrived(JobId(i as u32));
+        }
         self.state
     }
 
@@ -453,7 +461,8 @@ impl Simulation {
     fn handle(&mut self, event: Event) {
         match event {
             Event::JobArrival(index) => {
-                let id = phoenix_traces::JobId(index);
+                let id = JobId(index);
+                self.state.job_arrived(id);
                 let mut ctx = SimCtx {
                     state: &mut self.state,
                     events: &mut self.events,
@@ -870,6 +879,6 @@ pub(crate) fn finalize_result(
         federation: state.federation.as_deref().map(|f| f.stats),
         profile: state.profiler.report(),
         audit,
-        set_cache: state.feasibility.cache_stats(),
+        set_cache: state.sets.stats(),
     }
 }

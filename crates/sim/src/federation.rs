@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use phoenix_constraints::{ConstraintKind, ConstraintSet, FeasibilityIndex};
+use phoenix_constraints::{ConstraintKind, FeasibilityIndex, SetId, SetTable};
 
 use crate::config::FederationConfig;
 use crate::crvledger::CrvLedger;
@@ -196,14 +196,15 @@ impl FederationState {
     /// Picks the most promising *remote* domain for a probe demanding
     /// `set`, judged purely from installed summaries plus the static
     /// topology: domains whose worker range contains no feasible machine
-    /// are skipped via the partitioned index view
-    /// ([`FeasibilityIndex::count_feasible_in_range`]), and the survivors
+    /// are skipped via the partitioned set view
+    /// ([`SetTable::count_in_range`]), and the survivors
     /// are ranked by visible idle workers, then lighter queue pressure,
     /// then domain id (fully deterministic).
     pub fn best_remote_domain(
         &self,
         home: usize,
-        set: &ConstraintSet,
+        set: SetId,
+        sets: &mut SetTable,
         feasibility: &FeasibilityIndex,
     ) -> Option<usize> {
         let mut best: Option<(usize, usize, usize)> = None; // (idle, queued, d)
@@ -212,7 +213,7 @@ impl FederationState {
                 continue;
             }
             let (base, len) = self.ranges[d];
-            if len == 0 || feasibility.count_feasible_in_range(set, base, base + len) == 0 {
+            if len == 0 || sets.count_in_range(feasibility, set, base, base + len) == 0 {
                 continue;
             }
             let s = &self.visible[d];

@@ -1,6 +1,6 @@
 //! Per-job progress tracking inside the simulator.
 
-use phoenix_constraints::ConstraintSet;
+use phoenix_constraints::{ConstraintSet, SetId};
 use phoenix_traces::{Job, JobId};
 
 use crate::time::{SimDuration, SimTime};
@@ -21,9 +21,10 @@ pub struct JobState {
     pub max_task_us: u64,
     /// The job's original constraint set.
     pub constraints: ConstraintSet,
-    /// The constraint set actually used for placement (admission control
-    /// may have relaxed soft constraints).
-    pub effective_constraints: ConstraintSet,
+    /// The constraint set actually used for placement: the job's own set,
+    /// interned in the run's `SetTable` when the job arrives, until
+    /// admission control relaxes soft constraints.
+    effective: Option<SetId>,
     /// Short/long classification from the trace.
     pub short: bool,
     /// Submitting user/tenant.
@@ -60,7 +61,7 @@ impl JobState {
                 .as_micros()
                 .max(1),
             constraints: job.constraints.clone(),
-            effective_constraints: job.constraints.clone(),
+            effective: None,
             short: job.short,
             user: job.user,
             next_task: 0,
@@ -71,6 +72,18 @@ impl JobState {
             launched: 0,
             finished_at: None,
         }
+    }
+
+    /// The interned constraint set used for placement. Panics before the
+    /// job has arrived.
+    pub fn effective(&self) -> SetId {
+        self.effective.expect("the job has arrived")
+    }
+
+    /// Replaces the set used for placement (admission relaxed the job's
+    /// constraints).
+    pub fn set_effective(&mut self, set: SetId) {
+        self.effective = Some(set);
     }
 
     /// Total number of tasks.

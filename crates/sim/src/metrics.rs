@@ -223,8 +223,8 @@ pub struct SimResult {
     /// without participating, so this is excluded from `digest()` — an
     /// audited run must digest identically to an unaudited one.
     pub audit: Option<AuditReport>,
-    /// What the feasibility index's per-set cache held at the end of the
-    /// run ([`phoenix_constraints::FeasibilityIndex::cache_stats`]).
+    /// What the run's set table had built by the end of the run
+    /// ([`phoenix_constraints::SetTable::stats`]).
     /// Deterministic for a given run, so it replays exactly, but it is a
     /// memory measurement, not an outcome: excluded from `digest()`.
     pub set_cache: CacheStats,

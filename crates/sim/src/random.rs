@@ -5,12 +5,10 @@
 //! fixture. Real baselines (Sparrow-C, Hawk-C, Eagle-C, Yaq-d) live in
 //! `phoenix-schedulers`.
 
-use phoenix_constraints::ConstraintSet;
 use phoenix_traces::JobId;
 
 use crate::context::SimCtx;
 use crate::scheduler::Scheduler;
-use crate::worker::WorkerId;
 
 /// Random feasible placement with FIFO worker queues and late binding.
 #[derive(Debug, Clone)]
@@ -28,27 +26,6 @@ impl RandomScheduler {
         assert!(probe_ratio > 0, "probe ratio must be at least 1");
         RandomScheduler { probe_ratio }
     }
-
-    /// Picks target workers for `count` probes of a job with `set`
-    /// constraints, progressively relaxing soft constraints if nothing is
-    /// feasible. Returns `None` when even the hard subset is unsatisfiable.
-    pub(crate) fn pick_targets(
-        ctx: &mut SimCtx<'_>,
-        set: &ConstraintSet,
-        count: usize,
-    ) -> Option<(Vec<WorkerId>, bool)> {
-        let targets = ctx.sample_feasible_workers(set, count);
-        if !targets.is_empty() {
-            return Some((targets, false));
-        }
-        let hard = set.hard_only();
-        let relaxed = ctx.sample_feasible_workers(&hard, count);
-        if relaxed.is_empty() {
-            None
-        } else {
-            Some((relaxed, true))
-        }
-    }
 }
 
 impl Scheduler for RandomScheduler {
@@ -59,15 +36,21 @@ impl Scheduler for RandomScheduler {
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks) = {
             let j = ctx.job(job);
-            (j.effective_constraints.clone(), j.num_tasks())
+            (j.effective(), j.num_tasks())
         };
         let want = tasks * self.probe_ratio as usize;
-        let Some((targets, relaxed)) = Self::pick_targets(ctx, &set, want) else {
-            ctx.fail_job(job);
-            return;
-        };
-        if relaxed {
-            ctx.job_mut(job).effective_constraints = set.hard_only();
+        // Uniform feasible targets; when no worker satisfies the full set,
+        // its hard subset becomes the job's effective set.
+        let mut targets = ctx.sample_feasible_workers(set, want);
+        if targets.is_empty() {
+            let hard = ctx.sets().get(set).hard_only();
+            let hard = ctx.intern(&hard);
+            targets = ctx.sample_feasible_workers(hard, want);
+            if targets.is_empty() {
+                ctx.fail_job(job);
+                return;
+            }
+            ctx.job_mut(job).set_effective(hard);
         }
         for i in 0..want {
             let worker = targets[i % targets.len()];

@@ -123,7 +123,7 @@ impl TraceGenerator {
                 .profile
                 .constraint_model
                 .synthesize_set_capped(rng, max_count);
-            let supply = reference.feasible_fraction_uncached(&set);
+            let supply = reference.feasible_fraction(&set);
             if supply >= self.profile.min_class_supply {
                 return set;
             }

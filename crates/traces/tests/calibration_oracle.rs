@@ -44,7 +44,7 @@ fn assert_fractions_agree(
     set: &ConstraintSet,
     seen: &mut Coverage,
 ) {
-    let indexed = index.feasible_fraction_uncached(set);
+    let indexed = index.feasible_fraction(set);
     let naive = feasible_fraction(machines, set);
     assert_eq!(
         indexed.to_bits(),
@@ -112,10 +112,7 @@ fn index_fraction_equals_scan_at_the_edges() {
     // An empty population reports 0.0 on both paths.
     let empty = FeasibilityIndex::new(Vec::new());
     let set = ConstraintSet::unconstrained();
-    assert_eq!(
-        empty.feasible_fraction_uncached(&set).to_bits(),
-        0f64.to_bits()
-    );
+    assert_eq!(empty.feasible_fraction(&set).to_bits(), 0f64.to_bits());
     assert_eq!(feasible_fraction(&[], &set).to_bits(), 0f64.to_bits());
 }
 

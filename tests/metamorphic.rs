@@ -33,6 +33,7 @@
 //!   across the 5-scheduler × 3-seed matrix: the expression front-end is
 //!   provably free when the tree is a pure conjunction.
 
+use phoenix::constraints::ones;
 use phoenix::prelude::*;
 use phoenix::sim::{SimCtx, SimState, WorkerId};
 use phoenix::traces::{Job, JobId, Trace};
@@ -346,9 +347,7 @@ fn law_leaf(sel: u64) -> ConstraintExpr {
 }
 
 fn feasible_ids(index: &FeasibilityIndex, expr: &ConstraintExpr) -> Vec<u32> {
-    index
-        .feasible(&ConstraintSet::from_expr(expr.clone()))
-        .to_vec()
+    ones(&index.feasible_bits(&ConstraintSet::from_expr(expr.clone()))).collect()
 }
 
 /// De Morgan, double negation, `Any` permutation and `All`-flattening all
