@@ -273,7 +273,8 @@ impl<'a> SimCtx<'a> {
     /// the ladder is skipped entirely and the draws are identical to the
     /// centralized engine (the byte-parity rule). A domain rung's
     /// rejection phase still draws over the whole cluster; its exact phase
-    /// walks only the domain's slice of the feasible list.
+    /// walks only the domain's words of the set's feasible bitset and
+    /// builds no id list.
     pub fn sample_feasible_workers_excluding(
         &mut self,
         set: SetId,
