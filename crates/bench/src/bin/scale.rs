@@ -25,6 +25,7 @@
 //!            "makespan_s": .., "utilization": ..,
 //!            "set_cache": {"sets": .., "sets_with_ids": ..,
 //!                          "bitset_bytes": .., "id_bytes": ..},
+//!            "event_queue": {"peak_pending": .., "peak_probes": ..},
 //!            "digest": "0x..",
 //!            "hot_paths": {"dispatch": {"calls": .., "total_ns": ..}, ..}}]}
 //! ```
@@ -34,6 +35,8 @@
 //! `set_cache` is what the run's set table had built by the end of the
 //! run (sets with a bitset, sets with a built id list, and their bytes);
 //! it is deterministic too, so it must agree as exactly as the digest.
+//! `event_queue` is the run's event-queue high-water marks (most events
+//! pending at once, most probes in flight at once), just as deterministic.
 //!
 //! Federated rows (the yahoo K-domain ladder, including the 100k-node
 //! points) additionally carry `"domains"`, `"staleness_us"`,
@@ -138,14 +141,18 @@ fn json_run(out: &mut String, run: &ScaleRun) {
         .expect("writing to String cannot fail");
     }
     let cache = &r.set_cache;
+    let queue = &r.event_queue;
     write!(
         out,
         "\"set_cache\": {{\"sets\": {}, \"sets_with_ids\": {}, \"bitset_bytes\": {}, \
-         \"id_bytes\": {}}}, \"digest\": \"{:#018x}\", \"hot_paths\": {{",
+         \"id_bytes\": {}}}, \"event_queue\": {{\"peak_pending\": {}, \"peak_probes\": {}}}, \
+         \"digest\": \"{:#018x}\", \"hot_paths\": {{",
         cache.sets,
         cache.sets_with_ids,
         cache.bitset_bytes,
         cache.id_bytes,
+        queue.peak_pending,
+        queue.peak_probes,
         r.digest()
     )
     .expect("writing to String cannot fail");

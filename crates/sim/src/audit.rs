@@ -610,7 +610,7 @@ impl ReferenceExecutor {
             pending.extend(queue.drain_unordered());
         }
 
-        finalize_result(state, scheduler.name().to_string(), None)
+        finalize_result(state, &queue, scheduler.name().to_string(), None)
     }
 
     /// Mirror of the engine's `handle`, minus the fault arms.
@@ -622,8 +622,7 @@ impl ReferenceExecutor {
     ) {
         match event {
             Event::JobArrival(index) => {
-                let id = JobId(index);
-                state.job_arrived(id);
+                let id = state.arrive(events, index);
                 let mut ctx = SimCtx { state, events };
                 scheduler.on_job_arrival(id, &mut ctx);
             }
@@ -653,8 +652,7 @@ impl ReferenceExecutor {
                     if !state.jobs[job_idx].is_failed() {
                         state.outstanding_jobs -= 1;
                     }
-                    let snapshot = state.jobs[job_idx].clone();
-                    state.metrics.record_job_completion(&snapshot);
+                    state.metrics.record_job_completion(&state.jobs[job_idx]);
                     let mut ctx = SimCtx { state, events };
                     scheduler.on_job_complete(task.job, &mut ctx);
                 }

@@ -158,6 +158,21 @@ impl SimState {
             .probe_enqueued(probe.id, set, &self.sets, &self.feasibility, domain);
     }
 
+    /// The engine side of [`Event::JobArrival`]`(index)`, shared by the
+    /// engine and the reference executor so the two cannot drift: chains
+    /// the next job's arrival under the sequence number
+    /// [`Simulation::new`] reserved for it (arrival `i` holds seq `i`),
+    /// then interns this job's effective set.
+    pub(crate) fn arrive(&mut self, events: &mut EventQueue, index: u32) -> JobId {
+        let next = index + 1;
+        if let Some(job) = self.jobs.get(next as usize) {
+            events.schedule_reserved(job.arrival, u64::from(next), Event::JobArrival(next));
+        }
+        let id = JobId(index);
+        self.job_arrived(id);
+        id
+    }
+
     /// Interns an arriving job's constraint set as its effective set.
     pub(crate) fn job_arrived(&mut self, job: JobId) {
         let job = &mut self.jobs[job.0 as usize];
@@ -282,6 +297,7 @@ impl std::fmt::Debug for Simulation {
             .field("scheduler", &self.scheduler.name())
             .field("workers", &self.state.workers.len())
             .field("jobs", &self.state.jobs.len())
+            // In flight only: one job arrival at a time, not the trace.
             .field("pending_events", &self.events.len())
             .finish()
     }
@@ -312,9 +328,18 @@ impl Simulation {
             .map(|_| Worker::with_slots(slots))
             .collect();
         let jobs: Vec<JobState> = trace.iter().map(JobState::from_job).collect();
+        debug_assert!(
+            jobs.iter().enumerate().all(|(i, j)| j.id.0 as usize == i)
+                && jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+            "arrival chaining needs jobs numbered in arrival order"
+        );
         let mut events = EventQueue::new();
-        for job in &jobs {
-            events.schedule(job.arrival, Event::JobArrival(job.id.0));
+        // Arrival `i` keeps seq `i`, the key scheduling every arrival up
+        // front would give it, but only the first is queued now: each
+        // arrival schedules the next (`SimState::arrive`).
+        events.reserve_seqs(jobs.len() as u64);
+        if let Some(first) = jobs.first() {
+            events.schedule_reserved(first.arrival, 0, Event::JobArrival(0));
         }
         let mut fault_rng = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
         if config.faults.crashes_enabled() && !jobs.is_empty() {
@@ -455,14 +480,18 @@ impl Simulation {
             }
         }
         let audit = self.auditor.map(|a| a.finish());
-        finalize_result(self.state, self.scheduler.name().to_string(), audit)
+        finalize_result(
+            self.state,
+            &self.events,
+            self.scheduler.name().to_string(),
+            audit,
+        )
     }
 
     fn handle(&mut self, event: Event) {
         match event {
             Event::JobArrival(index) => {
-                let id = JobId(index);
-                self.state.job_arrived(id);
+                let id = self.state.arrive(&mut self.events, index);
                 let mut ctx = SimCtx {
                     state: &mut self.state,
                     events: &mut self.events,
@@ -505,8 +534,9 @@ impl Simulation {
                         // job already left it when it was failed).
                         self.state.outstanding_jobs -= 1;
                     }
-                    let snapshot = self.state.jobs[job_idx].clone();
-                    self.state.metrics.record_job_completion(&snapshot);
+                    self.state
+                        .metrics
+                        .record_job_completion(&self.state.jobs[job_idx]);
                     let mut ctx = SimCtx {
                         state: &mut self.state,
                         events: &mut self.events,
@@ -823,6 +853,7 @@ impl Simulation {
 /// summarizes; the content it summarizes was computed independently).
 pub(crate) fn finalize_result(
     mut state: SimState,
+    events: &EventQueue,
     scheduler: String,
     audit: Option<AuditReport>,
 ) -> SimResult {
@@ -880,5 +911,59 @@ pub(crate) fn finalize_result(
         profile: state.profiler.report(),
         audit,
         set_cache: state.sets.stats(),
+        event_queue: events.stats(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use phoenix_constraints::{AttributeVector, ConstraintSet};
+    use phoenix_traces::Job;
+
+    use super::*;
+    use crate::config::FederationConfig;
+    use crate::fault::FaultPlan;
+    use crate::random::RandomScheduler;
+
+    /// The queue grows with what is in flight, not with the trace: a new
+    /// simulation holds the first job arrival, plus the first crash strike
+    /// and the first gossip round when those are configured.
+    #[test]
+    fn new_simulation_queues_only_the_first_arrival() {
+        let jobs = (0..10_000u32)
+            .map(|i| Job {
+                id: JobId(i),
+                arrival_s: f64::from(i) * 0.01,
+                task_durations_s: vec![1.0],
+                estimated_task_duration_s: 1.0,
+                constraints: ConstraintSet::unconstrained(),
+                short: true,
+                user: 0,
+            })
+            .collect();
+        let trace = Trace::new("arrivals", jobs);
+        let cluster = || FeasibilityIndex::new(vec![AttributeVector::default(); 8]);
+        let sharded = FederationConfig::sharded(2, SimDuration::from_millis(10));
+        for (faults, federation, expected) in [
+            (FaultPlan::none(), FederationConfig::off(), 1),
+            (FaultPlan::reference(), FederationConfig::off(), 2),
+            (FaultPlan::none(), sharded, 2),
+            (FaultPlan::reference(), sharded, 3),
+        ] {
+            let config = SimConfig {
+                faults,
+                federation,
+                ..SimConfig::default()
+            };
+            let sim = Simulation::new(
+                config,
+                cluster(),
+                &trace,
+                Box::new(RandomScheduler::new(2)),
+                1,
+            );
+            assert_eq!(sim.events.len(), expected, "{sim:?}");
+            assert_eq!(sim.events.stats().peak_pending, expected as u64);
+        }
     }
 }

@@ -10,6 +10,28 @@
 //! `BinaryHeap` implementation, including FIFO tie-breaks among same-time
 //! events (property-tested against a heap oracle in
 //! `tests/event_queue_properties.rs`).
+//!
+//! The queue holds only in-flight events, and each one small:
+//!
+//! * **Packed payloads.** An entry stores a 16-byte `Copy` payload, not
+//!   the [`Event`] itself, so an entry is 32 bytes. The two probe-carrying
+//!   kinds ([`Event::ProbeArrival`], [`Event::ProbeRetry`]) keep their
+//!   [`Probe`] in a slab owned by the queue and store its `u32` slot;
+//!   [`EventQueue::pop`] and [`EventQueue::drain_unordered`] unpack the
+//!   event and free the slot onto a LIFO free list, so the slab never
+//!   holds more probes than were ever in flight at once.
+//! * **Reserved sequence numbers.** [`EventQueue::reserve_seqs`] hands out
+//!   sequence numbers for events scheduled later with
+//!   [`EventQueue::schedule_reserved`]. The engine reserves `0..N` for a
+//!   trace's `N` job arrivals and schedules only the first; each arrival
+//!   schedules the next under its reserved number. Every arrival keeps the
+//!   `(time, seq)` key that scheduling all `N` up front would give it, so
+//!   the pop order is unchanged, while the queue holds one arrival instead
+//!   of the whole trace.
+//! * **Drained buckets let go.** When the pop cursor passes a bucket it
+//!   drops the bucket's buffer. A bucket is next used a whole window
+//!   later, so keeping its capacity would make the near window hold the
+//!   sum of every bucket's busiest moment rather than what is in flight.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,14 +72,32 @@ pub enum Event {
     GossipDeliver,
 }
 
+/// An [`Event`] as the queue stores it: probes are replaced by their slot
+/// in the queue's probe slab.
+#[derive(Debug, Clone, Copy)]
+enum Payload {
+    JobArrival(u32),
+    ProbeArrival(WorkerId, u32),
+    TaskFinish(WorkerId, u64),
+    SchedulerWakeup(u64),
+    WorkerCrash(WorkerId),
+    WorkerRecover(WorkerId),
+    ProbeRetry(u32),
+    GossipPublish,
+    GossipDeliver,
+}
+
 /// An event scheduled at a time, with a sequence number breaking ties
 /// deterministically (FIFO among same-time events).
 #[derive(Debug, Clone)]
 struct Scheduled {
     time: SimTime,
     seq: u64,
-    event: Event,
+    payload: Payload,
 }
+
+const _: () = assert!(std::mem::size_of::<Payload>() == 16);
+const _: () = assert!(std::mem::size_of::<Scheduled>() == 32);
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
@@ -78,6 +118,16 @@ impl Ord for Scheduled {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
+}
+
+/// What a run's event queue peaked at. Deterministic for a given run, so
+/// it replays exactly, but it is a memory measurement, not an outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventQueueStats {
+    /// Most events pending at once.
+    pub peak_pending: u64,
+    /// Most probes in flight at once: the probe slab's high-water mark.
+    pub peak_probes: u64,
 }
 
 /// Width of one calendar bucket in microseconds (65.536 ms). A power of
@@ -107,7 +157,13 @@ pub struct EventQueue {
     /// Events at or beyond `base + WINDOW`, transferred into buckets when
     /// the window advances past the last near event.
     far: BinaryHeap<Scheduled>,
+    /// The probes of pending probe-carrying events, indexed by slot. Its
+    /// length is the most probes ever in flight at once.
+    probes: Vec<Probe>,
+    /// Slots of `probes` free for reuse, most recently freed last.
+    free_slots: Vec<u32>,
     len: usize,
+    peak_len: usize,
     next_seq: u64,
 }
 
@@ -119,7 +175,10 @@ impl Default for EventQueue {
             cursor: 0,
             base: 0,
             far: BinaryHeap::new(),
+            probes: Vec::new(),
+            free_slots: Vec::new(),
             len: 0,
+            peak_len: 0,
             next_seq: 0,
         }
     }
@@ -135,11 +194,90 @@ impl EventQueue {
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Reserves the next `n` sequence numbers and returns the first. Events
+    /// scheduled later under them with [`EventQueue::schedule_reserved`]
+    /// order exactly as if they had been scheduled now.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` at `at` under `seq`, a sequence number taken
+    /// from [`EventQueue::reserve_seqs`]. Each reserved number must be used
+    /// at most once.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
+        let payload = self.pack(event);
         self.push_scheduled(Scheduled {
             time: at,
             seq,
-            event,
+            payload,
         });
+        self.peak_len = self.peak_len.max(self.len);
+    }
+
+    /// Stores `event`'s probe, if it carries one, in the slab.
+    fn pack(&mut self, event: Event) -> Payload {
+        match event {
+            Event::JobArrival(index) => Payload::JobArrival(index),
+            Event::ProbeArrival(worker, probe) => {
+                Payload::ProbeArrival(worker, self.store_probe(probe))
+            }
+            Event::TaskFinish(worker, seq) => Payload::TaskFinish(worker, seq),
+            Event::SchedulerWakeup(token) => Payload::SchedulerWakeup(token),
+            Event::WorkerCrash(worker) => Payload::WorkerCrash(worker),
+            Event::WorkerRecover(worker) => Payload::WorkerRecover(worker),
+            Event::ProbeRetry(probe) => Payload::ProbeRetry(self.store_probe(probe)),
+            Event::GossipPublish => Payload::GossipPublish,
+            Event::GossipDeliver => Payload::GossipDeliver,
+        }
+    }
+
+    /// The event `payload` stands for, and the slab slot it holds, if any.
+    fn unpack(&self, payload: Payload) -> (Event, Option<u32>) {
+        let probe = |slot: u32| self.probes[slot as usize];
+        match payload {
+            Payload::JobArrival(index) => (Event::JobArrival(index), None),
+            Payload::ProbeArrival(worker, slot) => {
+                (Event::ProbeArrival(worker, probe(slot)), Some(slot))
+            }
+            Payload::TaskFinish(worker, seq) => (Event::TaskFinish(worker, seq), None),
+            Payload::SchedulerWakeup(token) => (Event::SchedulerWakeup(token), None),
+            Payload::WorkerCrash(worker) => (Event::WorkerCrash(worker), None),
+            Payload::WorkerRecover(worker) => (Event::WorkerRecover(worker), None),
+            Payload::ProbeRetry(slot) => (Event::ProbeRetry(probe(slot)), Some(slot)),
+            Payload::GossipPublish => (Event::GossipPublish, None),
+            Payload::GossipDeliver => (Event::GossipDeliver, None),
+        }
+    }
+
+    /// Unpacks a payload leaving the queue, freeing its probe slot.
+    fn take(&mut self, payload: Payload) -> Event {
+        let (event, slot) = self.unpack(payload);
+        if let Some(slot) = slot {
+            self.free_slots.push(slot);
+        }
+        event
+    }
+
+    fn store_probe(&mut self, probe: Probe) -> u32 {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.probes[slot as usize] = probe;
+                slot
+            }
+            None => {
+                self.probes.push(probe);
+                u32::try_from(self.probes.len() - 1).expect("more than 2^32 probes in flight")
+            }
+        }
     }
 
     fn push_scheduled(&mut self, s: Scheduled) {
@@ -218,8 +356,11 @@ impl EventQueue {
                     }
                     let s = self.buckets[idx].pop().expect("non-empty bucket");
                     self.len -= 1;
-                    return Some((s.time, s.event));
+                    return Some((s.time, self.take(s.payload)));
                 }
+                // Drained for this window: hand its memory back rather
+                // than hold it until the window comes round again.
+                self.buckets[self.cursor] = Vec::new();
                 self.cursor += 1;
             }
             debug_assert!(!self.far.is_empty(), "len > 0 but near and far empty");
@@ -237,14 +378,22 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Iterates the pending events in unspecified order (the invariant
-    /// auditor scans for in-flight probes; it never consumes).
-    pub(crate) fn pending_events(&self) -> impl Iterator<Item = &Event> {
+    /// The queue's high-water marks so far.
+    pub fn stats(&self) -> EventQueueStats {
+        EventQueueStats {
+            peak_pending: self.peak_len as u64,
+            peak_probes: self.probes.len() as u64,
+        }
+    }
+
+    /// Iterates copies of the pending events in unspecified order (the
+    /// invariant auditor scans for in-flight probes; it never consumes).
+    pub(crate) fn pending_events(&self) -> impl Iterator<Item = Event> + '_ {
         self.buckets
             .iter()
             .flat_map(|b| b.iter())
             .chain(self.far.iter())
-            .map(|s| &s.event)
+            .map(|s| self.unpack(s.payload).0)
     }
 
     /// Drains every pending event, unordered, keeping the assigned
@@ -252,16 +401,19 @@ impl EventQueue {
     /// naive flat list and re-derives the ordering itself. The sequence
     /// counter is *not* reset, so later schedules keep numbering from where
     /// the engine left off.
-    pub(crate) fn drain_unordered(&mut self) -> Vec<(SimTime, u64, Event)> {
-        let mut out = Vec::with_capacity(self.len);
-        for (i, b) in self.buckets.iter_mut().enumerate() {
-            out.extend(b.drain(..).map(|s| (s.time, s.seq, s.event)));
-            self.dirty[i] = false;
+    pub fn drain_unordered(&mut self) -> Vec<(SimTime, u64, Event)> {
+        let mut pending: Vec<Scheduled> = Vec::with_capacity(self.len);
+        for (b, dirty) in self.buckets.iter_mut().zip(&mut self.dirty) {
+            pending.append(b);
+            *dirty = false;
         }
-        out.extend(self.far.drain().map(|s| (s.time, s.seq, s.event)));
+        pending.extend(self.far.drain());
         self.len = 0;
         self.cursor = 0;
-        out
+        pending
+            .into_iter()
+            .map(|s| (s.time, s.seq, self.take(s.payload)))
+            .collect()
     }
 }
 

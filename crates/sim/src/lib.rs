@@ -83,7 +83,7 @@ pub use config::{FederationConfig, SimConfig};
 pub use context::SimCtx;
 pub use crvledger::{CrvLedger, CrvTally};
 pub use engine::{SimState, Simulation};
-pub use event::{Event, EventQueue};
+pub use event::{Event, EventQueue, EventQueueStats};
 pub use fault::FaultPlan;
 pub use federation::{DomainSummary, FederationState, FederationStats};
 pub use jobstate::JobState;

@@ -8,6 +8,7 @@ use phoenix_metrics::{
 };
 
 use crate::audit::AuditReport;
+use crate::event::EventQueueStats;
 use crate::jobstate::JobState;
 use crate::profile::ProfileReport;
 use crate::time::{SimDuration, SimTime};
@@ -228,6 +229,10 @@ pub struct SimResult {
     /// Deterministic for a given run, so it replays exactly, but it is a
     /// memory measurement, not an outcome: excluded from `digest()`.
     pub set_cache: CacheStats,
+    /// What the run's event queue peaked at
+    /// ([`crate::EventQueue::stats`]). Deterministic like `set_cache`,
+    /// and like it a memory measurement excluded from `digest()`.
+    pub event_queue: EventQueueStats,
 }
 
 impl SimResult {
@@ -460,6 +465,7 @@ mod tests {
             profile: None,
             audit: None,
             set_cache: CacheStats::default(),
+            event_queue: EventQueueStats::default(),
         }
     }
 
@@ -514,6 +520,7 @@ mod tests {
             profile: None,
             audit: None,
             set_cache: CacheStats::default(),
+            event_queue: EventQueueStats::default(),
             job_outcomes: vec![JobOutcome {
                 job: JobId(7),
                 short: true,
@@ -530,6 +537,8 @@ mod tests {
         r.counters.probes_lost += 1;
         assert_ne!(d, r.digest(), "fault counters must be covered");
         r.counters.probes_lost -= 1;
+        r.event_queue.peak_pending += 1;
+        assert_eq!(d, r.digest(), "queue high-water marks stay out");
         r.job_outcomes[0].response_s = Some(1.250000001);
         assert_ne!(d, r.digest(), "outcomes must be covered bit-exactly");
     }
