@@ -168,6 +168,31 @@ fn golden_yaq_d() {
     check(SchedulerKind::YaqD);
 }
 
+#[test]
+fn golden_mercury_c() {
+    check(SchedulerKind::MercuryC);
+}
+
+#[test]
+fn golden_monolithic_c() {
+    check(SchedulerKind::MonolithicC);
+}
+
+#[test]
+fn golden_choosy_c() {
+    check(SchedulerKind::ChoosyC);
+}
+
+#[test]
+fn golden_phoenix_no_crv() {
+    check(SchedulerKind::PhoenixNoCrv);
+}
+
+#[test]
+fn golden_phoenix_no_admission() {
+    check(SchedulerKind::PhoenixNoAdmission);
+}
+
 /// The fault-layer zero-cost contract, stated directly: an explicit
 /// `FaultPlan::none()` changes nothing about a run (same digest as the
 /// default config), and replaying the same seed is byte-identical.
