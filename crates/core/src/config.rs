@@ -12,13 +12,6 @@ pub struct PhoenixConfig {
     pub baseline: BaselineConfig,
     /// CRV monitor heartbeat (§VI-C: empirically set to 9 s).
     pub heartbeat: SimDuration,
-    /// Demand/supply ratio beyond which a constraint kind counts as
-    /// contended (`CRV_threshold`): ratio > 1 means more queued demand than
-    /// idle supply.
-    pub crv_threshold: f64,
-    /// Expected-wait threshold beyond which a worker queue is reordered
-    /// (`Qwait_threshold`).
-    pub qwait_threshold: SimDuration,
     /// Enables proactive admission control (soft-constraint negotiation);
     /// disable for ablations.
     pub admission_control: bool,
@@ -42,8 +35,6 @@ impl Default for PhoenixConfig {
         PhoenixConfig {
             baseline: BaselineConfig::default(),
             heartbeat: SimDuration::from_secs(9),
-            crv_threshold: 1.0,
-            qwait_threshold: SimDuration::from_secs(30),
             admission_control: true,
             crv_reordering: true,
         }

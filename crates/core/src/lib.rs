@@ -3,8 +3,9 @@
 //!
 //! Phoenix is built on top of Eagle's hybrid design (centralized placement
 //! for long jobs, distributed probes with late binding for short jobs,
-//! Succinct State Sharing, Sticky Batch Probing, work stealing) and adds
-//! three constraint-aware mechanisms:
+//! Succinct State Sharing, Sticky Batch Probing, work stealing). The
+//! [`Phoenix`] scheduler holds a `phoenix_schedulers::EagleC` and delegates
+//! that machinery to it, then adds three constraint-aware mechanisms:
 //!
 //! * **The CRV monitor** ([`monitor::CrvMonitor`]) — every heartbeat
 //!   (9 s, §VI-C) it recomputes, for every constraint kind, the ratio of

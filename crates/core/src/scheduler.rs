@@ -3,7 +3,10 @@
 //! Phoenix = Eagle's hybrid machinery (centralized long-job placement with
 //! a short partition, distributed short-job probes avoiding long-busy
 //! workers, sticky batch probing, SRPT with a starvation bound, work
-//! stealing) **plus** the CRV control loop:
+//! stealing) **plus** the CRV control loop. The first half is literal:
+//! [`Phoenix`] holds an [`EagleC`] and delegates SSS set-up, long jobs,
+//! the task-finish path (SBP, then stealing) and the crash hook to it.
+//! Phoenix itself owns short-job placement, queue ordering and retries:
 //!
 //! * every heartbeat the [`CrvMonitor`] refreshes the demand/supply lookup
 //!   table and the [`WaitEstimator`] provides per-worker `E[W]`;
@@ -14,9 +17,7 @@
 //!   [`negotiate_targets`] when a job's full set is unsatisfiable.
 
 use phoenix_constraints::ConstraintKind;
-use phoenix_schedulers::{
-    srpt::srpt_insert_tail, stealing::try_steal, CentralPlanner, LongBusyMap,
-};
+use phoenix_schedulers::{srpt::srpt_insert_tail, EagleC};
 use phoenix_sim::{
     KindCrv, ProfileScope, Scheduler, SimCtx, SimDuration, TraceRecord, WorkerId, WorkerLoad,
 };
@@ -31,6 +32,15 @@ use crate::reorder::{crv_insert_tail, crv_reorder_queue};
 /// Maximum times one probe may be migrated between queues.
 const MAX_MIGRATIONS: u8 = 2;
 
+/// Demand/supply ratio beyond which a constraint kind counts as contended
+/// (`CRV_threshold`, Algorithm 1): above 1 there is more queued demand
+/// than idle supply.
+const CRV_THRESHOLD: f64 = 1.0;
+
+/// Expected wait beyond which a worker queue is CRV-reordered and its
+/// constrained probes may migrate (`Qwait_threshold`, Algorithm 1).
+const QWAIT_THRESHOLD: SimDuration = SimDuration::from_secs(30);
+
 const HEARTBEAT_TOKEN: u64 = 0;
 
 /// The Phoenix constraint-aware hybrid scheduler.
@@ -39,8 +49,9 @@ pub struct Phoenix {
     config: PhoenixConfig,
     monitor: CrvMonitor,
     estimator: WaitEstimator,
-    planner: Option<CentralPlanner>,
-    long_busy: LongBusyMap,
+    /// The Eagle-C machinery Phoenix builds on: SSS, long-job placement,
+    /// SBP and stealing.
+    eagle: EagleC,
     heartbeat_scheduled: bool,
     /// True while the CRV trigger condition held at the last heartbeat —
     /// during such windows queues are CRV-ordered rather than SRPT-ordered.
@@ -51,11 +62,10 @@ impl Phoenix {
     /// Creates Phoenix with the given configuration.
     pub fn new(config: PhoenixConfig) -> Self {
         Phoenix {
+            eagle: EagleC::new(config.baseline.clone()),
             config,
             monitor: CrvMonitor::new(),
             estimator: WaitEstimator::new(0),
-            planner: None,
-            long_busy: LongBusyMap::default(),
             heartbeat_scheduled: false,
             crv_mode: false,
         }
@@ -77,12 +87,9 @@ impl Phoenix {
     }
 
     fn ensure_initialized(&mut self, ctx: &mut SimCtx<'_>) {
-        if self.long_busy.is_empty() && ctx.num_workers() > 0 {
-            let n = ctx.num_workers();
-            self.long_busy = LongBusyMap::new(n);
-            self.estimator = WaitEstimator::new(n);
-            let reserved = self.config.baseline.reserved_workers(n);
-            self.planner = Some(CentralPlanner::new(reserved));
+        self.eagle.ensure_initialized(ctx);
+        if self.estimator.is_empty() {
+            self.estimator = WaitEstimator::new(ctx.num_workers());
         }
         if !self.heartbeat_scheduled {
             ctx.schedule_wakeup(self.config.heartbeat, HEARTBEAT_TOKEN);
@@ -127,14 +134,13 @@ impl Phoenix {
         // least estimated wait (§IV-A). Unconstrained jobs keep Eagle's
         // random placement — the cluster at large balances them already.
         let sample = if constrained { want * 3 } else { want };
+        let long_busy = self.eagle.long_busy();
         let negotiation = if self.config.admission_control {
-            let long_busy = &self.long_busy;
             negotiate_targets(ctx, set, sample, self.monitor.table(), |w| {
                 long_busy.is_long_busy(WorkerId(w))
             })
         } else {
             // Ablation: fall back to the baselines' trivial ladder.
-            let long_busy = &self.long_busy;
             let placement = phoenix_schedulers::choose_targets(ctx, set, sample, |w| {
                 long_busy.is_long_busy(WorkerId(w))
             });
@@ -192,22 +198,13 @@ impl Phoenix {
         }
     }
 
-    fn place_long(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let planner = self.planner.clone().expect("initialized on first arrival");
-        if let Some(placements) = planner.place_job(ctx, job) {
-            for worker in placements {
-                self.long_busy.add(worker);
-            }
-        }
-    }
-
     /// Dynamic probe rescheduling: during contention, constrained probes
     /// stuck deep in over-threshold queues are recalled and re-sent to the
     /// feasible worker with the least estimated wait (§VII-B: Phoenix
     /// "dynamically rescheduling the probes of constrained tasks based on
     /// CRV"). Bounded per probe by [`MAX_MIGRATIONS`].
     fn migrate_stuck_probes(&mut self, ctx: &mut SimCtx<'_>) {
-        let qwait_us = self.config.qwait_threshold.as_micros();
+        let qwait_us = QWAIT_THRESHOLD.as_micros();
         for i in 0..ctx.num_workers() {
             let worker = WorkerId(i as u32);
             if ctx.worker(worker).queue_len() < 2 {
@@ -314,7 +311,7 @@ impl Phoenix {
             .profiler_mut()
             .end(ProfileScope::HeartbeatRefresh, started);
         let (_, max_ratio) = self.monitor.max_ratio();
-        self.crv_mode = self.config.crv_reordering && max_ratio > self.config.crv_threshold;
+        self.crv_mode = self.config.crv_reordering && max_ratio > CRV_THRESHOLD;
         if ctx.state().tracer().enabled() {
             let record = self.heartbeat_snapshot(ctx);
             ctx.state_mut().tracer_mut().emit_record(record);
@@ -322,7 +319,6 @@ impl Phoenix {
         if self.crv_mode {
             let started = ctx.state().profiler().begin();
             let crv = self.monitor.crv();
-            let qwait = self.config.qwait_threshold;
             let slack = self.config.baseline.slack_threshold;
             for i in 0..ctx.num_workers() {
                 let worker = WorkerId(i as u32);
@@ -332,7 +328,7 @@ impl Phoenix {
                 let over = self
                     .estimator
                     .expected_wait(worker)
-                    .is_some_and(|w| w > qwait);
+                    .is_some_and(|w| w > QWAIT_THRESHOLD);
                 if over {
                     crv_reorder_queue(ctx.state_mut(), worker, &crv, slack);
                 }
@@ -368,7 +364,7 @@ impl Scheduler for Phoenix {
         if self.config.baseline.is_short(est) {
             self.place_short(job, ctx);
         } else {
-            self.place_long(job, ctx);
+            self.eagle.place_long(job, ctx);
         }
     }
 
@@ -411,43 +407,15 @@ impl Scheduler for Phoenix {
     ) {
         self.estimator
             .record_service(worker, SimDuration(duration_us));
-        let est = ctx.job(job).estimated_task_us;
-        let job_is_short = self.config.baseline.is_short(est);
-        if !job_is_short {
-            self.long_busy.release(worker);
-        }
-        // Sticky batch probing (inherited from Eagle).
-        if job_is_short && ctx.job(job).has_pending() {
-            let probe = ctx.new_probe(job);
-            ctx.counters_mut().sbp_continuations += 1;
-            ctx.enqueue_front(worker, probe);
-            ctx.touch(worker);
-            return;
-        }
-        if ctx.worker(worker).queue_len() == 0 {
-            let stolen = try_steal(
-                ctx,
-                worker,
-                self.config.baseline.steal_attempts,
-                self.config.baseline.short_cutoff.as_micros(),
-            );
-            if stolen > 0 {
-                ctx.touch(worker);
-            }
-        }
+        self.eagle.on_task_finish(worker, job, duration_us, ctx);
     }
 
     fn on_probe_retry(&mut self, probe: phoenix_sim::Probe, ctx: &mut SimCtx<'_>) {
         // Re-place with Phoenix's wait-aware policy: sample live feasible
         // workers and pick the least estimated wait.
-        let job = ctx.job(probe.job);
-        if job.is_failed() || (!probe.is_bound() && !job.has_pending()) {
-            if !probe.is_bound() && !job.is_failed() {
-                ctx.counters_mut().redundant_probes += 1;
-            }
+        let Some(set) = ctx.retry_set(&probe) else {
             return;
-        }
-        let set = job.effective();
+        };
         let candidates = ctx.sample_feasible_workers(set, 4);
         match self.pick_least_wait(ctx, candidates, 1).into_iter().next() {
             Some(w) => ctx.resend_probe(w, probe),
@@ -455,13 +423,8 @@ impl Scheduler for Phoenix {
         }
     }
 
-    fn on_worker_crash(&mut self, worker: WorkerId, _ctx: &mut SimCtx<'_>) {
-        // Every centrally-placed long task there died with the worker (and
-        // its queued long probes were dropped): clear the whole SSS mark.
-        // The map is sized lazily on first arrival; a crash may beat it.
-        if !self.long_busy.is_empty() {
-            self.long_busy.clear(worker);
-        }
+    fn on_worker_crash(&mut self, worker: WorkerId, ctx: &mut SimCtx<'_>) {
+        self.eagle.on_worker_crash(worker, ctx);
     }
 }
 

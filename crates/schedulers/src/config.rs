@@ -2,6 +2,11 @@
 
 use phoenix_sim::SimDuration;
 
+/// Fraction of workers reserved for short tasks (the Hawk/Eagle partition):
+/// long jobs are placed there only when every feasible worker is reserved.
+/// Hawk (ATC'15) keeps the partition small; 10 % follows its guideline.
+const RESERVE_FRACTION: f64 = 0.10;
+
 /// Parameters shared by the distributed/hybrid baselines (and reused by
 /// Phoenix, which extends Eagle).
 #[derive(Debug, Clone, PartialEq)]
@@ -13,15 +18,6 @@ pub struct BaselineConfig {
     /// Starvation bound: how many times a queued probe may be bypassed by
     /// reordering before it becomes un-bypassable (§V-A: 5).
     pub slack_threshold: u32,
-    /// Fraction of workers reserved for short tasks (Hawk/Eagle partition);
-    /// long jobs are never placed there.
-    pub reserve_fraction: f64,
-    /// Random victims an idle worker contacts per steal attempt.
-    pub steal_attempts: u32,
-    /// Yaq-d: bound on queued tasks per worker.
-    pub queue_bound: usize,
-    /// Yaq-d/central heartbeat for load updates (Yarn-style 5 s).
-    pub heartbeat: SimDuration,
 }
 
 impl BaselineConfig {
@@ -40,22 +36,17 @@ impl BaselineConfig {
 
     /// Number of reserved (short-only) workers on a cluster of `n`.
     pub fn reserved_workers(&self, n: usize) -> usize {
-        ((n as f64) * self.reserve_fraction).floor() as usize
+        ((n as f64) * RESERVE_FRACTION).floor() as usize
     }
 }
 
 impl Default for BaselineConfig {
-    /// Paper defaults: probe ratio 2, slack threshold 5, ~10 % short
-    /// partition (Hawk's small-partition guideline), 5 s heartbeat.
+    /// Paper defaults: probe ratio 2, slack threshold 5 (§V-A).
     fn default() -> Self {
         BaselineConfig {
             probe_ratio: 2,
             short_cutoff: SimDuration::from_secs(950),
             slack_threshold: 5,
-            reserve_fraction: 0.10,
-            steal_attempts: 10,
-            queue_bound: 10,
-            heartbeat: SimDuration::from_secs(5),
         }
     }
 }

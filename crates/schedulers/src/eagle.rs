@@ -13,29 +13,29 @@
 //!   tasks are served first, but a probe bypassed `slack_threshold` times
 //!   becomes un-bypassable.
 //!
-//! This is the paper's primary baseline (Phoenix is built on top of Eagle,
-//! replacing SRPT with CRV-based reordering under contention).
+//! This is the paper's primary baseline. Phoenix is built on top of it
+//! literally: `phoenix_core::Phoenix` holds an `EagleC` and delegates SSS
+//! set-up, long-job placement, the task-finish path (SBP, then stealing)
+//! and the crash hook to it, replacing only short-job placement and queue
+//! ordering (CRV-based reordering under contention).
 
-use phoenix_sim::{Scheduler, SimCtx, SimState, WorkerId};
+use phoenix_sim::{Scheduler, SimCtx, WorkerId};
 use phoenix_traces::JobId;
 
-use crate::central::CentralPlanner;
+use crate::central::place_long_job;
 use crate::config::BaselineConfig;
 use crate::placement::{choose_targets, send_speculative_probes};
 use crate::srpt::srpt_insert_tail;
 use crate::sss::LongBusyMap;
-use crate::stealing::try_steal;
+use crate::stealing::steal_if_idle;
 
 /// The Eagle-C scheduler.
 #[derive(Debug)]
 pub struct EagleC {
     config: BaselineConfig,
-    planner: Option<CentralPlanner>,
     long_busy: LongBusyMap,
     /// Disables SBP (for ablations).
     pub sticky_batch_probing: bool,
-    /// Disables SRPT reordering (for ablations).
-    pub srpt_reordering: bool,
 }
 
 impl EagleC {
@@ -43,10 +43,8 @@ impl EagleC {
     pub fn new(config: BaselineConfig) -> Self {
         EagleC {
             config,
-            planner: None,
             long_busy: LongBusyMap::default(),
             sticky_batch_probing: true,
-            srpt_reordering: true,
         }
     }
 
@@ -60,11 +58,11 @@ impl EagleC {
         &self.long_busy
     }
 
-    fn ensure_initialized(&mut self, ctx: &SimCtx<'_>) {
+    /// Sizes the SSS map to the cluster; a no-op after the first call.
+    /// Called on every job arrival, before placement.
+    pub fn ensure_initialized(&mut self, ctx: &SimCtx<'_>) {
         if self.long_busy.is_empty() && ctx.num_workers() > 0 {
             self.long_busy = LongBusyMap::new(ctx.num_workers());
-            let reserved = self.config.reserved_workers(ctx.num_workers());
-            self.planner = Some(CentralPlanner::new(reserved));
         }
     }
 
@@ -86,10 +84,11 @@ impl EagleC {
         }
     }
 
-    /// Places a long job through the central planner and records SSS state.
-    fn place_long(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let planner = self.planner.clone().expect("initialized on first arrival");
-        if let Some(placements) = planner.place_job(ctx, job) {
+    /// Places a long job centrally outside the short partition and marks
+    /// every chosen worker long-busy (SSS).
+    pub fn place_long(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
+        let reserved = self.config.reserved_workers(ctx.num_workers());
+        if let Some(placements) = place_long_job(ctx, job, reserved) {
             for worker in placements {
                 self.long_busy.add(worker);
             }
@@ -113,24 +112,14 @@ impl Scheduler for EagleC {
     }
 
     fn on_probe_enqueued(&mut self, worker: WorkerId, ctx: &mut SimCtx<'_>) {
-        if self.srpt_reordering {
-            srpt_insert_tail(ctx.state_mut(), worker, self.config.slack_threshold);
-        }
-    }
-
-    fn select_probe(&mut self, worker: WorkerId, state: &SimState) -> Option<usize> {
-        if state.workers[worker.index()].queue_len() == 0 {
-            None
-        } else {
-            Some(0)
-        }
+        srpt_insert_tail(ctx.state_mut(), worker, self.config.slack_threshold);
     }
 
     fn on_task_finish(
         &mut self,
         worker: WorkerId,
         job: JobId,
-        duration_us: u64,
+        _duration_us: u64,
         ctx: &mut SimCtx<'_>,
     ) {
         // SSS bookkeeping: a finished long task frees its long-busy mark.
@@ -139,7 +128,6 @@ impl Scheduler for EagleC {
         if !job_is_short {
             self.long_busy.release(worker);
         }
-        let _ = duration_us;
         // Sticky batch probing: keep serving the same short job.
         if self.sticky_batch_probing && job_is_short && ctx.job(job).has_pending() {
             let probe = ctx.new_probe(job);
@@ -149,17 +137,7 @@ impl Scheduler for EagleC {
             return;
         }
         // Otherwise behave like Hawk: idle and empty → steal.
-        if ctx.worker(worker).queue_len() == 0 {
-            let stolen = try_steal(
-                ctx,
-                worker,
-                self.config.steal_attempts,
-                self.config.short_cutoff.as_micros(),
-            );
-            if stolen > 0 {
-                ctx.touch(worker);
-            }
-        }
+        steal_if_idle(ctx, worker, self.config.short_cutoff.as_micros());
     }
 
     fn on_worker_crash(&mut self, worker: WorkerId, _ctx: &mut SimCtx<'_>) {

@@ -16,38 +16,26 @@
 use phoenix_sim::{Scheduler, SimCtx, WorkerId};
 use phoenix_traces::JobId;
 
-use crate::central::CentralPlanner;
+use crate::central::place_long_job;
 use crate::config::BaselineConfig;
 use crate::placement::{choose_targets, send_speculative_probes};
-use crate::stealing::try_steal;
+use crate::stealing::steal_if_idle;
 
 /// The Hawk-C scheduler.
 #[derive(Debug, Clone)]
 pub struct HawkC {
     config: BaselineConfig,
-    planner: Option<CentralPlanner>,
 }
 
 impl HawkC {
     /// Creates Hawk-C with the given shared configuration.
     pub fn new(config: BaselineConfig) -> Self {
-        HawkC {
-            config,
-            planner: None,
-        }
+        HawkC { config }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &BaselineConfig {
         &self.config
-    }
-
-    fn planner(&mut self, ctx: &SimCtx<'_>) -> CentralPlanner {
-        if self.planner.is_none() {
-            let reserved = self.config.reserved_workers(ctx.num_workers());
-            self.planner = Some(CentralPlanner::new(reserved));
-        }
-        self.planner.clone().expect("planner just initialized")
     }
 }
 
@@ -62,8 +50,8 @@ impl Scheduler for HawkC {
             (j.effective(), j.num_tasks(), j.estimated_task_us)
         };
         if !self.config.is_short(est) {
-            let planner = self.planner(ctx);
-            planner.place_job(ctx, job);
+            let reserved = self.config.reserved_workers(ctx.num_workers());
+            place_long_job(ctx, job, reserved);
             return;
         }
         let want = tasks * self.config.probe_ratio as usize;
@@ -81,17 +69,7 @@ impl Scheduler for HawkC {
         ctx: &mut SimCtx<'_>,
     ) {
         // Idle with an empty queue: go steal.
-        if ctx.worker(worker).queue_len() == 0 {
-            let stolen = try_steal(
-                ctx,
-                worker,
-                self.config.steal_attempts,
-                self.config.short_cutoff.as_micros(),
-            );
-            if stolen > 0 {
-                ctx.touch(worker);
-            }
-        }
+        steal_if_idle(ctx, worker, self.config.short_cutoff.as_micros());
     }
 }
 
@@ -183,7 +161,7 @@ mod tests {
 mod partition_tests {
     use super::*;
     use phoenix_constraints::{AttributeVector, ConstraintSet, FeasibilityIndex};
-    use phoenix_sim::{SimConfig, Simulation, WorkerId};
+    use phoenix_sim::{SimConfig, Simulation};
     use phoenix_traces::{Job, JobId, Trace};
 
     /// Long tasks never land in the reserved short partition (first 10 %
@@ -220,7 +198,5 @@ mod partition_tests {
             "18 tasks on 18 non-reserved workers must run in one wave: {}",
             result.metrics.makespan.as_secs_f64()
         );
-        // Explicit check through the planner: reserved ids excluded.
-        let _ = WorkerId(0);
     }
 }

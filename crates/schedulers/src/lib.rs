@@ -11,22 +11,26 @@
 //!   probes for short jobs, plus random work stealing by idle workers.
 //! * [`EagleC`] — Eagle (SoCC'16): Hawk plus Succinct State Sharing (short
 //!   probes avoid workers occupied by long jobs), Sticky Batch Probing, and
-//!   SRPT queue reordering with a starvation bound.
+//!   SRPT queue reordering with a starvation bound. `phoenix-core`'s
+//!   Phoenix holds one and delegates its hybrid machinery to it.
 //! * [`YaqD`] — Yaq-d (EuroSys'16): distributed *early binding* into
 //!   bounded-length worker queues with SRPT reordering.
 //!
 //! The building blocks (shared with `phoenix-core`):
 //!
-//! * [`config::BaselineConfig`] — probe ratio, short/long cutoff, slack
-//!   threshold, partition and stealing parameters.
+//! * [`config::BaselineConfig`] — probe ratio, short/long cutoff and slack
+//!   threshold (the partition, stealing and queue-bound sizes are
+//!   constants beside their one use).
 //! * [`placement`] — constraint-aware target selection with the fallback
 //!   ladder the paper calls "trivial" handling.
-//! * [`central::CentralPlanner`] — least-estimated-work placement for the
-//!   centralized (long job) side of the hybrids.
+//! * [`central::place_long_job`] — the one least-estimated-work placement
+//!   function for the centralized (long job) side of the hybrids and for
+//!   Monolithic-C.
 //! * [`srpt`] — SRPT insertion with per-probe starvation (bypass) bounds.
 //! * [`sss::LongBusyMap`] — Eagle's shared bit vector of long-occupied
 //!   workers.
-//! * [`stealing`] — Hawk's constraint-aware random work stealing.
+//! * [`stealing`] — Hawk's constraint-aware random work stealing, entered
+//!   through [`stealing::steal_if_idle`] by Hawk-C and Eagle-C.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +49,7 @@ pub mod sss;
 pub mod stealing;
 pub mod yaqd;
 
-pub use central::CentralPlanner;
+pub use central::place_long_job;
 pub use choosy::ChoosyC;
 pub use config::BaselineConfig;
 pub use eagle::EagleC;

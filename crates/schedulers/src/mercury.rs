@@ -14,24 +14,21 @@
 use phoenix_sim::{Scheduler, SimCtx};
 use phoenix_traces::JobId;
 
-use crate::central::CentralPlanner;
+use crate::central::place_long_job;
 use crate::config::BaselineConfig;
-use crate::placement::{estimated_queue_work_us, resolve_constraint_level};
+use crate::placement::resolve_constraint_level;
+use crate::yaqd::least_loaded_under_bound;
 
 /// The Mercury-C scheduler.
 #[derive(Debug, Clone)]
 pub struct MercuryC {
     config: BaselineConfig,
-    planner: Option<CentralPlanner>,
 }
 
 impl MercuryC {
     /// Creates Mercury-C with the given shared configuration.
     pub fn new(config: BaselineConfig) -> Self {
-        MercuryC {
-            config,
-            planner: None,
-        }
+        MercuryC { config }
     }
 
     /// The configuration in use.
@@ -44,19 +41,12 @@ impl MercuryC {
             return;
         };
         let d = (self.config.probe_ratio as usize * 2).max(2);
-        let bound = self.config.queue_bound;
         while ctx.job(job).has_pending() {
             let duration = ctx.job_mut(job).take_task();
             let candidates = ctx.sample_feasible_workers(set, d);
             debug_assert!(!candidates.is_empty());
-            let best = candidates
-                .iter()
-                .copied()
-                .min_by_key(|&w| {
-                    let over = usize::from(ctx.worker(w).queue_len() >= bound);
-                    (over, estimated_queue_work_us(ctx.state(), w), w.0)
-                })
-                .expect("candidates non-empty");
+            let best =
+                least_loaded_under_bound(ctx.state(), &candidates).expect("candidates non-empty");
             let mut probe = ctx.new_bound_probe(job, duration);
             probe.slowdown = slowdown;
             ctx.send_probe(best, probe);
@@ -70,16 +60,12 @@ impl Scheduler for MercuryC {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        if self.planner.is_none() {
-            let reserved = self.config.reserved_workers(ctx.num_workers());
-            self.planner = Some(CentralPlanner::new(reserved));
-        }
         let est = ctx.job(job).estimated_task_us;
         if self.config.is_short(est) {
             self.place_short(job, ctx);
         } else {
-            let planner = self.planner.clone().expect("initialized above");
-            planner.place_job(ctx, job);
+            let reserved = self.config.reserved_workers(ctx.num_workers());
+            place_long_job(ctx, job, reserved);
         }
     }
 }

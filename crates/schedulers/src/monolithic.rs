@@ -13,7 +13,7 @@
 use phoenix_sim::{Scheduler, SimCtx, SimDuration, SimTime};
 use phoenix_traces::JobId;
 
-use crate::central::CentralPlanner;
+use crate::central::place_long_job;
 use crate::config::BaselineConfig;
 
 /// The Monolithic-C scheduler.
@@ -29,7 +29,6 @@ use crate::config::BaselineConfig;
 #[derive(Debug, Clone)]
 pub struct MonolithicC {
     config: BaselineConfig,
-    planner: CentralPlanner,
     decision_cost: SimDuration,
     scheduler_free_at: SimTime,
 }
@@ -48,7 +47,6 @@ impl MonolithicC {
     pub fn with_decision_cost(config: BaselineConfig, decision_cost: SimDuration) -> Self {
         MonolithicC {
             config,
-            planner: CentralPlanner::new(0),
             decision_cost,
             scheduler_free_at: SimTime::ZERO,
         }
@@ -79,14 +77,14 @@ impl Scheduler for MonolithicC {
         self.scheduler_free_at = done;
         let delay = done.since(ctx.now());
         if delay == SimDuration::ZERO {
-            self.planner.place_job(ctx, job);
+            place_long_job(ctx, job, 0);
         } else {
             ctx.schedule_wakeup(delay, u64::from(job.0));
         }
     }
 
     fn on_wakeup(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
-        self.planner.place_job(ctx, JobId(token as u32));
+        place_long_job(ctx, JobId(token as u32), 0);
     }
 }
 

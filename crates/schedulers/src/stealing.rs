@@ -9,6 +9,21 @@
 use phoenix_sim::{Probe, ProfileScope, SimCtx, TraceRecord, WorkerId};
 use rand::Rng;
 
+/// Random victims an idle worker contacts per steal (Hawk, ATC'15).
+const STEAL_ATTEMPTS: u32 = 10;
+
+/// Hawk's stealing trigger: when `worker` has just finished a task and its
+/// queue is empty, it steals from behind tasks of at least `long_task_us`
+/// (visiting up to [`STEAL_ATTEMPTS`] victims) and is touched for dispatch
+/// if it got anything.
+pub fn steal_if_idle(ctx: &mut SimCtx<'_>, worker: WorkerId, long_task_us: u64) {
+    if ctx.worker(worker).queue_len() == 0
+        && try_steal(ctx, worker, STEAL_ATTEMPTS, long_task_us) > 0
+    {
+        ctx.touch(worker);
+    }
+}
+
 /// Attempts one steal for idle `thief`. Visits up to `attempts` random
 /// victims; steals from the first victim that is running a long-estimate
 /// task and has speculative probes the thief satisfies. Returns the number

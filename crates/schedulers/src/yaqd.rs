@@ -9,12 +9,29 @@
 //! stealing and no short/long split — which is why constrained bursts hurt
 //! it (Fig. 2 of the Phoenix paper).
 
-use phoenix_sim::{Scheduler, SimCtx, WorkerId};
+use phoenix_sim::{Scheduler, SimCtx, SimState, WorkerId};
 use phoenix_traces::JobId;
 
 use crate::config::BaselineConfig;
 use crate::placement::{estimated_queue_work_us, resolve_constraint_level};
 use crate::srpt::srpt_insert_tail;
+
+/// Bound on queued tasks per worker (Yaq-d, EuroSys'16): a queue at or
+/// over it is chosen only when every candidate's is.
+const QUEUE_BOUND: usize = 10;
+
+/// Yaq-d's early-binding pick, shared with Mercury-C: among `candidates`,
+/// prefer queues under [`QUEUE_BOUND`], then the least estimated queued
+/// work, then the lowest id. `None` only when `candidates` is empty.
+pub(crate) fn least_loaded_under_bound(
+    state: &SimState,
+    candidates: &[WorkerId],
+) -> Option<WorkerId> {
+    candidates.iter().copied().min_by_key(|&w| {
+        let over = usize::from(state.workers[w.index()].queue_len() >= QUEUE_BOUND);
+        (over, estimated_queue_work_us(state, w), w.0)
+    })
+}
 
 /// The Yaq-d scheduler.
 #[derive(Debug, Clone)]
@@ -51,7 +68,6 @@ impl Scheduler for YaqD {
         };
 
         let d = self.candidates_per_task();
-        let bound = self.config.queue_bound;
         while ctx.job(job).has_pending() {
             let duration = ctx.job_mut(job).take_task();
             let mut candidates = ctx.sample_feasible_workers(set, d);
@@ -62,15 +78,8 @@ impl Scheduler for YaqD {
                 debug_assert!(ctx.config().faults.is_active(), "feasibility checked above");
                 candidates = ctx.sample_feasible_workers_any(set, d);
             }
-            // Prefer under-bound queues; among them, least estimated work.
-            let best = candidates
-                .iter()
-                .copied()
-                .min_by_key(|&w| {
-                    let over = usize::from(ctx.worker(w).queue_len() >= bound);
-                    (over, estimated_queue_work_us(ctx.state(), w), w.0)
-                })
-                .expect("candidates non-empty");
+            let best =
+                least_loaded_under_bound(ctx.state(), &candidates).expect("candidates non-empty");
             let mut probe = ctx.new_bound_probe(job, duration);
             probe.slowdown = slowdown;
             ctx.send_probe(best, probe);
@@ -84,18 +93,11 @@ impl Scheduler for YaqD {
     fn on_probe_retry(&mut self, probe: phoenix_sim::Probe, ctx: &mut SimCtx<'_>) {
         // Re-place with Yaq-d's own policy: least estimated work among
         // under-bound live candidates.
-        let job = ctx.job(probe.job);
-        if job.is_failed() || (!probe.is_bound() && !job.has_pending()) {
+        let Some(set) = ctx.retry_set(&probe) else {
             return;
-        }
-        let set = job.effective();
-        let bound = self.config.queue_bound;
+        };
         let candidates = ctx.sample_feasible_workers(set, self.candidates_per_task());
-        let best = candidates.iter().copied().min_by_key(|&w| {
-            let over = usize::from(ctx.worker(w).queue_len() >= bound);
-            (over, estimated_queue_work_us(ctx.state(), w), w.0)
-        });
-        match best {
+        match least_loaded_under_bound(ctx.state(), &candidates) {
             Some(w) => ctx.resend_probe(w, probe),
             None => ctx.retry_probe_later(probe),
         }

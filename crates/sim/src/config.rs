@@ -3,6 +3,10 @@
 use crate::fault::FaultPlan;
 use crate::time::SimDuration;
 
+/// One-way network delay for scheduler↔worker messages. The paper fixes
+/// the round trip at 0.5 ms (§V-A), so one way is 0.25 ms.
+pub const NETWORK_DELAY: SimDuration = SimDuration::from_micros(250);
+
 /// Federated-scheduling parameters: the cluster is sharded into `domains`
 /// contiguous worker ranges, each with its own CRV ledger tally; domains
 /// learn about each other only through periodic summary gossip delivered
@@ -16,9 +20,6 @@ use crate::time::SimDuration;
 pub struct FederationConfig {
     /// Number of federated domains. `0` or `1` turns federation off.
     pub domains: usize,
-    /// Interval between gossip rounds: each round, every domain publishes
-    /// a fresh summary of its ledger.
-    pub gossip_interval: SimDuration,
     /// Propagation delay before a published summary becomes visible to the
     /// other domains. Zero installs summaries at publish time (domains are
     /// then stale only by the gossip interval).
@@ -30,18 +31,16 @@ impl FederationConfig {
     pub fn off() -> Self {
         FederationConfig {
             domains: 0,
-            gossip_interval: SimDuration::from_secs(5),
             staleness: SimDuration::ZERO,
         }
     }
 
-    /// A `k`-domain federation with the default 5 s gossip interval and
-    /// the given summary staleness.
+    /// A `k`-domain federation with the given summary staleness (gossip
+    /// rounds run every [`crate::federation::GOSSIP_INTERVAL`]).
     pub fn sharded(k: usize, staleness: SimDuration) -> Self {
         FederationConfig {
             domains: k,
             staleness,
-            ..Self::off()
         }
     }
 
@@ -62,11 +61,6 @@ impl Default for FederationConfig {
 /// ratios or heartbeat intervals live in the scheduler configs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// One-way network delay for scheduler↔worker messages. The paper fixes
-    /// the round trip at 0.5 ms (§V-A), so one way is 0.25 ms.
-    pub network_delay: SimDuration,
-    /// Bucket width for the Fig.-3 style queuing-delay time series.
-    pub timeseries_bucket: SimDuration,
     /// Keep per-task wait samples (large); disable for big sweeps.
     pub record_task_waits: bool,
     /// Scale task execution times by the executing machine's CPU clock
@@ -89,17 +83,15 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The round-trip time (twice the one-way delay).
+    /// The round-trip time (twice the one-way [`NETWORK_DELAY`]).
     pub fn rtt(&self) -> SimDuration {
-        SimDuration(self.network_delay.as_micros() * 2)
+        SimDuration(NETWORK_DELAY.as_micros() * 2)
     }
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            network_delay: SimDuration::from_micros(250),
-            timeseries_bucket: SimDuration::from_secs(60),
             record_task_waits: true,
             scale_duration_by_clock: false,
             reference_clock_mhz: 2_200,

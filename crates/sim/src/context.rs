@@ -8,7 +8,7 @@ use rand::Rng;
 use phoenix_constraints::{ConstraintSet, SetId, SetTable};
 use phoenix_traces::JobId;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, NETWORK_DELAY};
 use crate::engine::SimState;
 use crate::event::{Event, EventQueue};
 use crate::jobstate::JobState;
@@ -197,14 +197,10 @@ impl<'a> SimCtx<'a> {
         let faults = &state.config.faults;
         if faults.probe_loss > 0.0 && state.fault_rng.random_bool(faults.probe_loss) {
             state.metrics.counters.probes_lost += 1;
-            let mut lost = probe;
-            let backoff = faults.retry_delay(lost.retries);
-            lost.retries = lost.retries.saturating_add(1);
-            self.events
-                .schedule(state.now + backoff, Event::ProbeRetry(lost));
+            schedule_retry(self.events, state, probe);
             return;
         }
-        let mut delay = state.config.network_delay;
+        let mut delay = NETWORK_DELAY;
         if faults.probe_delay_prob > 0.0 && state.fault_rng.random_bool(faults.probe_delay_prob) {
             let max = state.config.faults.probe_delay_max.as_micros();
             if max > 0 {
@@ -391,18 +387,30 @@ impl<'a> SimCtx<'a> {
     /// live feasible worker exists right now the probe re-arms its backoff
     /// and tries again later (recovery events guarantee progress).
     pub fn default_probe_retry(&mut self, probe: Probe) {
-        let job = &self.state.jobs[probe.job.0 as usize];
-        if job.is_failed() || (!probe.is_bound() && !job.has_pending()) {
-            if !probe.is_bound() && !job.is_failed() {
-                self.state.metrics.counters.redundant_probes += 1;
-            }
+        let Some(set) = self.retry_set(&probe) else {
             return;
-        }
-        let set = job.effective();
+        };
         match self.sample_feasible_workers(set, 1).first() {
             Some(&w) => self.resend_probe(w, probe),
             None => self.retry_probe_later(probe),
         }
+    }
+
+    /// The discard check every retry policy starts with. Returns `None`
+    /// when `probe` should be dropped: its job failed, or the probe is
+    /// speculative and its job has no pending task left (counted as a
+    /// redundant probe). Otherwise returns the job's effective set, which
+    /// the probe is re-placed against.
+    pub fn retry_set(&mut self, probe: &Probe) -> Option<SetId> {
+        let job = &self.state.jobs[probe.job.0 as usize];
+        if job.is_failed() {
+            return None;
+        }
+        if !probe.is_bound() && !job.has_pending() {
+            self.state.metrics.counters.redundant_probes += 1;
+            return None;
+        }
+        Some(job.effective())
     }
 
     /// Resends a retried probe to `worker`, counting the retry. Resets the
@@ -417,10 +425,16 @@ impl<'a> SimCtx<'a> {
     /// Re-arms a retried probe's backoff timer without resending (used
     /// when every feasible worker is currently down). The backoff keeps
     /// growing up to the [`crate::FaultPlan`] cap.
-    pub fn retry_probe_later(&mut self, mut probe: Probe) {
-        let backoff = self.state.config.faults.retry_delay(probe.retries);
-        probe.retries = probe.retries.saturating_add(1);
-        self.events
-            .schedule(self.state.now + backoff, Event::ProbeRetry(probe));
+    pub fn retry_probe_later(&mut self, probe: Probe) {
+        schedule_retry(self.events, self.state, probe);
     }
+}
+
+/// Schedules an [`Event::ProbeRetry`] for `probe` after its current
+/// backoff and bumps its retry count. The one retry body behind probe
+/// loss in flight, crash casualties and [`SimCtx::retry_probe_later`].
+pub(crate) fn schedule_retry(events: &mut EventQueue, state: &SimState, mut probe: Probe) {
+    let backoff = state.config.faults.retry_delay(probe.retries);
+    probe.retries = probe.retries.saturating_add(1);
+    events.schedule(state.now + backoff, Event::ProbeRetry(probe));
 }

@@ -8,10 +8,10 @@ use phoenix_traces::{JobId, Trace};
 
 use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, TeeSink};
 use crate::config::SimConfig;
-use crate::context::SimCtx;
+use crate::context::{schedule_retry, SimCtx};
 use crate::crvledger::CrvLedger;
 use crate::event::{Event, EventQueue};
-use crate::federation::FederationState;
+use crate::federation::{FederationState, GOSSIP_INTERVAL};
 use crate::jobstate::JobState;
 use crate::metrics::{SimMetrics, SimResult};
 use crate::probe::{Probe, ProbeId};
@@ -79,6 +79,9 @@ pub struct SimState {
 
 /// XOR'd into the simulation seed to derive the fault RNG stream.
 const FAULT_SEED_SALT: u64 = 0xF417_5EED_0BAD_C0DE;
+
+/// Bucket width of the Fig. 3 queuing-delay time series.
+const TIMESERIES_BUCKET: SimDuration = SimDuration::from_secs(60);
 
 impl SimState {
     pub(crate) fn next_probe_id(&mut self) -> ProbeId {
@@ -352,19 +355,14 @@ impl Simulation {
             .federation
             .is_partitioned()
             .then(|| Box::new(FederationState::new(config.federation, n_workers)));
-        if let Some(fed) = &federation {
-            if !jobs.is_empty() {
-                // First gossip round; subsequent rounds chain themselves
-                // while work is outstanding.
-                events.schedule(
-                    SimTime::ZERO + fed.config().gossip_interval,
-                    Event::GossipPublish,
-                );
-            }
+        if federation.is_some() && !jobs.is_empty() {
+            // First gossip round; subsequent rounds chain themselves while
+            // work is outstanding.
+            events.schedule(SimTime::ZERO + GOSSIP_INTERVAL, Event::GossipPublish);
         }
         let ranges = federation.as_deref().map_or(&[][..], |f| f.ranges());
         let crv_ledger = CrvLedger::new(n_workers, ranges);
-        let metrics = SimMetrics::new(config.timeseries_bucket, config.record_task_waits);
+        let metrics = SimMetrics::new(TIMESERIES_BUCKET, config.record_task_waits);
         // Zero-task jobs are born complete, so the outstanding count is a
         // filter, not `jobs.len()`.
         let outstanding_jobs = jobs
@@ -503,7 +501,7 @@ impl Simulation {
                     // The target died while the probe was in flight: bounce
                     // it into the retry path after its backoff.
                     self.state.metrics.counters.probes_lost += 1;
-                    self.schedule_probe_retry(probe);
+                    schedule_retry(&mut self.events, &self.state, probe);
                     return;
                 }
                 probe.enqueued_at = self.state.now;
@@ -631,25 +629,11 @@ impl Simulation {
     /// outstanding. Gossip draws no randomness — the policy and fault RNG
     /// streams are untouched, so a K-domain run is reproducible.
     fn schedule_next_gossip(&mut self) {
-        let Some(fed) = self.state.federation() else {
-            return;
-        };
-        if self.state.outstanding_jobs == 0 {
+        if self.state.federation().is_none() || self.state.outstanding_jobs == 0 {
             return;
         }
-        let interval = fed.config().gossip_interval;
         self.events
-            .schedule(self.state.now + interval, Event::GossipPublish);
-    }
-
-    /// Bounces a casualty probe into the retry path: schedules a
-    /// [`Event::ProbeRetry`] after the probe's current backoff and bumps
-    /// its retry count.
-    fn schedule_probe_retry(&mut self, mut probe: Probe) {
-        let backoff = self.state.config.faults.retry_delay(probe.retries);
-        probe.retries = probe.retries.saturating_add(1);
-        self.events
-            .schedule(self.state.now + backoff, Event::ProbeRetry(probe));
+            .schedule(self.state.now + GOSSIP_INTERVAL, Event::GossipPublish);
     }
 
     /// Schedules the next crash strike (jittered interval, uniform victim)
@@ -696,7 +680,7 @@ impl Simulation {
         });
         for probe in dropped {
             self.state.metrics.counters.probes_lost += 1;
-            self.schedule_probe_retry(probe);
+            schedule_retry(&mut self.events, &self.state, probe);
         }
         for task in killed {
             self.state.metrics.counters.tasks_killed += 1;
@@ -728,7 +712,7 @@ impl Simulation {
                 migrations: 0,
                 retries: 0,
             };
-            self.schedule_probe_retry(retry);
+            schedule_retry(&mut self.events, &self.state, retry);
         }
         let downtime = self.state.config.faults.downtime.as_micros();
         let back_up = if downtime > 0 {

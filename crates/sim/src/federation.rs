@@ -7,7 +7,7 @@
 //! domain's supply is computed over its own worker range only.
 //!
 //! Domains learn about each other only through **gossip**: every
-//! [`crate::config::FederationConfig::gossip_interval`] the engine
+//! [`GOSSIP_INTERVAL`] the engine
 //! publishes one compact [`DomainSummary`] per domain (per-kind CRV
 //! demand/supply plus queue-pressure aggregates, read from the domain's
 //! ledger tally) and installs the batch after
@@ -18,7 +18,7 @@
 //! eventual-consistency cost the federated benchmark ladder measures.
 //!
 //! Gossip is deterministic: no randomness is drawn and event times derive
-//! only from the configured interval/staleness. With K ≤ 1 no
+//! only from the gossip interval and the configured staleness. With K ≤ 1 no
 //! [`FederationState`] exists at all, so the run is the centralized engine
 //! (the byte-parity rule of [`crate::config::FederationConfig`]).
 
@@ -28,7 +28,12 @@ use phoenix_constraints::{ConstraintKind, FeasibilityIndex, SetId, SetTable};
 
 use crate::config::FederationConfig;
 use crate::crvledger::CrvLedger;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// Interval between gossip rounds: each round, every domain publishes a
+/// fresh summary of its ledger tally. Federation is an extension beyond
+/// the paper; 5 s is the Yaq-d heartbeat period of §VI-C.
+pub const GOSSIP_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// One domain's published CRV summary: everything a remote domain is
 /// allowed to know about it.
