@@ -339,13 +339,8 @@ impl Phoenix {
                 .end(ProfileScope::Reorder, started);
         }
         // Keep the loop alive only while there is outstanding work.
-        let busy = ctx
-            .state()
-            .workers
-            .iter()
-            .any(|w| !w.is_idle() || w.queue_len() > 0)
-            || ctx.jobs().iter().any(|j| j.has_pending());
-        if busy {
+        let state = ctx.state();
+        if state.busy_workers() > 0 || state.pending_jobs() > 0 {
             ctx.schedule_wakeup(self.config.heartbeat, HEARTBEAT_TOKEN);
         } else {
             self.heartbeat_scheduled = false;

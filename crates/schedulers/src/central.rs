@@ -85,7 +85,7 @@ pub fn place_long_job(
         .collect();
     let mut placed = Vec::with_capacity(ctx.job(job).pending_tasks());
     while ctx.job(job).has_pending() {
-        let duration = ctx.job_mut(job).take_task();
+        let duration = ctx.take_task(job);
         let effective = ((duration as f64) * slowdown).round() as u64;
         // Least-loaded candidate.
         let (best_idx, _) = loads

@@ -57,7 +57,7 @@ impl ChoosyC {
 
     /// Places one task of `job` on `worker` as a bound probe.
     fn place_one(&mut self, job: JobId, worker: WorkerId, ctx: &mut SimCtx<'_>) {
-        let duration = ctx.job_mut(job).take_task();
+        let duration = ctx.take_task(job);
         let user = ctx.job(job).user;
         *self.allocation.entry(user).or_insert(0) += 1;
         *self.served.entry(user).or_insert(0) += 1;

@@ -42,7 +42,7 @@ impl MercuryC {
         };
         let d = (self.config.probe_ratio as usize * 2).max(2);
         while ctx.job(job).has_pending() {
-            let duration = ctx.job_mut(job).take_task();
+            let duration = ctx.take_task(job);
             let candidates = ctx.sample_feasible_workers(set, d);
             debug_assert!(!candidates.is_empty());
             let best =

@@ -128,7 +128,7 @@ mod tests {
         fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
             let is_long = ctx.job(job).estimated_task_us > 1_000_000;
             if is_long {
-                let d = ctx.job_mut(job).take_task();
+                let d = ctx.take_task(job);
                 let probe = ctx.new_bound_probe(job, d);
                 ctx.send_probe(WorkerId(0), probe);
             } else {

@@ -69,7 +69,7 @@ impl Scheduler for YaqD {
 
         let d = self.candidates_per_task();
         while ctx.job(job).has_pending() {
-            let duration = ctx.job_mut(job).take_task();
+            let duration = ctx.take_task(job);
             let mut candidates = ctx.sample_feasible_workers(set, d);
             if candidates.is_empty() {
                 // Only reachable under fault injection: every feasible

@@ -346,6 +346,27 @@ impl InvariantAuditor {
             }
         }
 
+        let busy_workers = state.workers.iter().filter(|w| w.is_busy()).count();
+        if busy_workers != state.busy_workers() {
+            self.violation(
+                now,
+                format!(
+                    "busy-workers counter {} != {busy_workers} workers running or queueing",
+                    state.busy_workers()
+                ),
+            );
+        }
+        let pending_jobs = state.jobs.iter().filter(|j| j.has_pending()).count();
+        if pending_jobs != state.pending_jobs() {
+            self.violation(
+                now,
+                format!(
+                    "pending-jobs counter {} != {pending_jobs} jobs with tasks to launch",
+                    state.pending_jobs()
+                ),
+            );
+        }
+
         let mut completed_total: u64 = 0;
         let mut complete_jobs: u64 = 0;
         for (i, job) in state.jobs.iter().enumerate() {
@@ -702,7 +723,7 @@ impl ReferenceExecutor {
                         state.metrics.counters.redundant_probes += 1;
                         continue;
                     }
-                    let d = state.jobs[job_idx].take_task();
+                    let d = state.take_task(probe.job);
                     (d, state.config.rtt())
                 }
             };

@@ -85,9 +85,14 @@ impl<'a> SimCtx<'a> {
         &mut self.state.jobs[id.0 as usize]
     }
 
-    /// All jobs (read-only).
-    pub fn jobs(&self) -> &[JobState] {
-        &self.state.jobs
+    /// Takes `job`'s next unlaunched task (crash-requeued ones first),
+    /// returning its true duration in microseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has no pending task.
+    pub fn take_task(&mut self, job: JobId) -> u64 {
+        self.state.take_task(job)
     }
 
     /// The run's interned constraint sets.
@@ -239,6 +244,9 @@ impl<'a> SimCtx<'a> {
     pub fn fail_job(&mut self, job: JobId) {
         let j = &mut self.state.jobs[job.0 as usize];
         if !j.is_failed() {
+            if j.has_pending() {
+                self.state.pending_jobs -= 1;
+            }
             if !j.is_complete() {
                 // The job leaves the outstanding set by failing rather
                 // than completing.

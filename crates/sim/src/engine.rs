@@ -75,6 +75,12 @@ pub struct SimState {
     /// Jobs neither complete nor failed, maintained incrementally so the
     /// fault layer's continue-striking check is O(1) instead of O(jobs).
     pub(crate) outstanding_jobs: usize,
+    /// Workers running a task or holding a queued probe, kept in step by
+    /// the queue and slot wrappers below.
+    busy_workers: usize,
+    /// Jobs that are not failed and still have unlaunched or requeued
+    /// tasks, jobs yet to arrive included.
+    pub(crate) pending_jobs: usize,
 }
 
 /// XOR'd into the simulation seed to derive the fault RNG stream.
@@ -88,6 +94,55 @@ impl SimState {
         let id = ProbeId(self.next_probe);
         self.next_probe += 1;
         id
+    }
+
+    /// Workers running a task or holding a queued probe
+    /// ([`Worker::is_busy`]), in O(1).
+    pub fn busy_workers(&self) -> usize {
+        self.busy_workers
+    }
+
+    /// Jobs that are not failed and still have unlaunched or requeued
+    /// tasks ([`JobState::has_pending`]), jobs yet to arrive included, in
+    /// O(1).
+    pub fn pending_jobs(&self) -> usize {
+        self.pending_jobs
+    }
+
+    /// Applies `f` to `worker`, keeping [`SimState::busy_workers`] in step
+    /// with the worker's busy state.
+    fn with_worker<R>(&mut self, worker: WorkerId, f: impl FnOnce(&mut Worker) -> R) -> R {
+        let w = &mut self.workers[worker.index()];
+        let was_busy = w.is_busy();
+        let result = f(w);
+        match (was_busy, w.is_busy()) {
+            (false, true) => self.busy_workers += 1,
+            (true, false) => self.busy_workers -= 1,
+            _ => {}
+        }
+        result
+    }
+
+    /// Takes `job`'s next task ([`JobState::take_task`]), keeping
+    /// [`SimState::pending_jobs`] in step.
+    pub(crate) fn take_task(&mut self, job: JobId) -> u64 {
+        let j = &mut self.jobs[job.0 as usize];
+        let duration = j.take_task();
+        if !j.has_pending() {
+            self.pending_jobs -= 1;
+        }
+        duration
+    }
+
+    /// Returns a crash-killed task to `job`'s pending pool
+    /// ([`JobState::requeue_task`]), keeping [`SimState::pending_jobs`] in
+    /// step.
+    fn requeue_task(&mut self, job: JobId, raw_duration_us: u64) {
+        let j = &mut self.jobs[job.0 as usize];
+        if !j.has_pending() {
+            self.pending_jobs += 1;
+        }
+        j.requeue_task(raw_duration_us);
     }
 
     /// The CRV demand/supply ledger.
@@ -143,14 +198,14 @@ impl SimState {
     /// ([`Worker::promote`]) needs no wrapper.
     pub fn enqueue_probe(&mut self, worker: WorkerId, probe: Probe) {
         self.ledger_enqueued(worker, &probe);
-        self.workers[worker.index()].enqueue(probe);
+        self.with_worker(worker, |w| w.enqueue(probe));
     }
 
     /// Inserts `probe` at the *front* of `worker`'s queue (sticky batch
     /// probing), keeping the CRV ledger in sync.
     pub fn enqueue_probe_front(&mut self, worker: WorkerId, probe: Probe) {
         self.ledger_enqueued(worker, &probe);
-        self.workers[worker.index()].enqueue_front(probe);
+        self.with_worker(worker, |w| w.enqueue_front(probe));
     }
 
     /// Counts `probe` entering `worker`'s queue in the CRV ledger.
@@ -185,7 +240,7 @@ impl SimState {
     /// Removes and returns the probe at `index` of `worker`'s queue,
     /// keeping the CRV ledger in sync.
     pub fn remove_probe_at(&mut self, worker: WorkerId, index: usize) -> Probe {
-        let probe = self.workers[worker.index()].remove_probe(index);
+        let probe = self.with_worker(worker, |w| w.remove_probe(index));
         let domain = self.domain_of(worker);
         self.crv_ledger.probe_removed(probe.id, domain);
         probe
@@ -198,7 +253,7 @@ impl SimState {
         worker: WorkerId,
         predicate: impl FnMut(&Probe) -> bool,
     ) -> Vec<Probe> {
-        let stolen = self.workers[worker.index()].steal_if(predicate);
+        let stolen = self.with_worker(worker, |w| w.steal_if(predicate));
         let domain = self.domain_of(worker);
         for probe in &stolen {
             self.crv_ledger.probe_removed(probe.id, domain);
@@ -209,9 +264,8 @@ impl SimState {
     /// Occupies a slot of `worker` with `task`, keeping the CRV ledger's
     /// idle-supply side in sync.
     pub fn start_task_on(&mut self, worker: WorkerId, task: RunningTask, now: SimTime) {
-        let w = &mut self.workers[worker.index()];
-        let was_idle = w.is_idle();
-        w.start_task(task, now);
+        let was_idle = self.workers[worker.index()].is_idle();
+        self.with_worker(worker, |w| w.start_task(task, now));
         if was_idle {
             self.crv_ledger.worker_busy(worker.index());
         }
@@ -220,9 +274,8 @@ impl SimState {
     /// Clears the slot of `worker` running sequence `seq`, keeping the CRV
     /// ledger's idle-supply side in sync.
     pub fn finish_task_on(&mut self, worker: WorkerId, seq: u64) -> RunningTask {
-        let w = &mut self.workers[worker.index()];
-        let task = w.finish_task(seq);
-        if w.is_idle() {
+        let task = self.with_worker(worker, |w| w.finish_task(seq));
+        if self.workers[worker.index()].is_idle() {
             self.crv_ledger.worker_idle(worker.index());
         }
         task
@@ -239,9 +292,8 @@ impl SimState {
         // demand is subtracted exactly once.
         let dropped = self.steal_probes_if(worker, |_| true);
         let now = self.now;
-        let w = &mut self.workers[worker.index()];
-        let (killed, unspent) = w.take_running_tasks(now);
-        w.set_alive(false);
+        let (killed, unspent) = self.with_worker(worker, |w| w.take_running_tasks(now));
+        self.workers[worker.index()].set_alive(false);
         // Supply removal: dead counts as busy; idempotent if it already was.
         self.crv_ledger.worker_busy(worker.index());
         // Open a downtime interval for capacity accounting; closed by
@@ -369,6 +421,7 @@ impl Simulation {
             .iter()
             .filter(|j| !j.is_complete() && !j.is_failed())
             .count();
+        let pending_jobs = jobs.iter().filter(|j| j.has_pending()).count();
         Simulation {
             state: SimState {
                 now: crate::time::SimTime::ZERO,
@@ -391,6 +444,8 @@ impl Simulation {
                 tracer: Tracer::disabled(),
                 profiler: Profiler::disabled(),
                 outstanding_jobs,
+                busy_workers: 0,
+                pending_jobs,
             },
             events,
             scheduler,
@@ -697,7 +752,7 @@ impl Simulation {
                 // job's pending pool and a fresh speculative probe will
                 // reclaim it (or be discarded as redundant if a sibling
                 // probe got there first).
-                self.state.jobs[job_idx].requeue_task(task.raw_duration_us);
+                self.state.requeue_task(task.job, task.raw_duration_us);
                 self.state.metrics.counters.requeued_tasks += 1;
                 None
             };
@@ -767,7 +822,7 @@ impl Simulation {
                         continue;
                     }
                     // Ask the job's scheduler for a task: one round trip.
-                    let d = self.state.jobs[job_idx].take_task();
+                    let d = self.state.take_task(probe.job);
                     (d, self.state.config.rtt())
                 }
             };

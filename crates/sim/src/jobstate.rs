@@ -116,7 +116,7 @@ impl JobState {
     /// # Panics
     ///
     /// Panics if no task is pending.
-    pub fn take_task(&mut self) -> u64 {
+    pub(crate) fn take_task(&mut self) -> u64 {
         assert!(self.has_pending(), "no pending task to take");
         let d = if let Some(d) = self.requeued_us.pop() {
             d
@@ -132,7 +132,7 @@ impl JobState {
     /// Returns a killed task's duration to the pending pool after a worker
     /// crash undid its launch. The matching launch is also undone so wait
     /// and completion accounting stay conserved.
-    pub fn requeue_task(&mut self, raw_duration_us: u64) {
+    pub(crate) fn requeue_task(&mut self, raw_duration_us: u64) {
         debug_assert!(self.launched > self.completed, "requeue without launch");
         self.launched -= 1;
         self.requeued_us.push(raw_duration_us);
@@ -152,7 +152,7 @@ impl JobState {
 
     /// Marks the job failed (unsatisfiable constraints). Pending tasks are
     /// cancelled; already-running tasks finish normally.
-    pub fn fail(&mut self) {
+    pub(crate) fn fail(&mut self) {
         self.failed = true;
     }
 

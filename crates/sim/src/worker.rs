@@ -161,6 +161,11 @@ impl Worker {
         self.running.is_empty()
     }
 
+    /// Whether the worker runs a task or holds a queued probe.
+    pub fn is_busy(&self) -> bool {
+        !self.is_idle() || self.queue_len() > 0
+    }
+
     /// Whether at least one slot is free.
     pub fn has_free_slot(&self) -> bool {
         self.running.len() < self.slots

@@ -73,7 +73,7 @@ impl Scheduler for ReorderingScheduler {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let bound = ctx.job_mut(job).take_task();
+        let bound = ctx.take_task(job);
         let probe = ctx.new_bound_probe(job, bound);
         ctx.send_probe(WorkerId(0), probe);
         let probe = ctx.new_probe(job);
@@ -135,7 +135,7 @@ impl Scheduler for CrashingScheduler {
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         for target in [WorkerId(0), WorkerId(0), WorkerId(1)] {
-            let bound = ctx.job_mut(job).take_task();
+            let bound = ctx.take_task(job);
             let probe = ctx.new_bound_probe(job, bound);
             ctx.send_probe(target, probe);
         }
@@ -206,7 +206,7 @@ impl Scheduler for RecycleScheduler {
         let (killed, dropped) = ctx.state_mut().crash_worker(WorkerId(0));
         assert!(killed.is_empty() && dropped.is_empty(), "worker was idle");
         ctx.state_mut().recover_worker(WorkerId(0));
-        let bound = ctx.job_mut(job).take_task();
+        let bound = ctx.take_task(job);
         let probe = ctx.new_bound_probe(job, bound);
         ctx.send_probe(WorkerId(0), probe);
     }
