@@ -12,7 +12,7 @@ use phoenix_constraints::{
 };
 use phoenix_core::{CrvMonitor, WaitEstimator};
 use phoenix_sim::{Probe, ProbeId, SimDuration, SimTime, WorkerId};
-use phoenix_traces::TraceProfile;
+use phoenix_traces::{JobId, TraceProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -190,13 +190,13 @@ fn bench_monitor_refresh(c: &mut Criterion) {
     .into_state_for_tests();
     // Non-trivial queue depth: four queued probes per worker, spread over
     // the generated (constrained) jobs, via the ledger-aware API.
-    let n_jobs = state.jobs.len() as u64;
+    let n_jobs = state.jobs.arrived() as u64;
     for i in 0..20_000u64 {
         let probe = Probe {
             id: ProbeId(i),
             job: phoenix_traces::JobId((i % n_jobs) as u32),
             bound_duration_us: None,
-            est_duration_us: state.jobs[(i % n_jobs) as usize].estimated_task_us,
+            est_duration_us: state.jobs.estimated_task_us(JobId((i % n_jobs) as u32)),
             slowdown: 1.0,
             enqueued_at: SimTime::ZERO,
             bypass_count: 0,

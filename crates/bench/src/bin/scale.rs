@@ -26,6 +26,7 @@
 //!            "set_cache": {"sets": .., "sets_with_ids": ..,
 //!                          "bitset_bytes": .., "id_bytes": ..},
 //!            "event_queue": {"peak_pending": .., "peak_probes": ..},
+//!            "job_table": {"peak_live": .., "peak_finished": ..},
 //!            "digest": "0x..",
 //!            "hot_paths": {"dispatch": {"calls": .., "total_ns": ..}, ..}}]}
 //! ```
@@ -37,6 +38,8 @@
 //! it is deterministic too, so it must agree as exactly as the digest.
 //! `event_queue` is the run's event-queue high-water marks (most events
 //! pending at once, most probes in flight at once), just as deterministic.
+//! `job_table` is the run's job-table high-water marks (most job states
+//! live at once, and finished-job records held), deterministic as well.
 //!
 //! Federated rows (the yahoo K-domain ladder, including the 100k-node
 //! points) additionally carry `"domains"`, `"staleness_us"`,
@@ -142,10 +145,12 @@ fn json_run(out: &mut String, run: &ScaleRun) {
     }
     let cache = &r.set_cache;
     let queue = &r.event_queue;
+    let jobs = &r.job_table;
     write!(
         out,
         "\"set_cache\": {{\"sets\": {}, \"sets_with_ids\": {}, \"bitset_bytes\": {}, \
          \"id_bytes\": {}}}, \"event_queue\": {{\"peak_pending\": {}, \"peak_probes\": {}}}, \
+         \"job_table\": {{\"peak_live\": {}, \"peak_finished\": {}}}, \
          \"digest\": \"{:#018x}\", \"hot_paths\": {{",
         cache.sets,
         cache.sets_with_ids,
@@ -153,6 +158,8 @@ fn json_run(out: &mut String, run: &ScaleRun) {
         cache.id_bytes,
         queue.peak_pending,
         queue.peak_probes,
+        jobs.peak_live,
+        jobs.peak_finished,
         r.digest()
     )
     .expect("writing to String cannot fail");

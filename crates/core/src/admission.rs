@@ -229,13 +229,13 @@ mod tests {
         }
 
         fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
-            let set = ctx.job(job).effective();
+            let set = ctx.effective(job);
             let table = CrvTable::new();
             match negotiate_targets(ctx, set, 2, &table, |_| false) {
                 Some(n) => {
                     self.outcomes
                         .push(Some((n.relaxed, n.placement.slowdown())));
-                    ctx.job_mut(job).set_effective(n.effective);
+                    ctx.set_effective(job, n.effective);
                     let worker = n.placement.workers()[0];
                     let mut probe = ctx.new_probe(job);
                     probe.slowdown = n.placement.slowdown();
@@ -267,10 +267,11 @@ mod tests {
             short: true,
             user: 0,
         }];
+        let trace = Trace::new("t", jobs);
         let sim = Simulation::new(
             SimConfig::default(),
             FeasibilityIndex::new(uniform_cluster()),
-            &Trace::new("t", jobs),
+            &trace,
             Box::new(Recorder::default()),
             1,
         );
@@ -362,10 +363,11 @@ mod tests {
                 ctx.fail_job(job); // end the run quickly
             }
         }
+        let trace = Trace::new("t", jobs);
         let sim = Simulation::new(
             SimConfig::default(),
             FeasibilityIndex::new(uniform_cluster()),
-            &Trace::new("t", jobs),
+            &trace,
             Box::new(Check { table, set }),
             1,
         );

@@ -149,8 +149,7 @@ impl CrvMonitor {
         for worker in &state.workers {
             for probe in worker.queue() {
                 snapshot.queued_probes += 1;
-                let job = &state.jobs[probe.job.0 as usize];
-                let set = state.sets.get(job.effective());
+                let set = state.sets.get(state.jobs.effective(probe.job));
                 if set.is_unconstrained() {
                     continue;
                 }
@@ -239,10 +238,11 @@ mod tests {
                 user: 0,
             })
             .collect();
+        let trace = Trace::new("t", jobs);
         let sim = Simulation::new(
             config,
             FeasibilityIndex::new(cluster.into_machines()),
-            &Trace::new("t", jobs),
+            &trace,
             Box::new(phoenix_sim::RandomScheduler::new(1)),
             1,
         );
@@ -256,7 +256,7 @@ mod tests {
                 id: ProbeId(u64::from(job)),
                 job: JobId(job),
                 bound_duration_us: None,
-                est_duration_us: state.jobs[job as usize].estimated_task_us,
+                est_duration_us: state.jobs.estimated_task_us(JobId(job)),
                 slowdown: 1.0,
                 enqueued_at: SimTime::ZERO,
                 bypass_count: 0,

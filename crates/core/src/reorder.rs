@@ -12,7 +12,7 @@ use phoenix_sim::{SimState, TraceRecord, WorkerId};
 
 /// Whether a probe's job demands the given CRV dimension.
 fn demands_dimension(state: &SimState, probe: &phoenix_sim::Probe, dim: CrvDimension) -> bool {
-    let set = state.sets.get(state.jobs[probe.job.0 as usize].effective());
+    let set = state.sets.get(state.jobs.effective(probe.job));
     set.iter().any(|c| c.kind.crv_dimension() == dim)
 }
 

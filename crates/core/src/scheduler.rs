@@ -126,7 +126,7 @@ impl Phoenix {
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         let (set, tasks, constrained) = {
             let j = ctx.job(job);
-            (j.effective(), j.num_tasks(), j.is_constrained())
+            (ctx.effective(job), j.num_tasks(), j.is_constrained())
         };
         let want = tasks * self.config.baseline.probe_ratio as usize;
         // Constrained jobs fight over few feasible workers; Phoenix
@@ -164,7 +164,7 @@ impl Phoenix {
             return;
         };
         if negotiation.relaxed > 0 {
-            ctx.job_mut(job).set_effective(negotiation.effective);
+            ctx.set_effective(job, negotiation.effective);
         }
         let slowdown = negotiation.placement.slowdown();
         let workers = if constrained {
@@ -172,7 +172,7 @@ impl Phoenix {
             // worker (the `CRV_Lookup_Table` caches the class lists); rank
             // the whole class. For large classes rank the random sample.
             // The count comes first, so only small classes build a list.
-            let effective = ctx.job(job).effective();
+            let effective = ctx.effective(job);
             let candidates: Vec<WorkerId> = if ctx.count_feasible(effective) <= 256 {
                 let class = ctx.feasible_ids(effective);
                 class.iter().map(|&w| WorkerId(w)).collect()
@@ -222,11 +222,12 @@ impl Phoenix {
                 let mut ahead_us = w.running_work_us(state.now);
                 let mut candidates = Vec::new();
                 for p in w.queue() {
-                    let job = &state.jobs[p.job.0 as usize];
+                    // A speculative probe may outlive its job: only a job
+                    // with pending tasks is still in flight.
                     if !p.is_bound()
                         && p.migrations < MAX_MIGRATIONS
-                        && job.is_constrained()
-                        && job.has_pending()
+                        && state.jobs.has_pending(p.job)
+                        && state.jobs.get(p.job).is_constrained()
                         && ahead_us > qwait_us
                     {
                         candidates.push((p.id, p.job, ahead_us));
@@ -236,7 +237,7 @@ impl Phoenix {
                 candidates
             };
             for (probe_id, job, wait_here) in candidates {
-                let set = ctx.job(job).effective();
+                let set = ctx.effective(job);
                 let alternatives = ctx.sample_feasible_workers_excluding(set, 6, |w| w == worker.0);
                 let best = self
                     .pick_least_wait(ctx, alternatives, 1)
@@ -355,7 +356,7 @@ impl Scheduler for Phoenix {
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         self.ensure_initialized(ctx);
-        let est = ctx.job(job).estimated_task_us;
+        let est = ctx.estimated_task_us(job);
         if self.config.baseline.is_short(est) {
             self.place_short(job, ctx);
         } else {

@@ -100,7 +100,7 @@ fn apply_op(
     next_seq: &mut u64,
 ) {
     let worker = WorkerId((usize::from(a) % state.workers.len()) as u32);
-    let n_jobs = state.jobs.len() as u64;
+    let n_jobs = state.jobs.arrived() as u64;
     let alive = state.workers[worker.index()].is_alive();
     match op {
         // Enqueue at the tail. The engine never delivers probes to dead
@@ -113,7 +113,9 @@ fn apply_op(
                 id: ProbeId(*next_probe),
                 job: JobId((u64::from(b) % n_jobs) as u32),
                 bound_duration_us: if op == 1 { Some(1_000) } else { None },
-                est_duration_us: state.jobs[(u64::from(b) % n_jobs) as usize].estimated_task_us,
+                est_duration_us: state
+                    .jobs
+                    .estimated_task_us(JobId((u64::from(b) % n_jobs) as u32)),
                 slowdown: 1.0,
                 enqueued_at: SimTime::ZERO,
                 bypass_count: 0,
@@ -132,7 +134,9 @@ fn apply_op(
                 id: ProbeId(*next_probe),
                 job: JobId((u64::from(b) % n_jobs) as u32),
                 bound_duration_us: None,
-                est_duration_us: state.jobs[(u64::from(b) % n_jobs) as usize].estimated_task_us,
+                est_duration_us: state
+                    .jobs
+                    .estimated_task_us(JobId((u64::from(b) % n_jobs) as u32)),
                 slowdown: 1.0,
                 enqueued_at: SimTime::ZERO,
                 bypass_count: 0,
@@ -222,7 +226,7 @@ impl RangeRescan {
         for w in &state.workers[start..end] {
             for p in w.queue() {
                 r.queued += 1;
-                let set = state.sets.get(state.jobs[p.job.0 as usize].effective());
+                let set = state.sets.get(state.jobs.effective(p.job));
                 if set.is_unconstrained() {
                     continue;
                 }

@@ -128,7 +128,7 @@ proptest! {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: bound.then_some(1_000_000),
-                est_duration_us: state.jobs[i].estimated_task_us,
+                est_duration_us: state.jobs.estimated_task_us(JobId(i as u32)),
                 slowdown: 1.0,
                 enqueued_at: SimTime::ZERO,
                 bypass_count: *bypasses.get(i).unwrap_or(&0),
@@ -153,7 +153,7 @@ proptest! {
                 hot: !p.is_bound()
                     && state
                         .sets
-                        .get(state.jobs[p.job.0 as usize].effective())
+                        .get(state.jobs.effective(p.job))
                         .iter()
                         .any(|c| c.kind.crv_dimension() == hot_dim),
                 bypass_count: p.bypass_count,

@@ -66,7 +66,7 @@ proptest! {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: None,
-                est_duration_us: state.jobs[i].estimated_task_us,
+                est_duration_us: state.jobs.estimated_task_us(JobId(i as u32)),
                 slowdown: 1.0,
                 enqueued_at: SimTime::ZERO,
                 bypass_count: *bypasses.get(i).unwrap_or(&0),

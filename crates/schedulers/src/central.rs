@@ -36,7 +36,7 @@ pub fn place_long_job(
     job: JobId,
     reserved_workers: usize,
 ) -> Option<Vec<WorkerId>> {
-    let set = ctx.job(job).effective();
+    let set = ctx.effective(job);
     let mut slowdown = 1.0f64;
     // Feasible workers in ascending id order, walked off the set's
     // bitset so no id list is built for the (large) long-job classes.
@@ -59,7 +59,7 @@ pub fn place_long_job(
             return None;
         }
         slowdown = relaxation_slowdown(ctx.sets().get(set));
-        ctx.job_mut(job).set_effective(hard);
+        ctx.set_effective(job, hard);
     }
 
     // Under fault injection, prefer live workers when any exist; if the
@@ -145,11 +145,11 @@ mod tests {
             for worker in std::mem::take(&mut self.crash_first) {
                 ctx.state_mut().crash_worker(worker);
             }
-            let before = ctx.job(job).effective();
+            let before = ctx.effective(job);
             let hard = ctx.sets().get(before).hard_only();
             let hard = ctx.intern(&hard);
             let workers = place_long_job(ctx, job, self.reserved);
-            let after = ctx.job(job).effective();
+            let after = ctx.effective(job);
             self.log.borrow_mut().push(Placed {
                 workers,
                 before,

@@ -77,10 +77,10 @@ impl ChoosyC {
     /// Among pending jobs feasible on `worker`, the one whose user has the
     /// smallest allocation (FIFO within a user).
     fn poorest_feasible_job(&mut self, worker: WorkerId, ctx: &SimCtx<'_>) -> Option<JobId> {
-        self.pending.retain(|&j| ctx.job(j).has_pending());
+        self.pending.retain(|&j| ctx.has_pending(j));
         let mut best: Option<(u64, u64, usize, JobId)> = None;
         for (order, &job) in self.pending.iter().enumerate() {
-            if !ctx.is_feasible(worker, ctx.job(job).effective()) {
+            if !ctx.is_feasible(worker, ctx.effective(job)) {
                 continue;
             }
             let user = ctx.job(job).user;

@@ -72,10 +72,7 @@ impl EagleC {
 
     /// Places a short job's probes, avoiding long-busy workers (divide).
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let (set, tasks) = {
-            let j = ctx.job(job);
-            (j.effective(), j.num_tasks())
-        };
+        let (set, tasks) = { (ctx.effective(job), ctx.job(job).num_tasks()) };
         let want = tasks * self.config.probe_ratio as usize;
         let long_busy = &self.long_busy;
         match choose_targets(ctx, set, want, |w| long_busy.is_long_busy(WorkerId(w))) {
@@ -103,7 +100,7 @@ impl Scheduler for EagleC {
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
         self.ensure_initialized(ctx);
-        let est = ctx.job(job).estimated_task_us;
+        let est = ctx.estimated_task_us(job);
         if self.is_short_job(est) {
             self.place_short(job, ctx);
         } else {
@@ -123,13 +120,13 @@ impl Scheduler for EagleC {
         ctx: &mut SimCtx<'_>,
     ) {
         // SSS bookkeeping: a finished long task frees its long-busy mark.
-        let est = ctx.job(job).estimated_task_us;
+        let est = ctx.estimated_task_us(job);
         let job_is_short = self.is_short_job(est);
         if !job_is_short {
             self.long_busy.release(worker);
         }
         // Sticky batch probing: keep serving the same short job.
-        if self.sticky_batch_probing && job_is_short && ctx.job(job).has_pending() {
+        if self.sticky_batch_probing && job_is_short && ctx.has_pending(job) {
             let probe = ctx.new_probe(job);
             ctx.counters_mut().sbp_continuations += 1;
             ctx.enqueue_front(worker, probe);

@@ -60,7 +60,7 @@ impl Scheduler for MercuryC {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let est = ctx.job(job).estimated_task_us;
+        let est = ctx.estimated_task_us(job);
         if self.config.is_short(est) {
             self.place_short(job, ctx);
         } else {

@@ -180,7 +180,7 @@ pub fn choose_targets(
 /// job's new effective set. Fails the job and returns `None` when even the
 /// hard subset is unsatisfiable.
 pub fn resolve_constraint_level(ctx: &mut SimCtx<'_>, job: JobId) -> Option<(SetId, f64)> {
-    let set = ctx.job(job).effective();
+    let set = ctx.effective(job);
     if ctx.count_feasible(set) > 0 {
         return Some((set, 1.0));
     }
@@ -191,7 +191,7 @@ pub fn resolve_constraint_level(ctx: &mut SimCtx<'_>, job: JobId) -> Option<(Set
         return None;
     }
     let slowdown = relaxation_slowdown(ctx.sets().get(set));
-    ctx.job_mut(job).set_effective(hard);
+    ctx.set_effective(job, hard);
     Some((hard, slowdown))
 }
 
@@ -207,7 +207,7 @@ pub fn send_speculative_probes(
     if let Placement::HardOnly(..) = placement {
         let hard = ctx.job(job).constraints.hard_only();
         let hard = ctx.intern(&hard);
-        ctx.job_mut(job).set_effective(hard);
+        ctx.set_effective(job, hard);
     }
     let slowdown = placement.slowdown();
     let workers = placement.workers();

@@ -129,7 +129,7 @@ mod tests {
             id: ProbeId(job as u64),
             job: JobId(job),
             bound_duration_us: None,
-            est_duration_us: state.jobs[job as usize].estimated_task_us,
+            est_duration_us: state.jobs.estimated_task_us(JobId(job)),
             slowdown: 1.0,
             enqueued_at: SimTime::ZERO,
             bypass_count: 0,

@@ -95,7 +95,7 @@ fn steal_feasible_probes(ctx: &mut SimCtx<'_>, victim: WorkerId, thief: WorkerId
         .queue()
         .iter()
         .filter(|p| !p.is_bound())
-        .filter(|p| ctx.is_feasible(thief, ctx.job(p.job).effective()))
+        .filter(|p| ctx.is_feasible(thief, ctx.effective(p.job)))
         .map(|p| p.id)
         .collect();
     steal_ids
@@ -126,7 +126,7 @@ mod tests {
         }
 
         fn on_job_arrival(&mut self, job: JobId, ctx: &mut phoenix_sim::SimCtx<'_>) {
-            let is_long = ctx.job(job).estimated_task_us > 1_000_000;
+            let is_long = ctx.estimated_task_us(job) > 1_000_000;
             if is_long {
                 let d = ctx.take_task(job);
                 let probe = ctx.new_bound_probe(job, d);

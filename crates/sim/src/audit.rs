@@ -5,9 +5,12 @@
 //!
 //! * [`InvariantAuditor`] — attached via [`crate::Simulation::enable_audit`],
 //!   it re-checks the engine's conservation laws after every handled event:
-//!   task conservation (for every live job, `launched + pending ==
-//!   submitted` and `launched - completed` equals the work visible on
-//!   workers, in queues and in flight), no slot double-booking, a monotone
+//!   task conservation (for every job in flight, `launched + pending ==
+//!   submitted` unless it failed, and `launched - completed - abandoned`
+//!   equals the work visible on workers, in queues and in flight), a lazy
+//!   job table (work only for arrived jobs, and tasks only for jobs with
+//!   a live state, which no finished job keeps), exact busy-worker,
+//!   pending-job and outstanding-job counters, no slot double-booking, a monotone
 //!   virtual clock, hard-constraint satisfaction of every placement
 //!   (recomputed from the machine attributes, never trusted from the
 //!   scheduler), [`crate::CrvLedger`] demand/supply exactness at every scheduler
@@ -30,7 +33,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use phoenix_traces::JobId;
+use phoenix_traces::{JobId, Trace};
 
 use crate::context::SimCtx;
 use crate::crvledger::CrvTally;
@@ -231,8 +234,15 @@ impl InvariantAuditor {
 
     /// Re-checks every per-event law after `handle` + dispatch settled.
     /// `heartbeat` marks [`Event::SchedulerWakeup`] events, where the CRV
-    /// ledger is additionally re-derived from scratch.
-    pub(crate) fn after_event(&mut self, heartbeat: bool, state: &SimState, events: &EventQueue) {
+    /// ledger is additionally re-derived from scratch. `trace` supplies the
+    /// jobs that have not arrived yet.
+    pub(crate) fn after_event(
+        &mut self,
+        heartbeat: bool,
+        state: &SimState,
+        events: &EventQueue,
+        trace: &Trace,
+    ) {
         self.report.events_audited += 1;
         if state.now < self.last_now {
             self.violation(
@@ -245,19 +255,32 @@ impl InvariantAuditor {
             );
         }
         self.last_now = state.now;
-        self.check_conservation(state, events);
+        self.check_conservation(state, events, trace);
         if heartbeat && self.config.check_crv_ledger {
             self.check_crv_ledger(state);
+        }
+    }
+
+    /// Counts one reference to `job` from a running task or a probe:
+    /// `carries_task` for running tasks and bound probes. Only an arrived
+    /// job may be referenced.
+    fn note_work(&mut self, now: SimTime, job: JobId, carries_task: bool) {
+        match self.inflight.get_mut(job.0 as usize) {
+            Some(count) => *count += i64::from(carries_task),
+            None => self.violation(
+                now,
+                format!("job {} has a task or probe before it arrived", job.0),
+            ),
         }
     }
 
     /// Worker-side structure, busy-time accounting and per-job task
     /// conservation — the "submitted == finished + queued + running + in
     /// flight" law, checked after every event.
-    fn check_conservation(&mut self, state: &SimState, events: &EventQueue) {
+    fn check_conservation(&mut self, state: &SimState, events: &EventQueue, trace: &Trace) {
         let now = state.now;
         self.inflight.clear();
-        self.inflight.resize(state.jobs.len(), 0);
+        self.inflight.resize(state.jobs.arrived(), 0);
         self.seqs.clear();
         let mut busy_sum: u64 = 0;
 
@@ -286,9 +309,7 @@ impl InvariantAuditor {
             }
             for t in running {
                 self.seqs.push(t.seq);
-                if let Some(slot) = self.inflight.get_mut(t.job.0 as usize) {
-                    *slot += 1;
-                }
+                self.note_work(now, t.job, true);
                 if t.finish_at < now {
                     self.violation(
                         now,
@@ -300,11 +321,7 @@ impl InvariantAuditor {
                 }
             }
             for p in w.queue() {
-                if p.is_bound() {
-                    if let Some(slot) = self.inflight.get_mut(p.job.0 as usize) {
-                        *slot += 1;
-                    }
-                }
+                self.note_work(now, p.job, p.is_bound());
                 if let Some(slack) = self.config.starvation_slack {
                     if p.bypass_count > slack {
                         self.violation(
@@ -338,11 +355,7 @@ impl InvariantAuditor {
         // retry) carry launched-but-not-running work.
         for ev in events.pending_events() {
             if let Event::ProbeArrival(_, p) | Event::ProbeRetry(p) = ev {
-                if p.is_bound() {
-                    if let Some(slot) = self.inflight.get_mut(p.job.0 as usize) {
-                        *slot += 1;
-                    }
-                }
+                self.note_work(now, p.job, p.is_bound());
             }
         }
 
@@ -356,24 +369,40 @@ impl InvariantAuditor {
                 ),
             );
         }
-        let pending_jobs = state.jobs.iter().filter(|j| j.has_pending()).count();
-        if pending_jobs != state.pending_jobs() {
-            self.violation(
-                now,
-                format!(
-                    "pending-jobs counter {} != {pending_jobs} jobs with tasks to launch",
-                    state.pending_jobs()
-                ),
-            );
-        }
 
-        let mut completed_total: u64 = 0;
-        let mut complete_jobs: u64 = 0;
-        for (i, job) in state.jobs.iter().enumerate() {
-            completed_total += job.completed_tasks() as u64;
-            if job.is_complete() {
-                complete_jobs += 1;
+        // Finished jobs: their tasks are all completed or abandoned, and
+        // their completions were summed when their states were dropped. A
+        // job counts as completed once its last task completed (a job
+        // without tasks never does).
+        let mut completed_total = state.jobs.finished_tasks();
+        let mut complete_jobs = state
+            .jobs
+            .finished()
+            .iter()
+            .filter(|o| o.response_s.is_some())
+            .count() as u64;
+        // Jobs yet to arrive have all their tasks pending.
+        let waiting = trace.jobs()[state.jobs.arrived()..]
+            .iter()
+            .filter(|j| j.num_tasks() > 0)
+            .count();
+        let (mut pending_jobs, mut outstanding_jobs) = (waiting, waiting);
+        for job in state.jobs.live() {
+            let i = job.id.0 as usize;
+            if !state
+                .jobs
+                .try_get(job.id)
+                .is_some_and(|j| std::ptr::eq(j, job))
+            {
+                self.violation(now, format!("job {i}'s record does not point at its state"));
             }
+            if job.is_finished() {
+                self.violation(now, format!("finished job {i} keeps a live state"));
+            }
+            completed_total += job.completed_tasks() as u64;
+            complete_jobs += u64::from(job.finished_at.is_some());
+            pending_jobs += usize::from(job.has_pending());
+            outstanding_jobs += usize::from(!job.is_complete() && !job.is_failed());
             if job.completed_tasks() > job.launched {
                 self.violation(
                     now,
@@ -384,13 +413,9 @@ impl InvariantAuditor {
                     ),
                 );
             }
-            if job.is_failed() {
-                // A failed job's pending pool is cancelled and its bound
-                // casualties are dropped without retry; conservation holds
-                // only for live jobs.
-                continue;
-            }
-            if job.launched + job.pending_tasks() != job.num_tasks() {
+            // A failed job's pending pool is cancelled, so only the
+            // launched tasks of a live job add up to its submitted ones.
+            if !job.is_failed() && job.launched + job.pending_tasks() != job.num_tasks() {
                 self.violation(
                     now,
                     format!(
@@ -401,15 +426,38 @@ impl InvariantAuditor {
                     ),
                 );
             }
-            let visible = self.inflight[i];
-            let expected = job.launched as i64 - job.completed_tasks() as i64;
+            let visible = std::mem::take(&mut self.inflight[i]);
+            let expected =
+                job.launched as i64 - job.completed_tasks() as i64 - job.abandoned_tasks() as i64;
             if visible != expected {
                 self.violation(
                     now,
                     format!(
-                        "job {i} in-flight mismatch: launched-completed {expected} vs \
-                         {visible} visible on workers/queues/events"
+                        "job {i} in-flight mismatch: launched-completed-abandoned {expected} \
+                         vs {visible} visible on workers/queues/events"
                     ),
+                );
+            }
+        }
+        // Every live job's count was taken above: what is left carries
+        // tasks of jobs without a state.
+        let orphans: Vec<(usize, i64)> = (self.inflight.iter().copied().enumerate())
+            .filter(|&(_, tasks)| tasks != 0)
+            .collect();
+        for (i, tasks) in orphans {
+            self.violation(
+                now,
+                format!("job {i} has {tasks} tasks running or on bound probes but no live state"),
+            );
+        }
+        for (name, counter, derived) in [
+            ("pending-jobs", state.pending_jobs(), pending_jobs),
+            ("outstanding-jobs", state.outstanding_jobs, outstanding_jobs),
+        ] {
+            if counter != derived {
+                self.violation(
+                    now,
+                    format!("{name} counter {counter} != {derived} re-derived from the jobs"),
                 );
             }
         }
@@ -495,7 +543,7 @@ impl InvariantAuditor {
     pub(crate) fn check_placement(&mut self, state: &SimState, worker: WorkerId, job: JobId) {
         self.report.placements_checked += 1;
         let now = state.now;
-        let j = &state.jobs[job.0 as usize];
+        let j = state.jobs.get(job);
         let machine = &state.feasibility.machines()[worker.index()];
         if !j.constraints.hard_satisfied_by(machine) {
             self.violation(
@@ -512,7 +560,11 @@ impl InvariantAuditor {
             // semantically instead — the machine must also satisfy the hard
             // relaxation of whatever admission negotiated (e.g. the chosen
             // `Any` branch).
-            if !state.sets.get(j.effective()).hard_satisfied_by(machine) {
+            if !state
+                .sets
+                .get(state.jobs.effective(job))
+                .hard_satisfied_by(machine)
+            {
                 self.violation(
                     now,
                     format!(
@@ -523,7 +575,7 @@ impl InvariantAuditor {
             }
             return;
         }
-        let effective = state.sets.get(j.effective());
+        let effective = state.sets.get(state.jobs.effective(job));
         for hard in j.constraints.hard_constraints() {
             if !effective.iter().any(|c| c == hard) {
                 self.violation(
@@ -579,15 +631,15 @@ impl ReferenceExecutor {
     ///
     /// Panics if the simulation exceeds the size caps or has fault
     /// injection enabled.
-    pub fn run(sim: Simulation) -> SimResult {
-        let (mut state, mut queue, mut scheduler) = sim.into_parts();
+    pub fn run(sim: Simulation<'_>) -> SimResult {
+        let (mut state, mut queue, mut scheduler, trace) = sim.into_parts();
         assert!(
             state.workers.len() <= Self::MAX_WORKERS,
             "reference executor is O(everything): at most {} workers",
             Self::MAX_WORKERS
         );
         assert!(
-            state.jobs.len() <= Self::MAX_JOBS,
+            trace.len() <= Self::MAX_JOBS,
             "reference executor is O(everything): at most {} jobs",
             Self::MAX_JOBS
         );
@@ -618,7 +670,7 @@ impl ReferenceExecutor {
             let (t, _seq, event) = pending.remove(pos);
             assert!(t >= state.now, "time must not go backwards");
             state.now = t;
-            Self::handle(&mut state, &mut queue, scheduler.as_mut(), event);
+            Self::handle(&mut state, &mut queue, scheduler.as_mut(), trace, event);
             while let Some(worker) = state.touched.pop() {
                 Self::dispatch(
                     &mut state,
@@ -628,6 +680,7 @@ impl ReferenceExecutor {
                     worker,
                 );
             }
+            state.retire_finished();
             pending.extend(queue.drain_unordered());
         }
 
@@ -639,11 +692,12 @@ impl ReferenceExecutor {
         state: &mut SimState,
         events: &mut EventQueue,
         scheduler: &mut dyn Scheduler,
+        trace: &Trace,
         event: Event,
     ) {
         match event {
             Event::JobArrival(index) => {
-                let id = state.arrive(events, index);
+                let id = state.arrive(events, trace, index);
                 let mut ctx = SimCtx { state, events };
                 scheduler.on_job_arrival(id, &mut ctx);
             }
@@ -664,16 +718,20 @@ impl ReferenceExecutor {
                 }
                 let task = state.finish_task_on(worker, seq);
                 state.metrics.counters.tasks_completed += 1;
-                let job_idx = task.job.0 as usize;
-                let done = state.jobs[job_idx].complete_task(state.now);
+                let job = state.jobs.get_mut(task.job);
+                let done = job.complete_task(state.now);
+                if done || job.is_failed() {
+                    state.finishing.push(task.job);
+                }
                 if state.now > state.metrics.makespan {
                     state.metrics.makespan = state.now;
                 }
                 if done {
-                    if !state.jobs[job_idx].is_failed() {
+                    let job = state.jobs.get(task.job);
+                    if !job.is_failed() {
                         state.outstanding_jobs -= 1;
                     }
-                    state.metrics.record_job_completion(&state.jobs[job_idx]);
+                    state.metrics.record_job_completion(job);
                     let mut ctx = SimCtx { state, events };
                     scheduler.on_job_complete(task.job, &mut ctx);
                 }
@@ -715,11 +773,10 @@ impl ReferenceExecutor {
                 return;
             };
             let probe = state.remove_probe_at(worker, idx);
-            let job_idx = probe.job.0 as usize;
             let (raw_duration_us, fetch_delay) = match probe.bound_duration_us {
                 Some(d) => (d, SimDuration::ZERO),
                 None => {
-                    if !state.jobs[job_idx].has_pending() {
+                    if !state.jobs.has_pending(probe.job) {
                         state.metrics.counters.redundant_probes += 1;
                         continue;
                     }
@@ -746,7 +803,7 @@ impl ReferenceExecutor {
             let now = state.now;
             {
                 let SimState { jobs, metrics, .. } = state;
-                let job = &mut jobs[job_idx];
+                let job = jobs.get_mut(probe.job);
                 let wait = start.since(job.arrival);
                 job.wait_sum_us += wait.as_micros();
                 metrics.record_task_wait(job, wait, now);
@@ -797,8 +854,74 @@ pub fn first_trace_divergence(real: &[TraceRecord], reference: &[TraceRecord]) -
 
 #[cfg(test)]
 mod tests {
+    use phoenix_constraints::{AttributeVector, ConstraintSet, FeasibilityIndex};
+    use phoenix_traces::Job;
+
     use super::*;
+    use crate::config::SimConfig;
+    use crate::probe::{Probe, ProbeId};
+    use crate::random::RandomScheduler;
     use crate::trace::Tracer;
+
+    /// The lazy job table's laws: a finished job keeps no state, work
+    /// refers only to jobs that arrived, and a task-carrying probe only to
+    /// a job with a live state.
+    #[test]
+    fn lazy_job_table_violations_are_flagged() {
+        let job = |i: u32, tasks: usize| Job {
+            id: JobId(i),
+            arrival_s: 0.0,
+            task_durations_s: vec![1.0; tasks],
+            estimated_task_duration_s: 1.0,
+            constraints: ConstraintSet::unconstrained(),
+            short: true,
+            user: 0,
+        };
+        let trace = Trace::new("t", vec![job(0, 1), job(1, 0), job(2, 1)]);
+        let sim = Simulation::new(
+            SimConfig::default(),
+            FeasibilityIndex::new(vec![AttributeVector::default(); 2]),
+            &trace,
+            Box::new(RandomScheduler::new(1)),
+            1,
+        );
+        let (mut state, mut events, _, _) = sim.into_parts();
+        let audit = |state: &SimState, events: &EventQueue| {
+            let mut auditor = InvariantAuditor::new(AuditConfig::default());
+            auditor.after_event(false, state, events, &trace);
+            auditor.finish()
+        };
+        // Job 1 has no tasks: it is finished the moment it arrives.
+        state.job_arrived(&trace.jobs()[0]);
+        state.job_arrived(&trace.jobs()[1]);
+        let report = audit(&state, &events);
+        assert_eq!(report.violations, 1, "{report}");
+        assert!(report
+            .to_string()
+            .contains("finished job 1 keeps a live state"));
+        state.retire_finished();
+        assert!(audit(&state, &events).is_clean());
+
+        let probe = |job: u32, bound_duration_us: Option<u64>| Probe {
+            id: ProbeId(u64::from(job)),
+            job: JobId(job),
+            bound_duration_us,
+            est_duration_us: 1,
+            slowdown: 1.0,
+            enqueued_at: SimTime::ZERO,
+            bypass_count: 0,
+            migrations: 0,
+            retries: 0,
+        };
+        let at = SimTime(10);
+        events.schedule(at, Event::ProbeArrival(WorkerId(0), probe(1, Some(1))));
+        events.schedule(at, Event::ProbeArrival(WorkerId(1), probe(2, None)));
+        let report = audit(&state, &events);
+        assert_eq!(report.violations, 2, "{report}");
+        let text = report.to_string();
+        assert!(text.contains("job 1 has 1 tasks running or on bound probes but no live state"));
+        assert!(text.contains("job 2 has a task or probe before it arrived"));
+    }
 
     #[test]
     fn default_config_matches_shipped_slack() {

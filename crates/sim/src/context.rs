@@ -41,7 +41,7 @@ impl<'a> SimCtx<'a> {
     /// Full mutable access to the simulation state.
     ///
     /// Prefer the targeted accessors ([`SimCtx::worker_mut`],
-    /// [`SimCtx::job_mut`], ...); this exists for policy helpers that need
+    /// [`SimCtx::set_effective`], ...); this exists for policy helpers that need
     /// simultaneous access to several parts of the state (queue reordering
     /// reads job estimates while mutating worker queues).
     pub fn state_mut(&mut self) -> &mut SimState {
@@ -74,15 +74,39 @@ impl<'a> SimCtx<'a> {
         &mut self.state.workers[id.index()]
     }
 
-    /// Read access to a job.
+    /// Read access to a job in flight (arrived, not finished).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has finished: a probe may outlive its job, so
+    /// code reading the job of a queued or in-flight probe uses
+    /// [`SimCtx::effective`], [`SimCtx::estimated_task_us`] and
+    /// [`SimCtx::has_pending`], which answer for finished jobs too.
     pub fn job(&self, id: JobId) -> &JobState {
-        &self.state.jobs[id.0 as usize]
+        self.state.jobs.get(id)
     }
 
-    /// Mutable access to a job (admission control replaces its effective
-    /// set).
-    pub fn job_mut(&mut self, id: JobId) -> &mut JobState {
-        &mut self.state.jobs[id.0 as usize]
+    /// The constraint set job `id` is placed against: its own set until
+    /// admission relaxes it.
+    pub fn effective(&self, id: JobId) -> SetId {
+        self.state.jobs.effective(id)
+    }
+
+    /// Replaces the set job `id` is placed against (admission relaxed its
+    /// soft constraints).
+    pub fn set_effective(&mut self, id: JobId, set: SetId) {
+        self.state.jobs.set_effective(id, set);
+    }
+
+    /// Scheduler-visible estimated task duration of job `id`,
+    /// microseconds.
+    pub fn estimated_task_us(&self, id: JobId) -> u64 {
+        self.state.jobs.estimated_task_us(id)
+    }
+
+    /// Whether job `id` has tasks left to launch (false once it finished).
+    pub fn has_pending(&self, id: JobId) -> bool {
+        self.state.jobs.has_pending(id)
     }
 
     /// Takes `job`'s next unlaunched task (crash-requeued ones first),
@@ -147,7 +171,7 @@ impl<'a> SimCtx<'a> {
             id: self.state.next_probe_id(),
             job,
             bound_duration_us: None,
-            est_duration_us: self.state.jobs[job.0 as usize].estimated_task_us,
+            est_duration_us: self.state.jobs.estimated_task_us(job),
             slowdown: 1.0,
             enqueued_at: self.state.now,
             bypass_count: 0,
@@ -242,7 +266,7 @@ impl<'a> SimCtx<'a> {
     /// Fails a job whose hard constraints no worker can satisfy: pending
     /// tasks are cancelled and the job is excluded from latency metrics.
     pub fn fail_job(&mut self, job: JobId) {
-        let j = &mut self.state.jobs[job.0 as usize];
+        let j = self.state.jobs.get_mut(job);
         if !j.is_failed() {
             if j.has_pending() {
                 self.state.pending_jobs -= 1;
@@ -254,6 +278,7 @@ impl<'a> SimCtx<'a> {
             }
             j.fail();
             self.state.metrics.counters.jobs_failed += 1;
+            self.state.finishing.push(job);
         }
     }
 
@@ -408,17 +433,21 @@ impl<'a> SimCtx<'a> {
     /// when `probe` should be dropped: its job failed, or the probe is
     /// speculative and its job has no pending task left (counted as a
     /// redundant probe). Otherwise returns the job's effective set, which
-    /// the probe is re-placed against.
+    /// the probe is re-placed against. The job may have finished.
     pub fn retry_set(&mut self, probe: &Probe) -> Option<SetId> {
-        let job = &self.state.jobs[probe.job.0 as usize];
-        if job.is_failed() {
+        let jobs = &self.state.jobs;
+        if jobs.is_failed(probe.job) {
+            if probe.is_bound() {
+                // The dropped probe carried a task that will never run.
+                self.state.abandon_task(probe.job);
+            }
             return None;
         }
-        if !probe.is_bound() && !job.has_pending() {
+        if !probe.is_bound() && !jobs.has_pending(probe.job) {
             self.state.metrics.counters.redundant_probes += 1;
             return None;
         }
-        Some(job.effective())
+        Some(jobs.effective(probe.job))
     }
 
     /// Resends a retried probe to `worker`, counting the retry. Resets the

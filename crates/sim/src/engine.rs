@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use phoenix_constraints::{FeasibilityIndex, SetTable};
-use phoenix_traces::{JobId, Trace};
+use phoenix_traces::{Job, JobId, Trace};
 
 use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, TeeSink};
 use crate::config::SimConfig;
@@ -12,7 +12,7 @@ use crate::context::{schedule_retry, SimCtx};
 use crate::crvledger::CrvLedger;
 use crate::event::{Event, EventQueue};
 use crate::federation::{FederationState, GOSSIP_INTERVAL};
-use crate::jobstate::JobState;
+use crate::jobstate::JobTable;
 use crate::metrics::{SimMetrics, SimResult};
 use crate::probe::{Probe, ProbeId};
 use crate::profile::{ProfileScope, Profiler};
@@ -31,8 +31,9 @@ pub struct SimState {
     pub config: SimConfig,
     /// All workers, indexed by [`WorkerId`].
     pub workers: Vec<Worker>,
-    /// All jobs, indexed by [`phoenix_traces::JobId`].
-    pub jobs: Vec<JobState>,
+    /// The run's jobs: a compact record per arrived job, full state only
+    /// for the jobs in flight.
+    pub jobs: JobTable,
     /// Feasibility oracle over the cluster's machine attributes.
     pub feasibility: FeasibilityIndex,
     /// The run's constraint sets, interned, with their feasibility results
@@ -59,6 +60,7 @@ pub struct SimState {
     /// ladder.
     pub(crate) active_domain: Option<usize>,
     /// Per worker: virtual time of the crash currently keeping it down.
+    /// Empty until the first crash.
     crash_started: Vec<Option<u64>>,
     /// Closed `(crash_us, recover_us)` downtime intervals; open crashes
     /// are closed against the final makespan by [`finalize_result`]. Pure
@@ -81,6 +83,9 @@ pub struct SimState {
     /// Jobs that are not failed and still have unlaunched or requeued
     /// tasks, jobs yet to arrive included.
     pub(crate) pending_jobs: usize,
+    /// Jobs whose state may have finished during the current event; the
+    /// engine retires the finished ones once the event is handled.
+    pub(crate) finishing: Vec<JobId>,
 }
 
 /// XOR'd into the simulation seed to derive the fault RNG stream.
@@ -103,7 +108,7 @@ impl SimState {
     }
 
     /// Jobs that are not failed and still have unlaunched or requeued
-    /// tasks ([`JobState::has_pending`]), jobs yet to arrive included, in
+    /// tasks ([`crate::JobState::has_pending`]), jobs yet to arrive included, in
     /// O(1).
     pub fn pending_jobs(&self) -> usize {
         self.pending_jobs
@@ -123,10 +128,10 @@ impl SimState {
         result
     }
 
-    /// Takes `job`'s next task ([`JobState::take_task`]), keeping
+    /// Takes `job`'s next task ([`crate::JobState::take_task`]), keeping
     /// [`SimState::pending_jobs`] in step.
     pub(crate) fn take_task(&mut self, job: JobId) -> u64 {
-        let j = &mut self.jobs[job.0 as usize];
+        let j = self.jobs.get_mut(job);
         let duration = j.take_task();
         if !j.has_pending() {
             self.pending_jobs -= 1;
@@ -135,14 +140,29 @@ impl SimState {
     }
 
     /// Returns a crash-killed task to `job`'s pending pool
-    /// ([`JobState::requeue_task`]), keeping [`SimState::pending_jobs`] in
+    /// ([`crate::JobState::requeue_task`]), keeping [`SimState::pending_jobs`] in
     /// step.
     fn requeue_task(&mut self, job: JobId, raw_duration_us: u64) {
-        let j = &mut self.jobs[job.0 as usize];
+        let j = self.jobs.get_mut(job);
         if !j.has_pending() {
             self.pending_jobs += 1;
         }
         j.requeue_task(raw_duration_us);
+    }
+
+    /// Gives up a launched task of the failed `job` (see
+    /// [`crate::JobState::in_flight`]); the job may now be finished.
+    pub(crate) fn abandon_task(&mut self, job: JobId) {
+        self.jobs.get_mut(job).abandon_task();
+        self.finishing.push(job);
+    }
+
+    /// Retires every job that finished during the current event: writes
+    /// its outcome and drops its state.
+    pub(crate) fn retire_finished(&mut self) {
+        while let Some(job) = self.finishing.pop() {
+            self.jobs.retire_if_finished(job);
+        }
     }
 
     /// The CRV demand/supply ledger.
@@ -211,7 +231,7 @@ impl SimState {
     /// Counts `probe` entering `worker`'s queue in the CRV ledger.
     fn ledger_enqueued(&mut self, worker: WorkerId, probe: &Probe) {
         let domain = self.domain_of(worker);
-        let set = self.jobs[probe.job.0 as usize].effective();
+        let set = self.jobs.effective(probe.job);
         self.crv_ledger
             .probe_enqueued(probe.id, set, &self.sets, &self.feasibility, domain);
     }
@@ -220,21 +240,28 @@ impl SimState {
     /// engine and the reference executor so the two cannot drift: chains
     /// the next job's arrival under the sequence number
     /// [`Simulation::new`] reserved for it (arrival `i` holds seq `i`),
-    /// then interns this job's effective set.
-    pub(crate) fn arrive(&mut self, events: &mut EventQueue, index: u32) -> JobId {
+    /// then admits this job.
+    pub(crate) fn arrive(&mut self, events: &mut EventQueue, trace: &Trace, index: u32) -> JobId {
+        let jobs = trace.jobs();
         let next = index + 1;
-        if let Some(job) = self.jobs.get(next as usize) {
-            events.schedule_reserved(job.arrival, u64::from(next), Event::JobArrival(next));
+        if let Some(job) = jobs.get(next as usize) {
+            let at = SimTime::from_secs_f64(job.arrival_s);
+            events.schedule_reserved(at, u64::from(next), Event::JobArrival(next));
         }
-        let id = JobId(index);
-        self.job_arrived(id);
-        id
+        let job = &jobs[index as usize];
+        self.job_arrived(job);
+        job.id
     }
 
-    /// Interns an arriving job's constraint set as its effective set.
-    pub(crate) fn job_arrived(&mut self, job: JobId) {
-        let job = &mut self.jobs[job.0 as usize];
-        job.set_effective(self.sets.intern(&job.constraints));
+    /// Builds an arriving job's state, with its own constraint set,
+    /// interned, as its effective set. A job without tasks is finished at
+    /// birth.
+    pub(crate) fn job_arrived(&mut self, job: &Job) {
+        let set = self.sets.intern(&job.constraints);
+        self.jobs.arrive(job, set);
+        if job.task_durations_s.is_empty() {
+            self.finishing.push(job.id);
+        }
     }
 
     /// Removes and returns the probe at `index` of `worker`'s queue,
@@ -298,6 +325,9 @@ impl SimState {
         self.crv_ledger.worker_busy(worker.index());
         // Open a downtime interval for capacity accounting; closed by
         // recovery (or against the final makespan).
+        if self.crash_started.is_empty() {
+            self.crash_started = vec![None; self.workers.len()];
+        }
         self.crash_started[worker.index()] = Some(now.as_micros());
         self.metrics.busy_us = self.metrics.busy_us.saturating_sub(unspent);
         (killed, dropped)
@@ -311,7 +341,11 @@ impl SimState {
         debug_assert!(w.is_idle() && w.queue_len() == 0, "crash did not drain");
         w.set_alive(true);
         self.crv_ledger.worker_idle(worker.index());
-        if let Some(start) = self.crash_started[worker.index()].take() {
+        if let Some(start) = self
+            .crash_started
+            .get_mut(worker.index())
+            .and_then(Option::take)
+        {
             self.downtime_log.push((start, self.now.as_micros()));
         }
     }
@@ -327,7 +361,7 @@ impl SimState {
             }
             let domain = self.domain_of(WorkerId(i as u32));
             for p in w.queue() {
-                let set = self.jobs[p.job.0 as usize].effective();
+                let set = self.jobs.effective(p.job);
                 ledger.probe_enqueued(p.id, set, &self.sets, &self.feasibility, domain);
             }
         }
@@ -335,8 +369,11 @@ impl SimState {
     }
 }
 
-/// A configured simulation, ready to [`run`](Simulation::run).
-pub struct Simulation {
+/// A configured simulation, ready to [`run`](Simulation::run). It borrows
+/// the trace for the whole run: each job's state is built from it when the
+/// job arrives.
+pub struct Simulation<'t> {
+    trace: &'t Trace,
     state: SimState,
     events: EventQueue,
     scheduler: Box<dyn Scheduler>,
@@ -346,21 +383,27 @@ pub struct Simulation {
     auditor: Option<Box<InvariantAuditor>>,
 }
 
-impl std::fmt::Debug for Simulation {
+impl std::fmt::Debug for Simulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("scheduler", &self.scheduler.name())
             .field("workers", &self.state.workers.len())
-            .field("jobs", &self.state.jobs.len())
+            // In flight only: arrived jobs that have not finished.
+            .field("jobs", &self.state.jobs.live().len())
             // In flight only: one job arrival at a time, not the trace.
             .field("pending_events", &self.events.len())
             .finish()
     }
 }
 
-impl Simulation {
+impl<'t> Simulation<'t> {
     /// Builds a simulation of `trace` on the cluster described by
     /// `feasibility`, scheduled by `scheduler`.
+    ///
+    /// Nothing per job is built here: the simulation keeps `trace` and
+    /// builds a job's state when the job arrives, then drops it once the
+    /// job has finished and its outcome is written. The event queue holds
+    /// only the first arrival; each arrival schedules the next.
     ///
     /// `seed` drives every random choice the scheduler makes (probe
     /// sampling, steal victims); the run is fully deterministic given
@@ -372,7 +415,7 @@ impl Simulation {
     pub fn new(
         config: SimConfig,
         feasibility: FeasibilityIndex,
-        trace: &Trace,
+        trace: &'t Trace,
         scheduler: Box<dyn Scheduler>,
         seed: u64,
     ) -> Self {
@@ -382,10 +425,10 @@ impl Simulation {
         let workers = (0..feasibility.len())
             .map(|_| Worker::with_slots(slots))
             .collect();
-        let jobs: Vec<JobState> = trace.iter().map(JobState::from_job).collect();
+        let jobs = trace.jobs();
         debug_assert!(
             jobs.iter().enumerate().all(|(i, j)| j.id.0 as usize == i)
-                && jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+                && jobs.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s),
             "arrival chaining needs jobs numbered in arrival order"
         );
         let mut events = EventQueue::new();
@@ -394,7 +437,8 @@ impl Simulation {
         // arrival schedules the next (`SimState::arrive`).
         events.reserve_seqs(jobs.len() as u64);
         if let Some(first) = jobs.first() {
-            events.schedule_reserved(first.arrival, 0, Event::JobArrival(0));
+            let at = SimTime::from_secs_f64(first.arrival_s);
+            events.schedule_reserved(at, 0, Event::JobArrival(0));
         }
         let mut fault_rng = StdRng::seed_from_u64(seed ^ FAULT_SEED_SALT);
         if config.faults.crashes_enabled() && !jobs.is_empty() {
@@ -416,18 +460,16 @@ impl Simulation {
         let crv_ledger = CrvLedger::new(n_workers, ranges);
         let metrics = SimMetrics::new(TIMESERIES_BUCKET, config.record_task_waits);
         // Zero-task jobs are born complete, so the outstanding count is a
-        // filter, not `jobs.len()`.
-        let outstanding_jobs = jobs
-            .iter()
-            .filter(|j| !j.is_complete() && !j.is_failed())
-            .count();
-        let pending_jobs = jobs.iter().filter(|j| j.has_pending()).count();
+        // filter, not `jobs.len()`. Before any arrival, the jobs with work
+        // outstanding are exactly those with tasks pending.
+        let outstanding_jobs = jobs.iter().filter(|j| j.num_tasks() > 0).count();
         Simulation {
+            trace,
             state: SimState {
                 now: crate::time::SimTime::ZERO,
                 config,
                 workers,
-                jobs,
+                jobs: JobTable::with_capacity(jobs.len()),
                 feasibility,
                 sets: SetTable::default(),
                 metrics,
@@ -437,7 +479,7 @@ impl Simulation {
                 crv_ledger,
                 federation,
                 active_domain: None,
-                crash_started: vec![None; n_workers],
+                crash_started: Vec::new(),
                 downtime_log: Vec::new(),
                 next_probe: 0,
                 next_task_seq: 0,
@@ -445,7 +487,8 @@ impl Simulation {
                 profiler: Profiler::disabled(),
                 outstanding_jobs,
                 busy_workers: 0,
-                pending_jobs,
+                pending_jobs: outstanding_jobs,
+                finishing: Vec::new(),
             },
             events,
             scheduler,
@@ -495,25 +538,38 @@ impl Simulation {
     }
 
     /// Consumes the simulation, returning its state without running it.
-    /// Every job counts as arrived: its effective set is interned.
+    /// Every job counts as arrived: its state is built and its effective
+    /// set interned.
     ///
     /// Intended for tests and policy harnesses that drive state directly
     /// (e.g. exercising queue-reordering helpers on a realistic state).
     pub fn into_state_for_tests(mut self) -> SimState {
-        for i in 0..self.state.jobs.len() {
-            self.state.job_arrived(JobId(i as u32));
+        for job in self.trace.jobs() {
+            self.state.job_arrived(job);
         }
         self.state
     }
 
     /// Decomposes the simulation for the reference executor, which drives
     /// the same state and scheduler through its own naive event loop.
-    pub(crate) fn into_parts(self) -> (SimState, EventQueue, Box<dyn Scheduler>) {
-        (self.state, self.events, self.scheduler)
+    pub(crate) fn into_parts(self) -> (SimState, EventQueue, Box<dyn Scheduler>, &'t Trace) {
+        (self.state, self.events, self.scheduler, self.trace)
     }
 
     /// Runs the simulation to completion and returns the result.
     pub fn run(mut self) -> SimResult {
+        self.run_events();
+        let audit = self.auditor.map(|a| a.finish());
+        finalize_result(
+            self.state,
+            &self.events,
+            self.scheduler.name().to_string(),
+            audit,
+        )
+    }
+
+    /// Handles events until the queue is empty.
+    fn run_events(&mut self) {
         loop {
             let started = self.state.profiler.begin();
             let popped = self.events.pop();
@@ -528,23 +584,17 @@ impl Simulation {
             self.state.profiler.end(ProfileScope::HandleEvent, started);
             self.drain_touched();
             self.state.active_domain = None;
+            self.state.retire_finished();
             if let Some(auditor) = self.auditor.as_deref_mut() {
-                auditor.after_event(heartbeat, &self.state, &self.events);
+                auditor.after_event(heartbeat, &self.state, &self.events, self.trace);
             }
         }
-        let audit = self.auditor.map(|a| a.finish());
-        finalize_result(
-            self.state,
-            &self.events,
-            self.scheduler.name().to_string(),
-            audit,
-        )
     }
 
     fn handle(&mut self, event: Event) {
         match event {
             Event::JobArrival(index) => {
-                let id = self.state.arrive(&mut self.events, index);
+                let id = self.state.arrive(&mut self.events, self.trace, index);
                 let mut ctx = SimCtx {
                     state: &mut self.state,
                     events: &mut self.events,
@@ -576,20 +626,22 @@ impl Simulation {
                 }
                 let task = self.state.finish_task_on(worker, seq);
                 self.state.metrics.counters.tasks_completed += 1;
-                let job_idx = task.job.0 as usize;
-                let done = self.state.jobs[job_idx].complete_task(self.state.now);
+                let job = self.state.jobs.get_mut(task.job);
+                let done = job.complete_task(self.state.now);
+                if done || job.is_failed() {
+                    self.state.finishing.push(task.job);
+                }
                 if self.state.now > self.state.metrics.makespan {
                     self.state.metrics.makespan = self.state.now;
                 }
                 if done {
-                    if !self.state.jobs[job_idx].is_failed() {
+                    let job = self.state.jobs.get(task.job);
+                    if !job.is_failed() {
                         // The job just left the outstanding set (a failed
                         // job already left it when it was failed).
                         self.state.outstanding_jobs -= 1;
                     }
-                    self.state
-                        .metrics
-                        .record_job_completion(&self.state.jobs[job_idx]);
+                    self.state.metrics.record_job_completion(job);
                     let mut ctx = SimCtx {
                         state: &mut self.state,
                         events: &mut self.events,
@@ -703,9 +755,14 @@ impl Simulation {
             self.state.outstanding_jobs,
             self.state
                 .jobs
+                .live()
                 .iter()
                 .filter(|j| !j.is_complete() && !j.is_failed())
-                .count(),
+                .count()
+                + self.trace.jobs()[self.state.jobs.arrived()..]
+                    .iter()
+                    .filter(|j| j.num_tasks() > 0)
+                    .count(),
             "outstanding-jobs counter desynced from the job table"
         );
         if self.state.outstanding_jobs == 0 {
@@ -739,9 +796,9 @@ impl Simulation {
         }
         for task in killed {
             self.state.metrics.counters.tasks_killed += 1;
-            let job_idx = task.job.0 as usize;
-            if self.state.jobs[job_idx].is_failed() {
+            if self.state.jobs.get(task.job).is_failed() {
                 // Failed jobs' tasks are cancelled work; nothing to retry.
+                self.state.abandon_task(task.job);
                 continue;
             }
             let bound_duration_us = if task.bound {
@@ -760,7 +817,7 @@ impl Simulation {
                 id: self.state.next_probe_id(),
                 job: task.job,
                 bound_duration_us,
-                est_duration_us: self.state.jobs[job_idx].estimated_task_us,
+                est_duration_us: self.state.jobs.estimated_task_us(task.job),
                 slowdown: task.slowdown,
                 enqueued_at: self.state.now,
                 bypass_count: 0,
@@ -810,12 +867,11 @@ impl Simulation {
                 return;
             };
             let probe = self.state.remove_probe_at(worker, idx);
-            let job_idx = probe.job.0 as usize;
             let (raw_duration_us, fetch_delay) = match probe.bound_duration_us {
                 // Early-bound task: the payload travelled with the probe.
                 Some(d) => (d, SimDuration::ZERO),
                 None => {
-                    if !self.state.jobs[job_idx].has_pending() {
+                    if !self.state.jobs.has_pending(probe.job) {
                         // Late binding win: every task already launched
                         // elsewhere; drop the redundant probe.
                         self.state.metrics.counters.redundant_probes += 1;
@@ -856,7 +912,7 @@ impl Simulation {
                 // Borrow-split so the job's wait accumulator and the
                 // metrics sink can be touched in one pass.
                 let SimState { jobs, metrics, .. } = &mut self.state;
-                let job = &mut jobs[job_idx];
+                let job = jobs.get_mut(probe.job);
                 let wait = start.since(job.arrival);
                 job.wait_sum_us += wait.as_micros();
                 metrics.record_task_wait(job, wait, now);
@@ -911,31 +967,20 @@ pub(crate) fn finalize_result(
         .iter()
         .map(|&(start, end)| end.min(final_us).saturating_sub(start.min(final_us)))
         .sum();
-    let incomplete = state
-        .jobs
+    // Finished jobs are complete or failed, so only jobs still in flight
+    // can be incomplete or have lost tasks.
+    let live = state.jobs.live();
+    let incomplete = live
         .iter()
         .filter(|j| !j.is_complete() && !j.is_failed())
         .count();
-    let lost_tasks: u64 = state
-        .jobs
+    let lost_tasks: u64 = live
         .iter()
         .filter(|j| !j.is_failed())
         .map(|j| (j.num_tasks() - j.completed_tasks()) as u64)
         .sum();
-    let job_outcomes = state
-        .jobs
-        .iter()
-        .map(|j| crate::metrics::JobOutcome {
-            job: j.id,
-            short: j.short,
-            user: j.user,
-            constrained: j.is_constrained(),
-            response_s: j.response_time().map(|d| d.as_secs_f64()),
-            mean_wait_s: j.mean_wait().map(|d| d.as_secs_f64()),
-            ideal_s: j.max_task_us as f64 / 1e6,
-            failed: j.is_failed(),
-        })
-        .collect();
+    let job_table = state.jobs.stats();
+    let job_outcomes = std::mem::take(&mut state.jobs).into_outcomes();
     SimResult {
         scheduler,
         workers: state.workers.len(),
@@ -951,18 +996,118 @@ pub(crate) fn finalize_result(
         audit,
         set_cache: state.sets.stats(),
         event_queue: events.stats(),
+        job_table,
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use phoenix_constraints::{AttributeVector, ConstraintSet};
+    use phoenix_constraints::{
+        AttributeVector, Constraint, ConstraintKind, ConstraintOp, ConstraintSet,
+    };
     use phoenix_traces::Job;
 
     use super::*;
     use crate::config::FederationConfig;
     use crate::fault::FaultPlan;
     use crate::random::RandomScheduler;
+
+    /// Places jobs with [`RandomScheduler`] and checks, as each job
+    /// arrives, that the table holds a state for exactly the jobs in
+    /// flight: every job that finished in an earlier event is gone.
+    #[derive(Debug)]
+    struct InFlightCheck {
+        inner: RandomScheduler,
+        arrived: usize,
+        finished: usize,
+    }
+
+    impl Scheduler for InFlightCheck {
+        fn name(&self) -> &str {
+            "in-flight-check"
+        }
+
+        fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
+            self.arrived += 1;
+            assert_eq!(
+                ctx.state().jobs.live().len(),
+                self.arrived - self.finished,
+                "live states at the arrival of job {}",
+                job.0
+            );
+            if ctx.job(job).num_tasks() > 0 {
+                self.inner.on_job_arrival(job, ctx);
+            }
+            let j = ctx.job(job);
+            if j.num_tasks() == 0 || j.is_failed() {
+                self.finished += 1;
+            }
+        }
+
+        fn on_job_complete(&mut self, _job: JobId, _ctx: &mut SimCtx<'_>) {
+            self.finished += 1;
+        }
+    }
+
+    /// A job's state lives from its arrival until it finishes, and every
+    /// job's outcome still comes out in id order: complete ones, failed
+    /// (hard-unsatisfiable) ones and ones without tasks.
+    #[test]
+    fn job_table_holds_only_jobs_in_flight() {
+        let unsatisfiable = ConstraintSet::from_constraints(vec![Constraint::hard(
+            ConstraintKind::NumCores,
+            ConstraintOp::Gt,
+            1_000,
+        )]);
+        let kind = |i: u32| i % 50;
+        let jobs = (0..10_000u32)
+            .map(|i| Job {
+                id: JobId(i),
+                arrival_s: f64::from(i) * 0.2,
+                task_durations_s: if kind(i) == 25 { Vec::new() } else { vec![1.0] },
+                estimated_task_duration_s: 1.0,
+                constraints: if kind(i) == 0 {
+                    unsatisfiable.clone()
+                } else {
+                    ConstraintSet::unconstrained()
+                },
+                short: true,
+                user: 0,
+            })
+            .collect();
+        let trace = Trace::new("in-flight", jobs);
+        let scheduler = InFlightCheck {
+            inner: RandomScheduler::new(2),
+            arrived: 0,
+            finished: 0,
+        };
+        let mut sim = Simulation::new(
+            SimConfig::default(),
+            FeasibilityIndex::new(vec![AttributeVector::default(); 8]),
+            &trace,
+            Box::new(scheduler),
+            1,
+        );
+        sim.run_events();
+        assert!(sim.state.jobs.live().is_empty(), "{sim:?}");
+        let result = sim.run();
+        assert_eq!(result.counters.jobs_failed, 200);
+        assert_eq!(result.incomplete_jobs, 0);
+        assert_eq!(result.job_table.peak_finished, 10_000);
+        // 5 tasks/s on 8 workers keeps a handful of jobs in flight.
+        assert!(result.job_table.peak_live < 100, "{:?}", result.job_table);
+        assert_eq!(result.job_outcomes.len(), 10_000);
+        for (i, outcome) in result.job_outcomes.iter().enumerate() {
+            assert_eq!(outcome.job, JobId(i as u32));
+            let (failed, responded) = match kind(i as u32) {
+                0 => (true, false),
+                25 => (false, false),
+                _ => (false, true),
+            };
+            assert_eq!(outcome.failed, failed, "job {i}");
+            assert_eq!(outcome.response_s.is_some(), responded, "job {i}");
+        }
+    }
 
     /// The queue grows with what is in flight, not with the trace: a new
     /// simulation holds the first job arrival, plus the first crash strike

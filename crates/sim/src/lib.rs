@@ -86,7 +86,7 @@ pub use engine::{SimState, Simulation};
 pub use event::{Event, EventQueue, EventQueueStats};
 pub use fault::FaultPlan;
 pub use federation::{DomainSummary, FederationState, FederationStats};
-pub use jobstate::JobState;
+pub use jobstate::{JobState, JobTable, JobTableStats};
 pub use metrics::{Counters, JobOutcome, SimMetrics, SimResult};
 pub use probe::{Probe, ProbeId};
 pub use profile::{ProfileReport, ProfileScope, Profiler, ScopeTotals};

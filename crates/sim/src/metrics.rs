@@ -9,7 +9,7 @@ use phoenix_metrics::{
 
 use crate::audit::AuditReport;
 use crate::event::EventQueueStats;
-use crate::jobstate::JobState;
+use crate::jobstate::{JobState, JobTableStats};
 use crate::profile::ProfileReport;
 use crate::time::{SimDuration, SimTime};
 
@@ -205,7 +205,7 @@ pub struct SimResult {
     /// headline: must be 0 even under fault injection (every lost or
     /// killed task is retried until it lands).
     pub lost_tasks: u64,
-    /// Per-job outcomes, in trace order.
+    /// Per-job outcomes, in trace ([`phoenix_traces::JobId`]) order.
     pub job_outcomes: Vec<JobOutcome>,
     /// Total per-worker crash downtime, microseconds, clamped to the
     /// makespan. Pure capacity accounting derived from the fault schedule
@@ -233,6 +233,10 @@ pub struct SimResult {
     /// ([`crate::EventQueue::stats`]). Deterministic like `set_cache`,
     /// and like it a memory measurement excluded from `digest()`.
     pub event_queue: EventQueueStats,
+    /// What the run's job table peaked at ([`crate::JobTable::stats`]):
+    /// live job states and finished-job records. Deterministic, and a
+    /// memory measurement excluded from `digest()`.
+    pub job_table: JobTableStats,
 }
 
 impl SimResult {
@@ -466,6 +470,7 @@ mod tests {
             audit: None,
             set_cache: CacheStats::default(),
             event_queue: EventQueueStats::default(),
+            job_table: JobTableStats::default(),
         }
     }
 
@@ -521,6 +526,7 @@ mod tests {
             audit: None,
             set_cache: CacheStats::default(),
             event_queue: EventQueueStats::default(),
+            job_table: JobTableStats::default(),
             job_outcomes: vec![JobOutcome {
                 job: JobId(7),
                 short: true,
@@ -539,6 +545,8 @@ mod tests {
         r.counters.probes_lost -= 1;
         r.event_queue.peak_pending += 1;
         assert_eq!(d, r.digest(), "queue high-water marks stay out");
+        r.job_table.peak_live += 1;
+        assert_eq!(d, r.digest(), "job-table high-water marks stay out");
         r.job_outcomes[0].response_s = Some(1.250000001);
         assert_ne!(d, r.digest(), "outcomes must be covered bit-exactly");
     }

@@ -34,10 +34,7 @@ impl Scheduler for RandomScheduler {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let (set, tasks) = {
-            let j = ctx.job(job);
-            (j.effective(), j.num_tasks())
-        };
+        let (set, tasks) = { (ctx.effective(job), ctx.job(job).num_tasks()) };
         let want = tasks * self.probe_ratio as usize;
         // Uniform feasible targets; when no worker satisfies the full set,
         // its hard subset becomes the job's effective set.
@@ -50,7 +47,7 @@ impl Scheduler for RandomScheduler {
                 ctx.fail_job(job);
                 return;
             }
-            ctx.job_mut(job).set_effective(hard);
+            ctx.set_effective(job, hard);
         }
         for i in 0..want {
             let worker = targets[i % targets.len()];
@@ -65,13 +62,14 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::Simulation;
+    use crate::metrics::SimResult;
     use phoenix_constraints::{FeasibilityIndex, MachinePopulation};
     use phoenix_metrics::JobClass;
     use phoenix_traces::{TraceGenerator, TraceProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn small_sim(jobs: usize, nodes: usize, util: f64, seed: u64) -> Simulation {
+    fn run_small(jobs: usize, nodes: usize, util: f64, seed: u64) -> SimResult {
         let profile = TraceProfile::yahoo();
         let mut rng = StdRng::seed_from_u64(seed);
         let cluster = MachinePopulation::generate(profile.population.clone(), nodes, &mut rng);
@@ -83,11 +81,12 @@ mod tests {
             Box::new(RandomScheduler::new(2)),
             seed,
         )
+        .run()
     }
 
     #[test]
     fn all_jobs_complete() {
-        let result = small_sim(200, 80, 0.5, 3).run();
+        let result = run_small(200, 80, 0.5, 3);
         assert_eq!(result.incomplete_jobs, 0);
         assert_eq!(
             result.counters.jobs_completed + result.counters.jobs_failed,
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn conservation_probes_accounted() {
-        let result = small_sim(150, 60, 0.6, 5).run();
+        let result = run_small(150, 60, 0.6, 5);
         let c = result.counters;
         // Every speculative probe either launched a task or was redundant;
         // every bound placement launched a task.
@@ -112,8 +111,8 @@ mod tests {
 
     #[test]
     fn determinism_across_runs() {
-        let a = small_sim(100, 50, 0.5, 11).run();
-        let b = small_sim(100, 50, 0.5, 11).run();
+        let a = run_small(100, 50, 0.5, 11);
+        let b = run_small(100, 50, 0.5, 11);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.metrics.makespan, b.metrics.makespan);
         assert_eq!(
@@ -124,7 +123,7 @@ mod tests {
 
     #[test]
     fn utilization_is_reasonable() {
-        let result = small_sim(400, 60, 0.6, 13).run();
+        let result = run_small(400, 60, 0.6, 13);
         let u = result.utilization();
         assert!(u > 0.1 && u <= 1.0, "utilization {u}");
     }

@@ -3,7 +3,7 @@
 //! before the next dispatch.
 
 use phoenix_constraints::{FeasibilityIndex, MachinePopulation, PopulationProfile};
-use phoenix_sim::{Scheduler, SimConfig, SimCtx, SimDuration, Simulation, WorkerId};
+use phoenix_sim::{Scheduler, SimConfig, SimCtx, SimDuration, SimResult, Simulation, WorkerId};
 use phoenix_traces::{Job, JobId, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +23,7 @@ fn one_short_job_trace() -> Trace {
     )
 }
 
-fn simulation(scheduler: Box<dyn Scheduler>) -> Simulation {
+fn simulate(scheduler: Box<dyn Scheduler>) -> SimResult {
     let mut rng = StdRng::seed_from_u64(3);
     let cluster = MachinePopulation::generate(PopulationProfile::google_like(), 4, &mut rng);
     Simulation::new(
@@ -33,6 +33,7 @@ fn simulation(scheduler: Box<dyn Scheduler>) -> Simulation {
         scheduler,
         3,
     )
+    .run()
 }
 
 /// Sends one speculative probe, then rewrites its bound duration in place —
@@ -93,12 +94,12 @@ impl Scheduler for ReorderingScheduler {
 #[test]
 #[should_panic(expected = "queued_bound_work_us desynced")]
 fn engine_audit_catches_bound_work_desync() {
-    simulation(Box::new(DesyncingScheduler)).run();
+    simulate(Box::new(DesyncingScheduler));
 }
 
 #[test]
 fn reordering_through_queue_mut_passes_the_audit() {
-    let result = simulation(Box::new(ReorderingScheduler)).run();
+    let result = simulate(Box::new(ReorderingScheduler));
     assert_eq!(result.incomplete_jobs, 0);
 }
 
@@ -302,7 +303,7 @@ fn crash_inside_rtt_window_refunds_unstarted_task_time() {
 
 #[test]
 fn recovered_worker_passes_the_audit_on_reuse() {
-    let result = simulation(Box::new(RecycleScheduler)).run();
+    let result = simulate(Box::new(RecycleScheduler));
     assert_eq!(result.incomplete_jobs, 0);
     assert_eq!(result.lost_tasks, 0);
     assert_eq!(result.counters.bound_placements, 1);

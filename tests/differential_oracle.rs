@@ -42,16 +42,20 @@ struct Scenario {
     seed: u64,
 }
 
-fn build_sim(s: &Scenario, policy: &str, sink: MemorySink) -> Simulation {
+/// The scenario's trace.
+fn build_trace(s: &Scenario) -> Trace {
+    TraceGenerator::new(TraceProfile::yahoo(), s.seed).generate(s.jobs, s.nodes, s.util)
+}
+
+fn build_sim<'t>(s: &Scenario, trace: &'t Trace, policy: &str, sink: MemorySink) -> Simulation<'t> {
     let profile = TraceProfile::yahoo();
     let cutoff = profile.short_cutoff_s();
     let mut rng = StdRng::seed_from_u64(s.seed.wrapping_mul(31).wrapping_add(5));
     let cluster = MachinePopulation::generate(profile.population.clone(), s.nodes, &mut rng);
-    let trace = TraceGenerator::new(profile, s.seed).generate(s.jobs, s.nodes, s.util);
     let mut sim = Simulation::new(
         SimConfig::default(),
         FeasibilityIndex::new(cluster.into_machines()),
-        &trace,
+        trace,
         build_policy(policy, cutoff),
         s.seed,
     );
@@ -65,13 +69,14 @@ fn build_sim(s: &Scenario, policy: &str, sink: MemorySink) -> Simulation {
 fn assert_executors_agree(s: &Scenario, policy: &str) {
     let real_sink = MemorySink::new(1 << 16);
     let real_handle = real_sink.handle();
-    let mut real_sim = build_sim(s, policy, real_sink);
+    let trace = build_trace(s);
+    let mut real_sim = build_sim(s, &trace, policy, real_sink);
     real_sim.enable_audit(AuditConfig::default());
     let real = real_sim.run();
 
     let ref_sink = MemorySink::new(1 << 16);
     let ref_handle = ref_sink.handle();
-    let ref_sim = build_sim(s, policy, ref_sink);
+    let ref_sim = build_sim(s, &trace, policy, ref_sink);
     let reference = ReferenceExecutor::run(ref_sim);
 
     let report = real.audit.as_ref().expect("audit enabled");
