@@ -441,7 +441,11 @@ impl InvariantAuditor {
         }
         // Every live job's count was taken above: what is left carries
         // tasks of jobs without a state.
-        let orphans: Vec<(usize, i64)> = (self.inflight.iter().copied().enumerate())
+        let orphans: Vec<(usize, i64)> = self
+            .inflight
+            .iter()
+            .copied()
+            .enumerate()
             .filter(|&(_, tasks)| tasks != 0)
             .collect();
         for (i, tasks) in orphans {

@@ -103,14 +103,17 @@ impl JobState {
     }
 
     /// Launched tasks given up because the job failed.
-    pub fn abandoned_tasks(&self) -> usize {
+    pub(crate) fn abandoned_tasks(&self) -> usize {
         self.abandoned
     }
 
     /// Launched tasks still running or carried by a bound probe: neither
-    /// completed nor abandoned.
-    pub fn in_flight(&self) -> usize {
-        self.launched - self.completed - self.abandoned
+    /// completed nor abandoned. Saturates, so that the invariant auditor
+    /// reports an over-count instead of panicking on it.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.launched
+            .saturating_sub(self.completed)
+            .saturating_sub(self.abandoned)
     }
 
     /// Takes the next unlaunched task, returning its true duration in
@@ -205,7 +208,7 @@ impl JobState {
     }
 
     /// The job's entry in [`crate::SimResult::job_outcomes`].
-    pub fn outcome(&self) -> JobOutcome {
+    pub(crate) fn outcome(&self) -> JobOutcome {
         JobOutcome {
             job: self.id,
             short: self.short,
@@ -314,7 +317,7 @@ impl JobTable {
     }
 
     /// The state of `id`, if the job is in flight.
-    pub fn try_get(&self, id: JobId) -> Option<&JobState> {
+    pub(crate) fn try_get(&self, id: JobId) -> Option<&JobState> {
         self.slot(id).map(|slot| &self.live[slot])
     }
 
@@ -339,7 +342,7 @@ impl JobTable {
     }
 
     /// The states of every job in flight, in no particular order.
-    pub fn live(&self) -> &[JobState] {
+    pub(crate) fn live(&self) -> &[JobState] {
         &self.live
     }
 
@@ -372,7 +375,7 @@ impl JobTable {
     }
 
     /// Whether `id` was failed, in flight or finished.
-    pub fn is_failed(&self, id: JobId) -> bool {
+    pub(crate) fn is_failed(&self, id: JobId) -> bool {
         match self.try_get(id) {
             Some(job) => job.is_failed(),
             None => self.record(id).slot == FINISHED_FAILED,
@@ -380,13 +383,13 @@ impl JobTable {
     }
 
     /// If `id` is in flight but finished, writes its outcome and drops its
-    /// state. Returns whether it did.
-    pub(crate) fn retire_if_finished(&mut self, id: JobId) -> bool {
+    /// state.
+    pub(crate) fn retire_if_finished(&mut self, id: JobId) {
         let Some(slot) = self.slot(id) else {
-            return false;
+            return;
         };
         if !self.live[slot].is_finished() {
-            return false;
+            return;
         }
         let job = self.live.swap_remove(slot);
         if let Some(moved) = self.live.get(slot) {
@@ -399,16 +402,15 @@ impl JobTable {
         };
         self.finished_tasks += job.completed_tasks() as u64;
         self.outcomes.push(job.outcome());
-        true
     }
 
     /// Outcomes of the finished jobs, in finish order.
-    pub fn finished(&self) -> &[JobOutcome] {
+    pub(crate) fn finished(&self) -> &[JobOutcome] {
         &self.outcomes
     }
 
     /// Completed tasks summed over the finished jobs.
-    pub fn finished_tasks(&self) -> u64 {
+    pub(crate) fn finished_tasks(&self) -> u64 {
         self.finished_tasks
     }
 
