@@ -72,7 +72,7 @@ impl EagleC {
 
     /// Places a short job's probes, avoiding long-busy workers (divide).
     fn place_short(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let (set, tasks) = { (ctx.effective(job), ctx.job(job).num_tasks()) };
+        let (set, tasks) = (ctx.effective(job), ctx.job(job).num_tasks());
         let want = tasks * self.config.probe_ratio as usize;
         let long_busy = &self.long_busy;
         match choose_targets(ctx, set, want, |w| long_busy.is_long_busy(WorkerId(w))) {

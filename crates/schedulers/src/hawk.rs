@@ -45,14 +45,11 @@ impl Scheduler for HawkC {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let (set, tasks, est) = {
-            let j = ctx.job(job);
-            (
-                ctx.effective(job),
-                j.num_tasks(),
-                ctx.estimated_task_us(job),
-            )
-        };
+        let (set, tasks, est) = (
+            ctx.effective(job),
+            ctx.job(job).num_tasks(),
+            ctx.estimated_task_us(job),
+        );
         if !self.config.is_short(est) {
             let reserved = self.config.reserved_workers(ctx.num_workers());
             place_long_job(ctx, job, reserved);

@@ -37,7 +37,7 @@ impl Scheduler for SparrowC {
     }
 
     fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let (set, tasks) = { (ctx.effective(job), ctx.job(job).num_tasks()) };
+        let (set, tasks) = (ctx.effective(job), ctx.job(job).num_tasks());
         let want = tasks * self.config.probe_ratio as usize;
         match choose_targets(ctx, set, want, |_| false) {
             Some(placement) => send_speculative_probes(ctx, job, &placement, want),
