@@ -27,6 +27,7 @@
 //!                          "bitset_bytes": .., "id_bytes": ..},
 //!            "event_queue": {"peak_pending": .., "peak_probes": ..},
 //!            "job_table": {"peak_live": .., "peak_finished": ..},
+//!            "queues": {"peak_queued": ..},
 //!            "digest": "0x..",
 //!            "hot_paths": {"dispatch": {"calls": .., "total_ns": ..}, ..}}]}
 //! ```
@@ -40,6 +41,8 @@
 //! pending at once, most probes in flight at once), just as deterministic.
 //! `job_table` is the run's job-table high-water marks (most job states
 //! live at once, and finished-job records held), deterministic as well.
+//! `queues` is the most probes queued across the cluster at once, also
+//! deterministic.
 //!
 //! Federated rows (the yahoo K-domain ladder, including the 100k-node
 //! points) additionally carry `"domains"`, `"staleness_us"`,
@@ -151,6 +154,7 @@ fn json_run(out: &mut String, run: &ScaleRun) {
         "\"set_cache\": {{\"sets\": {}, \"sets_with_ids\": {}, \"bitset_bytes\": {}, \
          \"id_bytes\": {}}}, \"event_queue\": {{\"peak_pending\": {}, \"peak_probes\": {}}}, \
          \"job_table\": {{\"peak_live\": {}, \"peak_finished\": {}}}, \
+         \"queues\": {{\"peak_queued\": {}}}, \
          \"digest\": \"{:#018x}\", \"hot_paths\": {{",
         cache.sets,
         cache.sets_with_ids,
@@ -160,6 +164,7 @@ fn json_run(out: &mut String, run: &ScaleRun) {
         queue.peak_probes,
         jobs.peak_live,
         jobs.peak_finished,
+        r.queues.peak_queued,
         r.digest()
     )
     .expect("writing to String cannot fail");

@@ -94,6 +94,18 @@ impl<'a> SimCtx<'a> {
 
     /// Replaces the set job `id` is placed against (admission relaxed its
     /// soft constraints).
+    ///
+    /// Relax a job before it creates its first probe
+    /// ([`SimCtx::new_probe`], [`SimCtx::new_bound_probe`]). The CRV ledger
+    /// takes a queued probe's demand back out under the set its job's
+    /// record names when the probe leaves the queue, so that set must be
+    /// the one the probe was enqueued with. Setting the job's current set
+    /// again is allowed at any time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set changes after the job created a probe, or after
+    /// the job finished.
     pub fn set_effective(&mut self, id: JobId, set: SetId) {
         self.state.jobs.set_effective(id, set);
     }
@@ -165,8 +177,10 @@ impl<'a> SimCtx<'a> {
         &mut self.state.metrics.counters
     }
 
-    /// Creates a fresh speculative probe for `job` (not yet sent).
+    /// Creates a fresh speculative probe for `job` (not yet sent). From
+    /// now on the job's effective set is fixed ([`SimCtx::set_effective`]).
     pub fn new_probe(&mut self, job: JobId) -> Probe {
+        self.state.jobs.mark_probed(job);
         Probe {
             id: self.state.next_probe_id(),
             job,

@@ -9,7 +9,9 @@
 //! * **Demand**: one unit per queued probe per constraint of its job's
 //!   effective set, plus a refcount per distinct constraint instance. A
 //!   probe demands the set its job's effective [`SetId`] names when it is
-//!   enqueued; its removal subtracts that same set.
+//!   enqueued; its removal subtracts the set the job names then, which is
+//!   the same set: a job's effective set never changes once it has
+//!   created a probe ([`crate::SimCtx::set_effective`]).
 //! * **Idle bitset**: one bit per worker, set while the worker is idle and
 //!   alive. Idle↔busy transitions flip one bit.
 //! * **Supply** (on read): per kind, the idle workers satisfying at least
@@ -26,10 +28,11 @@
 //!
 //! The ledger is hash-free per probe: sets arrive as [`SetId`]s from the
 //! run's [`SetTable`], each set's instance ids live in a vector indexed by
-//! the set id, each queued probe's set id lives in a dense vector indexed by
-//! the sequential probe id, and refcounts are plain vector slots addressed
-//! by instance id. The one hash map, from constraint to instance id, is
-//! touched only the first time a set is seen.
+//! the set id, and refcounts are plain vector slots addressed by instance
+//! id. The one hash map, from constraint to instance id, is touched only
+//! the first time a set is seen. Nothing is kept per probe, so the
+//! ledger's memory follows the distinct sets and instances, not the
+//! number of probes the run has sent.
 //!
 //! All probe movement between queues and all slot transitions must go
 //! through the [`crate::SimState`] / [`crate::SimCtx`] wrappers that feed
@@ -42,11 +45,6 @@ use phoenix_constraints::{
     count_ones_in_range, Constraint, ConstraintKind, FeasibilityIndex, SetId, SetTable,
 };
 
-use crate::probe::ProbeId;
-
-/// Dense-id sentinel: "no interned set here".
-const ABSENT: u32 = u32::MAX;
-
 /// CRV demand counters over the shared idle bitset (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct CrvLedger {
@@ -57,9 +55,6 @@ pub struct CrvLedger {
     /// Instance ids of each constrained set, by [`SetId`] index (empty
     /// until a probe demanding the set is first enqueued).
     set_instances: Vec<Box<[u32]>>,
-    /// Set id of each queued *constrained* probe, dense by probe id
-    /// (`ABSENT` = unconstrained or not queued).
-    probe_set: Vec<u32>,
     /// Interned distinct constraint instances, by instance id.
     instances: Vec<Constraint>,
     /// Feasible workers of each instance as a bitset (parallel to
@@ -69,6 +64,16 @@ pub struct CrvLedger {
     /// One bit per worker: set while the worker is idle and alive. Bits
     /// past the last worker are never read: every count masks to a range.
     idle: Vec<u64>,
+    /// Most probes queued across the cluster at once.
+    peak_queued: usize,
+}
+
+/// High-water mark of the run's worker queues. A memory measurement like
+/// [`crate::EventQueueStats`], excluded from [`crate::SimResult::digest`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Most probes queued across the cluster at once.
+    pub peak_queued: u64,
 }
 
 /// The counters of one scope: the cluster, or one domain's worker range.
@@ -235,12 +240,18 @@ impl CrvLedger {
         self.domains.len()
     }
 
-    /// Records probe `id`, demanding the interned `set` of `sets`,
-    /// entering the queue of a worker in `domain` (`None` for a centralized
-    /// run). `set` must be the effective set of the probe's job.
+    /// The run's queue high-water mark.
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats {
+            peak_queued: self.peak_queued as u64,
+        }
+    }
+
+    /// Records a probe demanding the interned `set` of `sets` entering the
+    /// queue of a worker in `domain` (`None` for a centralized run). `set`
+    /// must be the effective set of the probe's job.
     pub fn probe_enqueued(
         &mut self,
-        id: ProbeId,
         set: SetId,
         sets: &SetTable,
         feasibility: &FeasibilityIndex,
@@ -249,39 +260,29 @@ impl CrvLedger {
         let instances = if sets.get(set).is_unconstrained() {
             None
         } else {
-            let pid = usize::try_from(id.0).expect("probe id fits usize");
-            if self.probe_set.len() <= pid {
-                self.probe_set.resize(pid + 1, ABSENT);
-            }
-            debug_assert_eq!(
-                self.probe_set[pid], ABSENT,
-                "probe {id:?} enqueued twice without removal"
-            );
-            self.probe_set[pid] = set.index() as u32;
             self.instances_of(set, sets, feasibility);
             Some(&*self.set_instances[set.index()])
         };
         self.cluster.probe_enqueued(instances, &self.instances);
+        self.peak_queued = self.peak_queued.max(self.cluster.queued_probes);
         if let Some(d) = domain {
             self.domains[d].probe_enqueued(instances, &self.instances);
         }
     }
 
-    /// Records a queued probe leaving the queue of a worker in `domain`
-    /// (dispatch, steal, recall, redundant-probe discard, crash drain).
-    pub fn probe_removed(&mut self, id: ProbeId, domain: Option<usize>) {
-        let pid = usize::try_from(id.0).expect("probe id fits usize");
-        let set_id = match self.probe_set.get(pid) {
-            Some(&s) if s != ABSENT => {
-                self.probe_set[pid] = ABSENT;
-                Some(s)
-            }
-            _ => None, // unconstrained probe
+    /// Records a queued probe demanding `set` leaving the queue of a worker
+    /// in `domain` (dispatch, steal, recall, redundant-probe discard, crash
+    /// drain). `set` must be the one the probe was enqueued with: its job's
+    /// effective set, which cannot change once the job has probed.
+    pub fn probe_removed(&mut self, set: SetId, sets: &SetTable, domain: Option<usize>) {
+        let instances = if sets.get(set).is_unconstrained() {
+            None
+        } else {
+            Some(&*self.set_instances[set.index()])
         };
-        let set = set_id.map(|s| &*self.set_instances[s as usize]);
-        self.cluster.probe_removed(set, &self.instances);
+        self.cluster.probe_removed(instances, &self.instances);
         if let Some(d) = domain {
-            self.domains[d].probe_removed(set, &self.instances);
+            self.domains[d].probe_removed(instances, &self.instances);
         }
     }
 
@@ -328,18 +329,18 @@ mod tests {
     use super::*;
     use phoenix_constraints::{AttributeVector, ConstraintExpr, ConstraintOp, ConstraintSet};
 
-    /// Interns `set` and records probe `id` demanding it entering a queue
-    /// in `domain`.
+    /// Interns `set` and records a probe demanding it entering a queue in
+    /// `domain`; returns the set's handle, which its removal takes.
     fn enqueue(
         ledger: &mut CrvLedger,
         sets: &mut SetTable,
         index: &FeasibilityIndex,
-        id: u64,
         set: &ConstraintSet,
         domain: Option<usize>,
-    ) {
+    ) -> SetId {
         let set = sets.intern(set);
-        ledger.probe_enqueued(ProbeId(id), set, sets, index, domain);
+        ledger.probe_enqueued(set, sets, index, domain);
+        set
     }
 
     fn machines() -> Vec<AttributeVector> {
@@ -365,21 +366,20 @@ mod tests {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
         let mut sets = SetTable::default();
-        let set = cores_gt(4);
-        enqueue(&mut ledger, &mut sets, &index, 1, &set, None);
-        enqueue(&mut ledger, &mut sets, &index, 2, &set, None);
+        let set = enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), None);
+        enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), None);
         let cluster = ledger.cluster();
         assert_eq!(cluster.demand(ConstraintKind::NumCores), 2);
         assert_eq!(cluster.idle_supply(ConstraintKind::NumCores), 2);
         assert_eq!(cluster.constrained_probes(), 2);
         assert_eq!(cluster.distinct_instances(), 1);
 
-        ledger.probe_removed(ProbeId(1), None);
+        ledger.probe_removed(set, &sets, None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 1);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 2);
 
         // Last demanding probe leaves: the instance (and its supply) clears.
-        ledger.probe_removed(ProbeId(2), None);
+        ledger.probe_removed(set, &sets, None);
         let cluster = ledger.cluster();
         assert_eq!(cluster.demand(ConstraintKind::NumCores), 0);
         assert_eq!(cluster.idle_supply(ConstraintKind::NumCores), 0);
@@ -393,10 +393,10 @@ mod tests {
         let mut ledger = CrvLedger::new(4, &[]);
         let mut sets = SetTable::default();
         let any = ConstraintSet::unconstrained();
-        enqueue(&mut ledger, &mut sets, &index, 9, &any, None);
+        let any = enqueue(&mut ledger, &mut sets, &index, &any, None);
         assert_eq!(ledger.cluster().queued_probes(), 1);
         assert_eq!(ledger.cluster().constrained_probes(), 0);
-        ledger.probe_removed(ProbeId(9), None);
+        ledger.probe_removed(any, &sets, None);
         assert_eq!(ledger.cluster().queued_probes(), 0);
     }
 
@@ -412,7 +412,7 @@ mod tests {
         )));
         assert!(!not_big.is_unconstrained());
         assert_eq!(not_big.iter().count(), 0);
-        enqueue(&mut ledger, &mut sets, &index, 1, &not_big, Some(1));
+        let not_big = enqueue(&mut ledger, &mut sets, &index, &not_big, Some(1));
         for tally in [ledger.cluster(), ledger.domain(1)] {
             assert_eq!(tally.queued_probes(), 1);
             assert_eq!(tally.constrained_probes(), 1);
@@ -423,7 +423,7 @@ mod tests {
             }
         }
         assert_eq!(ledger.domain(0).constrained_probes(), 0);
-        ledger.probe_removed(ProbeId(1), Some(1));
+        ledger.probe_removed(not_big, &sets, Some(1));
         assert_eq!(ledger.cluster().constrained_probes(), 0);
         assert_eq!(ledger.domain(1).constrained_probes(), 0);
     }
@@ -433,7 +433,7 @@ mod tests {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
         let mut sets = SetTable::default();
-        enqueue(&mut ledger, &mut sets, &index, 1, &cores_gt(4), None);
+        enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), None);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 2);
         // Busy, then crashed while busy: both clear the same bit.
         ledger.worker_busy(0);
@@ -463,15 +463,15 @@ mod tests {
             shared,
             Constraint::hard(ConstraintKind::MinDisks, ConstraintOp::Gt, 0),
         ]);
-        enqueue(&mut ledger, &mut sets, &index, 1, &a, None);
-        enqueue(&mut ledger, &mut sets, &index, 2, &b, None);
+        let a = enqueue(&mut ledger, &mut sets, &index, &a, None);
+        let b = enqueue(&mut ledger, &mut sets, &index, &b, None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 2);
         assert_eq!(ledger.cluster().distinct_instances(), 2);
         // Removing the pure-core probe keeps the shared instance alive.
-        ledger.probe_removed(ProbeId(1), None);
+        ledger.probe_removed(a, &sets, None);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 2);
         assert_eq!(ledger.cluster().distinct_instances(), 2);
-        ledger.probe_removed(ProbeId(2), None);
+        ledger.probe_removed(b, &sets, None);
         assert_eq!(ledger.cluster().distinct_instances(), 0);
     }
 
@@ -491,7 +491,7 @@ mod tests {
         assert_eq!(ledger.domain(1).idle_workers(), 63);
         // A big-core probe queued in domain A: B demands nothing, so its
         // big-core workers are no supply of B's, even though they are idle.
-        enqueue(&mut ledger, &mut sets, &index, 1, &cores_gt(4), Some(0));
+        enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), Some(0));
         assert_eq!(ledger.domain(0).demand(ConstraintKind::NumCores), 1);
         assert_eq!(ledger.domain(0).idle_supply(ConstraintKind::NumCores), 34);
         assert_eq!(ledger.domain(1).demand(ConstraintKind::NumCores), 0);
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(ledger.domain(1).distinct_instances(), 0);
         assert_eq!(ledger.cluster().idle_supply(ConstraintKind::NumCores), 65);
         // A weaker instance demanded in B counts B's workers only.
-        enqueue(&mut ledger, &mut sets, &index, 2, &cores_gt(1), Some(1));
+        let weak = enqueue(&mut ledger, &mut sets, &index, &cores_gt(1), Some(1));
         assert_eq!(ledger.domain(1).idle_supply(ConstraintKind::NumCores), 63);
         assert_eq!(ledger.domain(0).idle_supply(ConstraintKind::NumCores), 34);
         // Busy workers on either side of the edge leave their own domain.
@@ -509,26 +509,46 @@ mod tests {
         assert_eq!(ledger.domain(1).idle_supply(ConstraintKind::NumCores), 62);
         assert_eq!(ledger.domain(0).idle_workers(), 66);
         assert_eq!(ledger.domain(1).idle_workers(), 62);
-        ledger.probe_removed(ProbeId(2), Some(1));
+        ledger.probe_removed(weak, &sets, Some(1));
         assert_eq!(ledger.domain(1).idle_supply(ConstraintKind::NumCores), 0);
         assert_eq!(ledger.domain(1).queued_probes(), 0);
         assert_eq!(ledger.cluster().queued_probes(), 1);
     }
 
     #[test]
-    fn probe_ids_reuse_dense_handles() {
+    fn requeued_probe_demands_its_set_again() {
         let index = FeasibilityIndex::new(machines());
         let mut ledger = CrvLedger::new(4, &[]);
         let mut sets = SetTable::default();
-        let set = cores_gt(4);
-        // Re-enqueue after removal (migration) reuses the probe id slot.
-        enqueue(&mut ledger, &mut sets, &index, 5, &set, None);
-        ledger.probe_removed(ProbeId(5), None);
-        enqueue(&mut ledger, &mut sets, &index, 5, &set, None);
+        // Removal then re-enqueue (a migration) counts the set once.
+        let set = enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), None);
+        ledger.probe_removed(set, &sets, None);
+        enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 1);
         assert_eq!(ledger.cluster().constrained_probes(), 1);
-        ledger.probe_removed(ProbeId(5), None);
+        ledger.probe_removed(set, &sets, None);
         assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 0);
         assert_eq!(ledger.cluster().queued_probes(), 0);
+    }
+
+    #[test]
+    fn peak_queued_is_the_cluster_high_water_mark() {
+        let index = FeasibilityIndex::new(machines());
+        let mut ledger = CrvLedger::new(4, &[(0, 2), (2, 2)]);
+        let mut sets = SetTable::default();
+        let any = ConstraintSet::unconstrained();
+        let mut queued = Vec::new();
+        for domain in [0, 1, 1] {
+            let set = enqueue(&mut ledger, &mut sets, &index, &any, Some(domain));
+            queued.push((set, domain));
+        }
+        let big = enqueue(&mut ledger, &mut sets, &index, &cores_gt(4), Some(0));
+        ledger.probe_removed(big, &sets, Some(0));
+        for (set, domain) in queued {
+            ledger.probe_removed(set, &sets, Some(domain));
+        }
+        enqueue(&mut ledger, &mut sets, &index, &any, Some(0));
+        assert_eq!(ledger.cluster().queued_probes(), 1);
+        assert_eq!(ledger.queue_stats(), QueueStats { peak_queued: 4 });
     }
 }

@@ -233,7 +233,17 @@ impl SimState {
         let domain = self.domain_of(worker);
         let set = self.jobs.effective(probe.job);
         self.crv_ledger
-            .probe_enqueued(probe.id, set, &self.sets, &self.feasibility, domain);
+            .probe_enqueued(set, &self.sets, &self.feasibility, domain);
+    }
+
+    /// Counts `probe` leaving `worker`'s queue in the CRV ledger. The job's
+    /// record still names the set the probe was enqueued with, even if the
+    /// job has finished since: a job's effective set is fixed once it has
+    /// created a probe.
+    fn ledger_removed(&mut self, worker: WorkerId, probe: &Probe) {
+        let domain = self.domain_of(worker);
+        let set = self.jobs.effective(probe.job);
+        self.crv_ledger.probe_removed(set, &self.sets, domain);
     }
 
     /// The engine side of [`Event::JobArrival`]`(index)`, shared by the
@@ -268,8 +278,7 @@ impl SimState {
     /// keeping the CRV ledger in sync.
     pub fn remove_probe_at(&mut self, worker: WorkerId, index: usize) -> Probe {
         let probe = self.with_worker(worker, |w| w.remove_probe(index));
-        let domain = self.domain_of(worker);
-        self.crv_ledger.probe_removed(probe.id, domain);
+        self.ledger_removed(worker, &probe);
         probe
     }
 
@@ -281,9 +290,8 @@ impl SimState {
         predicate: impl FnMut(&Probe) -> bool,
     ) -> Vec<Probe> {
         let stolen = self.with_worker(worker, |w| w.steal_if(predicate));
-        let domain = self.domain_of(worker);
         for probe in &stolen {
-            self.crv_ledger.probe_removed(probe.id, domain);
+            self.ledger_removed(worker, probe);
         }
         stolen
     }
@@ -362,7 +370,7 @@ impl SimState {
             let domain = self.domain_of(WorkerId(i as u32));
             for p in w.queue() {
                 let set = self.jobs.effective(p.job);
-                ledger.probe_enqueued(p.id, set, &self.sets, &self.feasibility, domain);
+                ledger.probe_enqueued(set, &self.sets, &self.feasibility, domain);
             }
         }
         ledger
@@ -997,6 +1005,7 @@ pub(crate) fn finalize_result(
         set_cache: state.sets.stats(),
         event_queue: events.stats(),
         job_table,
+        queues: state.crv_ledger.queue_stats(),
     }
 }
 
@@ -1107,6 +1116,54 @@ mod tests {
             assert_eq!(outcome.failed, failed, "job {i}");
             assert_eq!(outcome.response_s.is_some(), responded, "job {i}");
         }
+    }
+
+    /// A crash drains the worker's queue through the ledger-aware steal
+    /// path, and the drained ring lets its buffer go.
+    #[test]
+    fn crash_drain_releases_the_ring() {
+        let jobs = (0..3u32)
+            .map(|i| Job {
+                id: JobId(i),
+                arrival_s: 0.0,
+                task_durations_s: vec![1.0],
+                estimated_task_duration_s: 1.0,
+                constraints: ConstraintSet::unconstrained(),
+                short: true,
+                user: 0,
+            })
+            .collect();
+        let trace = Trace::new("crash-drain", jobs);
+        let mut state = Simulation::new(
+            SimConfig::default(),
+            FeasibilityIndex::new(vec![AttributeVector::default(); 2]),
+            &trace,
+            Box::new(RandomScheduler::new(1)),
+            1,
+        )
+        .into_state_for_tests();
+        let worker = WorkerId(1);
+        for _ in 0..40 {
+            let probe = Probe {
+                id: state.next_probe_id(),
+                job: JobId(0),
+                bound_duration_us: None,
+                est_duration_us: 1,
+                slowdown: 1.0,
+                enqueued_at: SimTime::ZERO,
+                bypass_count: 0,
+                migrations: 0,
+                retries: 0,
+            };
+            state.enqueue_probe(worker, probe);
+        }
+        assert!(state.workers[1].ring_capacity() >= 40);
+        let (killed, dropped) = state.crash_worker(worker);
+        assert!(killed.is_empty());
+        assert_eq!(dropped.len(), 40);
+        assert_eq!(state.workers[1].ring_capacity(), 0);
+        assert_eq!(state.crv_ledger().cluster().queued_probes(), 0);
+        assert_eq!(state.busy_workers(), 0);
     }
 
     /// The queue grows with what is in flight, not with the trace: a new

@@ -29,6 +29,9 @@ pub struct JobState {
     next_task: usize,
     completed: usize,
     failed: bool,
+    /// Whether the job has created a probe; from then on its effective
+    /// set is fixed ([`JobTable::set_effective`]).
+    probed: bool,
     /// Durations of tasks whose launch was undone by a worker crash; they
     /// are re-launched (LIFO) before any not-yet-launched task.
     requeued_us: Vec<u64>,
@@ -70,6 +73,7 @@ impl JobState {
             next_task: 0,
             completed: 0,
             failed: false,
+            probed: false,
             requeued_us: Vec::new(),
             wait_sum_us: 0,
             launched: 0,
@@ -360,8 +364,31 @@ impl JobTable {
     }
 
     /// Replaces the set `id` is placed against (admission relaxed it).
+    /// Setting the current set again is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set changes after the job created a probe, or after
+    /// the job finished (see [`crate::SimCtx::set_effective`]).
     pub(crate) fn set_effective(&mut self, id: JobId, set: SetId) {
+        if self.effective(id) == set {
+            return;
+        }
+        assert!(
+            !self.get(id).probed,
+            "job {} changed its effective set after creating a probe",
+            id.0
+        );
         self.records[id.0 as usize].effective = set;
+    }
+
+    /// Records that `id` created a probe, fixing its effective set. A
+    /// finished job has no state left to mark, and its set is fixed
+    /// already.
+    pub(crate) fn mark_probed(&mut self, id: JobId) {
+        if let Some(slot) = self.slot(id) {
+            self.live[slot].probed = true;
+        }
     }
 
     /// Scheduler-visible estimated task duration of `id`, microseconds.

@@ -81,7 +81,7 @@ pub use audit::{
 };
 pub use config::{FederationConfig, SimConfig};
 pub use context::SimCtx;
-pub use crvledger::{CrvLedger, CrvTally};
+pub use crvledger::{CrvLedger, CrvTally, QueueStats};
 pub use engine::{SimState, Simulation};
 pub use event::{Event, EventQueue, EventQueueStats};
 pub use fault::FaultPlan;

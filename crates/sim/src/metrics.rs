@@ -8,6 +8,7 @@ use phoenix_metrics::{
 };
 
 use crate::audit::AuditReport;
+use crate::crvledger::QueueStats;
 use crate::event::EventQueueStats;
 use crate::jobstate::{JobState, JobTableStats};
 use crate::profile::ProfileReport;
@@ -237,6 +238,11 @@ pub struct SimResult {
     /// live job states and finished-job records. Deterministic, and a
     /// memory measurement excluded from `digest()`.
     pub job_table: JobTableStats,
+    /// What the run's worker queues peaked at
+    /// ([`crate::CrvLedger::queue_stats`]): most probes queued across the
+    /// cluster at once. Deterministic, and a memory measurement excluded
+    /// from `digest()`.
+    pub queues: QueueStats,
 }
 
 impl SimResult {
@@ -471,6 +477,7 @@ mod tests {
             set_cache: CacheStats::default(),
             event_queue: EventQueueStats::default(),
             job_table: JobTableStats::default(),
+            queues: QueueStats::default(),
         }
     }
 
@@ -527,6 +534,7 @@ mod tests {
             set_cache: CacheStats::default(),
             event_queue: EventQueueStats::default(),
             job_table: JobTableStats::default(),
+            queues: QueueStats::default(),
             job_outcomes: vec![JobOutcome {
                 job: JobId(7),
                 short: true,
@@ -547,6 +555,8 @@ mod tests {
         assert_eq!(d, r.digest(), "queue high-water marks stay out");
         r.job_table.peak_live += 1;
         assert_eq!(d, r.digest(), "job-table high-water marks stay out");
+        r.queues.peak_queued += 1;
+        assert_eq!(d, r.digest(), "probe-queue high-water marks stay out");
         r.job_outcomes[0].response_s = Some(1.250000001);
         assert_ne!(d, r.digest(), "outcomes must be covered bit-exactly");
     }

@@ -56,7 +56,8 @@ pub struct RunningTask {
 /// [`crate::SimConfig::slots_per_worker`].
 #[derive(Debug, Clone)]
 pub struct Worker {
-    slots: usize,
+    /// Execution slots; a `u32` so the worker packs into 96 B.
+    slots: u32,
     running: Vec<RunningTask>,
     /// Sum of the running tasks' `finish_at`, microseconds: with the task
     /// count it gives [`Worker::running_work_us`] without reading the
@@ -66,9 +67,9 @@ pub struct Worker {
     /// `queue[head..]`, so popping the head (the overwhelmingly common
     /// removal — every dispatch) is a pointer bump instead of an O(queue)
     /// `Vec::remove(0)` shift. Dead slots before `head` are reclaimed by
-    /// amortized compaction.
+    /// amortized compaction, and a drained queue releases its buffer.
     queue: Vec<Probe>,
-    head: usize,
+    head: u32,
     /// Total busy microseconds accumulated (for utilization).
     busy_us: u64,
     /// Sum of bound task durations currently queued, microseconds (an
@@ -83,6 +84,8 @@ pub struct Worker {
     /// no tasks until they recover.
     alive: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Worker>() == 96);
 
 impl Default for Worker {
     fn default() -> Self {
@@ -100,9 +103,10 @@ impl Worker {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is zero.
+    /// Panics if `slots` is zero or above `u32::MAX`.
     pub fn with_slots(slots: usize) -> Self {
         assert!(slots >= 1, "a worker needs at least one slot");
+        let slots = u32::try_from(slots).expect("a worker has at most u32::MAX slots");
         Worker {
             slots,
             // Reserved on the first launch: at 100k workers most never run
@@ -153,7 +157,7 @@ impl Worker {
 
     /// Number of execution slots.
     pub fn slots(&self) -> usize {
-        self.slots
+        self.slots as usize
     }
 
     /// Whether no task is running on any slot.
@@ -168,7 +172,7 @@ impl Worker {
 
     /// Whether at least one slot is free.
     pub fn has_free_slot(&self) -> bool {
-        self.running.len() < self.slots
+        self.running.len() < self.slots()
     }
 
     /// The running task, if any (the earliest-started one on multi-slot
@@ -191,7 +195,7 @@ impl Worker {
         assert!(self.has_free_slot(), "worker slot already busy");
         self.busy_us += task.finish_at.since(now).as_micros();
         if self.running.capacity() == 0 {
-            self.running.reserve_exact(self.slots);
+            self.running.reserve_exact(self.slots());
         }
         self.running_finish_sum_us += task.finish_at.as_micros();
         self.running.push(task);
@@ -237,7 +241,7 @@ impl Worker {
 
     /// The probe queue, in service order.
     pub fn queue(&self) -> &[Probe] {
-        &self.queue[self.head..]
+        &self.queue[self.head as usize..]
     }
 
     /// Mutable access to the probe queue for policy reordering.
@@ -251,7 +255,7 @@ impl Worker {
     /// aggregate in debug builds ([`Worker::audit_bound_work`]) and panics
     /// on divergence.
     pub fn queue_mut(&mut self) -> &mut [Probe] {
-        let head = self.head;
+        let head = self.head as usize;
         &mut self.queue[head..]
     }
 
@@ -317,12 +321,13 @@ impl Worker {
     pub fn remove_probe(&mut self, index: usize) -> Probe {
         let len = self.queue_len();
         assert!(index < len, "remove_probe index out of bounds");
-        let abs = self.head + index;
+        let head = self.head as usize;
+        let abs = head + index;
         let probe = self.queue[abs];
         if index * 2 < len {
             // Head side shorter: slide `[head, abs)` right into the gap and
             // advance the head (O(index); O(1) for the head itself).
-            self.queue.copy_within(self.head..abs, self.head + 1);
+            self.queue.copy_within(head..abs, head + 1);
             self.head += 1;
             self.maybe_compact();
         } else {
@@ -335,15 +340,18 @@ impl Worker {
         probe
     }
 
-    /// Reclaims the dead prefix before `head` once it dominates the
-    /// buffer; each compaction moves at most as many probes as were popped
-    /// since the last one, so removal stays amortized O(1).
+    /// Releases the buffer once the queue drains, so a ring holds memory
+    /// only while probes are queued on it, not the capacity of its longest
+    /// queue ever. Otherwise reclaims the dead prefix before `head` once it
+    /// dominates the buffer; each compaction moves at most as many probes
+    /// as were popped since the last one, so removal stays amortized O(1).
     fn maybe_compact(&mut self) {
-        if self.head == self.queue.len() {
-            self.queue.clear();
+        let head = self.head as usize;
+        if head == self.queue.len() {
+            self.queue = Vec::new();
             self.head = 0;
-        } else if self.head >= 32 && self.head * 2 >= self.queue.len() {
-            self.queue.drain(..self.head);
+        } else if head >= 32 && head * 2 >= self.queue.len() {
+            self.queue.drain(..head);
             self.head = 0;
         }
     }
@@ -363,9 +371,15 @@ impl Worker {
         stolen
     }
 
+    /// Probes the ring's buffer can hold without growing.
+    #[cfg(test)]
+    pub(crate) fn ring_capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
     /// Queue length.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() - self.head
+        self.queue.len() - self.head as usize
     }
 
     /// Sum of bound task durations in the queue, microseconds.
@@ -419,7 +433,8 @@ impl Worker {
         if from == to {
             return (0, None);
         }
-        let (h_to, h_from) = (self.head + to, self.head + from);
+        let head = self.head as usize;
+        let (h_to, h_from) = (head + to, head + from);
         let mut last_pinned = None;
         for (j, p) in self.queue[h_to..h_from].iter_mut().enumerate() {
             p.bypass_count += 1;
@@ -447,7 +462,7 @@ impl Worker {
         if self.head > 0 {
             // Reuse a dead slot before the head: O(1).
             self.head -= 1;
-            self.queue[self.head] = probe;
+            self.queue[self.head as usize] = probe;
         } else {
             self.queue.insert(0, probe);
         }
@@ -641,6 +656,79 @@ mod tests {
         assert!(!w.is_alive());
         w.set_alive(true);
         assert!(w.is_alive());
+    }
+
+    #[test]
+    fn head_pops_release_a_drained_ring() {
+        let mut w = Worker::new();
+        for i in 0..100 {
+            w.enqueue(probe(i, None));
+        }
+        for i in 0..99 {
+            assert_eq!(w.remove_probe(0).id, ProbeId(i));
+        }
+        assert!(w.ring_capacity() > 0, "one probe still queued");
+        w.remove_probe(0);
+        assert_eq!(w.ring_capacity(), 0);
+        assert_eq!(w.head, 0);
+        // The released ring takes probes again, at either end.
+        w.enqueue(probe(100, None));
+        w.enqueue_front(probe(101, Some(5)));
+        let ids: Vec<u64> = w.queue().iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, vec![101, 100]);
+        assert_eq!(w.queued_bound_work_us(), 5);
+    }
+
+    #[test]
+    fn steal_if_releases_a_drained_ring() {
+        let mut w = Worker::new();
+        for i in 0..40 {
+            w.enqueue(probe(i, if i % 3 == 0 { Some(10) } else { None }));
+        }
+        // A partial steal leaves the bound probes, and their buffer.
+        assert_eq!(w.steal_if(|p| !p.is_bound()).len(), 26);
+        assert!(w.ring_capacity() > 0);
+        assert_eq!(w.steal_if(|_| true).len(), 14);
+        assert_eq!(w.queue_len(), 0);
+        assert_eq!(w.ring_capacity(), 0);
+        assert_eq!(w.queued_bound_work_us(), 0);
+        assert_eq!(w.queued_spec_est_us(), 0);
+    }
+
+    #[test]
+    fn long_queue_pops_in_amortized_constant_time() {
+        let n = 10_000;
+        let mut w = Worker::new();
+        for i in 0..n {
+            w.enqueue(probe(i, None));
+        }
+        // Between compactions a pop only bumps the head; a compaction
+        // moves the probes still queued. The moves over a whole drain stay
+        // within the number of pops.
+        let mut moved = 0;
+        for i in 0..n {
+            let head = w.head;
+            assert_eq!(w.remove_probe(0).id, ProbeId(i));
+            if w.head == 0 {
+                moved += w.queue_len();
+            } else {
+                assert_eq!(w.head, head + 1, "pop {i} shifted the queue");
+            }
+        }
+        assert!(moved <= n as usize, "{moved} probes moved for {n} pops");
+        assert_eq!(w.ring_capacity(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one slot")]
+    fn zero_slots_panics() {
+        let _ = Worker::with_slots(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX slots")]
+    fn more_than_u32_slots_panics() {
+        let _ = Worker::with_slots(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -1,7 +1,15 @@
 //! Tests of the scheduler-facing SimCtx API through a fixture scheduler.
 
-use phoenix_constraints::{AttributeVector, ConstraintSet, FeasibilityIndex};
-use phoenix_sim::{AuditConfig, Scheduler, SimConfig, SimCtx, SimDuration, Simulation, WorkerId};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use phoenix_constraints::{
+    AttributeVector, Constraint, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex,
+};
+use phoenix_sim::{
+    AuditConfig, FederationConfig, ProbeId, Scheduler, SimConfig, SimCtx, SimDuration, Simulation,
+    WorkerId,
+};
 use phoenix_traces::{Job, JobId, Trace};
 
 fn trace(n: u32) -> Trace {
@@ -178,6 +186,159 @@ fn failed_job_leaves_the_table_once_its_tasks_are_abandoned() {
     assert_eq!(result.incomplete_jobs, 0);
     assert_eq!(result.job_table.peak_live, 1);
     assert!(result.job_outcomes.iter().all(|o| o.failed));
+}
+
+fn cores_gt(value: u64) -> ConstraintSet {
+    ConstraintSet::from_constraints(vec![Constraint::hard(
+        ConstraintKind::NumCores,
+        ConstraintOp::Gt,
+        value,
+    )])
+}
+
+/// Sends each job's one probe, then sets the job's effective set: to a
+/// different set when `change` holds, else to the set it already has.
+#[derive(Debug)]
+struct SetAfterProbeFixture {
+    change: bool,
+}
+
+impl Scheduler for SetAfterProbeFixture {
+    fn name(&self) -> &str {
+        "set-after-probe-fixture"
+    }
+
+    fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
+        let probe = ctx.new_probe(job);
+        ctx.send_probe(WorkerId(0), probe);
+        let set = if self.change {
+            ctx.intern(&cores_gt(0))
+        } else {
+            ctx.effective(job)
+        };
+        ctx.set_effective(job, set);
+    }
+}
+
+/// The CRV ledger takes a probe's demand back out under its job's current
+/// set, so relaxing a job that already created a probe is refused.
+#[test]
+#[should_panic(expected = "changed its effective set after creating a probe")]
+fn relaxing_a_job_after_it_probed_panics() {
+    Simulation::new(
+        SimConfig::default(),
+        cluster(2),
+        &trace(1),
+        Box::new(SetAfterProbeFixture { change: true }),
+        1,
+    )
+    .run();
+}
+
+/// Setting a job's current set again changes nothing, so it stays allowed
+/// after the job probed.
+#[test]
+fn resetting_the_same_set_after_probing_is_allowed() {
+    let result = Simulation::new(
+        SimConfig::default(),
+        cluster(2),
+        &trace(3),
+        Box::new(SetAfterProbeFixture { change: false }),
+        1,
+    )
+    .run();
+    assert_eq!(result.counters.jobs_completed, 3);
+}
+
+/// Sends each constrained job one probe to worker 0, which runs it, and one
+/// to worker 2, which never serves. Once the job has completed and its
+/// state is gone, a wakeup recalls the second probe.
+#[derive(Debug, Default)]
+struct FinishedJobRecallFixture {
+    recalled: Arc<AtomicU32>,
+}
+
+impl Scheduler for FinishedJobRecallFixture {
+    fn name(&self) -> &str {
+        "finished-job-recall-fixture"
+    }
+
+    fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
+        let run = ctx.new_probe(job);
+        ctx.send_probe(WorkerId(0), run);
+        let stuck = ctx.new_probe(job);
+        let token = stuck.id.0;
+        ctx.send_probe(WorkerId(2), stuck);
+        // The task takes 1 s; the recall comes after 2 s.
+        ctx.schedule_wakeup(SimDuration::from_secs(2), token);
+    }
+
+    fn select_probe(&mut self, worker: WorkerId, state: &phoenix_sim::SimState) -> Option<usize> {
+        (worker != WorkerId(2) && state.workers[worker.index()].queue_len() > 0).then_some(0)
+    }
+
+    fn on_wakeup(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
+        let ledger = ctx.state().crv_ledger();
+        assert_eq!(ledger.cluster().demand(ConstraintKind::NumCores), 1);
+        assert_eq!(ledger.domain(1).demand(ConstraintKind::NumCores), 1);
+        let probe = ctx
+            .remove_probe_by_id(WorkerId(2), ProbeId(token))
+            .expect("the stuck probe is queued");
+        assert!(ctx.state().jobs.is_finished(probe.job), "job in flight");
+        self.recalled.fetch_add(1, Ordering::Relaxed);
+        let ledger = ctx.state().crv_ledger();
+        for tally in [ledger.cluster(), ledger.domain(0), ledger.domain(1)] {
+            assert_eq!(tally.queued_probes(), 0);
+            assert_eq!(tally.constrained_probes(), 0);
+            assert_eq!(tally.distinct_instances(), 0);
+            for kind in ConstraintKind::ALL {
+                assert_eq!(tally.demand(kind), 0, "{kind}");
+            }
+        }
+    }
+}
+
+/// A queued probe of a completed job leaves the CRV ledger under the set
+/// its job's record still names, so every tally returns to zero demand.
+#[test]
+fn removing_a_probe_of_a_finished_job_clears_its_demand() {
+    let jobs = (0..3)
+        .map(|i| Job {
+            id: JobId(i),
+            arrival_s: 10.0 * f64::from(i),
+            task_durations_s: vec![1.0],
+            estimated_task_duration_s: 1.0,
+            constraints: cores_gt(4),
+            short: true,
+            user: 0,
+        })
+        .collect();
+    let trace = Trace::new("finished-recall", jobs);
+    let machine = AttributeVector {
+        num_cores: 16,
+        ..AttributeVector::default()
+    };
+    let config = SimConfig {
+        federation: FederationConfig::sharded(2, SimDuration::from_millis(10)),
+        ..SimConfig::default()
+    };
+    let fixture = FinishedJobRecallFixture::default();
+    let recalled = Arc::clone(&fixture.recalled);
+    let mut sim = Simulation::new(
+        config,
+        FeasibilityIndex::new(vec![machine; 4]),
+        &trace,
+        Box::new(fixture),
+        1,
+    );
+    sim.enable_audit(AuditConfig::default());
+    let result = sim.run();
+    let audit = result.audit.as_ref().expect("audit enabled");
+    assert!(audit.is_clean(), "{audit}");
+    assert_eq!(result.counters.jobs_completed, 3);
+    assert_eq!(result.counters.probes_sent, 6);
+    assert_eq!(recalled.load(Ordering::Relaxed), 3);
+    assert_eq!(result.queues.peak_queued, 1);
 }
 
 /// A scheduler that relies on ctx.rng() determinism.
