@@ -193,12 +193,6 @@ impl RunSpec {
         self
     }
 
-    /// Returns a copy with a different scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Returns a copy with a different fault profile.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;

@@ -541,11 +541,6 @@ impl ConstraintSet {
             .iter()
             .filter(|c| c.class == ConstraintClass::Hard)
     }
-
-    /// Whether the set contains a constraint of the given kind.
-    pub fn contains_kind(&self, kind: ConstraintKind) -> bool {
-        self.constraints.iter().any(|c| c.kind == kind)
-    }
 }
 
 impl FromIterator<Constraint> for ConstraintSet {

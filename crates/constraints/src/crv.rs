@@ -83,11 +83,6 @@ impl Crv {
         Self::default()
     }
 
-    /// Builds a CRV from raw values in [`CrvDimension::ALL`] order.
-    pub fn from_values(values: [f64; CrvDimension::COUNT]) -> Self {
-        Crv { values }
-    }
-
     /// The per-dimension demand indicator of a constraint set: 1.0 in every
     /// dimension the set constrains, 0.0 elsewhere.
     pub fn demand_of(set: &ConstraintSet) -> Self {

@@ -8,10 +8,10 @@
 //! bounds how many times any probe can be bypassed.
 
 use phoenix_constraints::{Crv, CrvDimension};
-use phoenix_sim::{SimState, TraceRecord, WorkerId};
+use phoenix_sim::{Probe, SimState, TraceRecord, WorkerId};
 
 /// Whether a probe's job demands the given CRV dimension.
-fn demands_dimension(state: &SimState, probe: &phoenix_sim::Probe, dim: CrvDimension) -> bool {
+fn demands_dimension(state: &SimState, probe: &Probe, dim: CrvDimension) -> bool {
     let set = state.sets.get(state.jobs.effective(probe.job));
     set.iter().any(|c| c.kind.crv_dimension() == dim)
 }
@@ -34,8 +34,8 @@ fn demands_dimension(state: &SimState, probe: &phoenix_sim::Probe, dim: CrvDimen
 ///   rotation never shifts a previously recorded barrier; and
 /// * the only barriers a promotion can create are among the probes it
 ///   bypasses (their bypass budget may run out mid-pass), which
-///   [`phoenix_sim::Worker::promote_tracking_pins`] reports from the same
-///   loop that increments them.
+///   [`phoenix_sim::Worker::promote`] reports from the same loop that
+///   increments them.
 pub fn crv_reorder_queue(
     state: &mut SimState,
     worker: WorkerId,
@@ -81,7 +81,7 @@ pub fn crv_reorder_queue(
         let target = insert_pos.max(barrier);
         if target < i {
             let (_, newly_pinned) =
-                state.workers[worker.index()].promote_tracking_pins(i, target, slack_threshold);
+                state.workers[worker.index()].promote(i, target, slack_threshold);
             if let Some(pos) = newly_pinned {
                 barrier = pos + 1;
             }
@@ -129,39 +129,19 @@ pub fn crv_insert_tail(
     if hot_ratio <= 0.0 {
         return 0;
     }
-    let tail = {
-        let w = &state.workers[worker.index()];
-        match w.queue_len() {
-            0 => return 0,
-            n => n - 1,
-        }
+    let Some(tail) = state.workers[worker.index()].queue_len().checked_sub(1) else {
+        return 0;
     };
-    let probe_rank = |state: &SimState, p: &phoenix_sim::Probe| -> (u8, u64) {
-        let hot = hot_ratio > 0.0 && !p.is_bound() && demands_dimension(state, p, hot_dim);
-        let est = p.estimate_us();
-        (u8::from(!hot), est) // hot probes rank lower (earlier)
+    let rank = |p: &Probe| {
+        let hot = !p.is_bound() && demands_dimension(state, p, hot_dim);
+        (!hot, p.estimate_us()) // hot probes rank lower (earlier)
     };
-    let new_rank = probe_rank(state, &state.workers[worker.index()].queue()[tail]);
-    let mut to = tail;
-    // Whether the walk stopped at a probe the new one *outranks* but whose
-    // bypass budget is exhausted — the same starvation suppression
-    // `crv_reorder_queue` accounts for.
-    let mut suppressed = false;
-    {
-        let w = &state.workers[worker.index()];
-        while to > 0 {
-            let prev = &w.queue()[to - 1];
-            if probe_rank(state, prev) <= new_rank {
-                break;
-            }
-            if prev.bypass_count >= slack_threshold {
-                suppressed = true;
-                break;
-            }
-            to -= 1;
-        }
-    }
-    let moved = state.workers[worker.index()].promote(tail, to);
+    // `suppressed`: the walk stopped at a probe the new one *outranks* but
+    // whose bypass budget is exhausted — the same starvation suppression
+    // `crv_reorder_queue` accounts for, counted even after a partial move.
+    let (to, suppressed) =
+        state.workers[worker.index()].tail_insertion_target(slack_threshold, rank);
+    let (moved, _) = state.workers[worker.index()].promote(tail, to, slack_threshold);
     let at_us = state.now.as_micros();
     if moved > 0 {
         state.metrics.counters.crv_insertions += 1;
@@ -188,7 +168,7 @@ mod tests {
         Constraint, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex,
         MachinePopulation, PopulationProfile,
     };
-    use phoenix_sim::{Probe, ProbeId, SimConfig, SimTime, Simulation};
+    use phoenix_sim::{ProbeId, SimConfig, SimTime, Simulation};
     use phoenix_traces::{Job, JobId, Trace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -196,6 +176,15 @@ mod tests {
     /// Jobs 0.. get the given constraint sets; probes for all of them are
     /// queued in order on worker 0.
     fn state_with_queue(sets: Vec<ConstraintSet>) -> phoenix_sim::SimState {
+        state_with_probes(sets, |_, _| {})
+    }
+
+    /// [`state_with_queue`], with `preset(i, probe)` editing probe `i`
+    /// before it is queued.
+    fn state_with_probes(
+        sets: Vec<ConstraintSet>,
+        preset: impl Fn(usize, &mut Probe),
+    ) -> phoenix_sim::SimState {
         let mut rng = StdRng::seed_from_u64(1);
         let cluster = MachinePopulation::generate(PopulationProfile::google_like(), 4, &mut rng);
         let jobs: Vec<Job> = sets
@@ -221,7 +210,7 @@ mod tests {
         )
         .into_state_for_tests();
         for i in 0..n {
-            state.workers[0].enqueue(Probe {
+            let mut probe = Probe {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: None,
@@ -231,9 +220,18 @@ mod tests {
                 bypass_count: 0,
                 migrations: 0,
                 retries: 0,
-            });
+            };
+            preset(i, &mut probe);
+            state.workers[0].enqueue(probe);
         }
         state
+    }
+
+    /// Exhausts the head probe's slack of 5.
+    fn pin_head(i: usize, probe: &mut Probe) {
+        if i == 0 {
+            probe.bypass_count = 5;
+        }
     }
 
     fn net_set() -> ConstraintSet {
@@ -295,9 +293,8 @@ mod tests {
 
     #[test]
     fn pinned_probes_are_never_bypassed() {
-        let mut state = state_with_queue(vec![cpu_set(), net_set()]);
-        // Exhaust the cold probe's slack.
-        state.workers[0].queue_mut()[0].bypass_count = 5;
+        // The cold head probe's slack is exhausted.
+        let mut state = state_with_probes(vec![cpu_set(), net_set()], pin_head);
         let promoted = crv_reorder_queue(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(promoted, 0, "pinned barrier blocks promotion");
         assert_eq!(order(&state), vec![0, 1]);
@@ -306,12 +303,14 @@ mod tests {
 
     #[test]
     fn promotion_lands_after_pinned_barrier() {
-        let mut state = state_with_queue(vec![
-            cpu_set(),                      // pinned barrier
-            ConstraintSet::unconstrained(), // bypassable
-            net_set(),                      // hot
-        ]);
-        state.workers[0].queue_mut()[0].bypass_count = 5;
+        let mut state = state_with_probes(
+            vec![
+                cpu_set(),                      // pinned barrier
+                ConstraintSet::unconstrained(), // bypassable
+                net_set(),                      // hot
+            ],
+            pin_head,
+        );
         let promoted = crv_reorder_queue(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(promoted, 1);
         assert_eq!(order(&state), vec![0, 2, 1], "hot lands after barrier");
@@ -324,8 +323,7 @@ mod tests {
         // A slack-exhausted cold probe blocks the new hot tail probe:
         // crv_insert_tail must account the starvation suppression exactly
         // as crv_reorder_queue does.
-        let mut state = state_with_queue(vec![cpu_set(), net_set()]);
-        state.workers[0].queue_mut()[0].bypass_count = 5;
+        let mut state = state_with_probes(vec![cpu_set(), net_set()], pin_head);
         let moved = crv_insert_tail(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(moved, 0);
         assert_eq!(order(&state), vec![0, 1]);
@@ -337,12 +335,14 @@ mod tests {
     fn insert_tail_partial_move_still_counts_suppression() {
         // The hot tail bypasses one cold probe, then hits a pinned barrier:
         // both the insertion and the suppression are recorded.
-        let mut state = state_with_queue(vec![
-            cpu_set(),                      // pinned barrier
-            ConstraintSet::unconstrained(), // bypassable
-            net_set(),                      // hot tail
-        ]);
-        state.workers[0].queue_mut()[0].bypass_count = 5;
+        let mut state = state_with_probes(
+            vec![
+                cpu_set(),                      // pinned barrier
+                ConstraintSet::unconstrained(), // bypassable
+                net_set(),                      // hot tail
+            ],
+            pin_head,
+        );
         let moved = crv_insert_tail(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(moved, 1);
         assert_eq!(order(&state), vec![0, 2, 1]);
@@ -365,14 +365,20 @@ mod tests {
         // With no contended dimension both reorder entry points must be
         // no-ops. Before the gate, crv_insert_tail degenerated to pure
         // SRPT here and would bypass the slower head probes.
-        let mut state = state_with_queue(vec![
-            ConstraintSet::unconstrained(),
-            ConstraintSet::unconstrained(),
-            net_set(),
-        ]);
         // Give the tail a far shorter estimate than the queued probes so
         // an SRPT walk would promote it to the front.
-        state.workers[0].queue_mut()[2].est_duration_us = 1;
+        let mut state = state_with_probes(
+            vec![
+                ConstraintSet::unconstrained(),
+                ConstraintSet::unconstrained(),
+                net_set(),
+            ],
+            |i, probe| {
+                if i == 2 {
+                    probe.est_duration_us = 1;
+                }
+            },
+        );
         let moved = crv_insert_tail(&mut state, WorkerId(0), &Crv::zero(), 5);
         assert_eq!(moved, 0, "no bypasses while contention gating is off");
         assert_eq!(order(&state), vec![0, 1, 2], "tail keeps FIFO position");

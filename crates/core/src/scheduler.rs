@@ -81,11 +81,6 @@ impl Phoenix {
         &self.monitor
     }
 
-    /// Whether the last heartbeat found the cluster in CRV contention mode.
-    pub fn in_crv_mode(&self) -> bool {
-        self.crv_mode
-    }
-
     fn ensure_initialized(&mut self, ctx: &mut SimCtx<'_>) {
         self.eagle.ensure_initialized(ctx);
         if self.estimator.is_empty() {

@@ -188,7 +188,7 @@ fn apply_op(
         7 => {
             let len = state.workers[worker.index()].queue_len();
             if len > 1 {
-                state.workers[worker.index()].promote_to_front(usize::from(b) % len);
+                state.workers[worker.index()].promote(usize::from(b) % len, 0, u32::MAX);
             }
         }
         // Crash: kills running tasks, drops queued probes, removes the

@@ -113,11 +113,6 @@ impl ClassifiedLatencies {
         &self.cells[cell_index(key)]
     }
 
-    /// Mutable access to one cell.
-    pub fn cell_mut(&mut self, key: LatencyKey) -> &mut Distribution {
-        &mut self.cells[cell_index(key)]
-    }
-
     /// All samples of a job class, merged across constraint statuses.
     pub fn by_class(&self, class: JobClass) -> Distribution {
         let mut merged = Distribution::new();

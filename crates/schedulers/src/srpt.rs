@@ -10,59 +10,29 @@
 //! promoted to its SRPT position, never crossing a slack-exhausted probe or
 //! the early-bound probes of the centralized path.
 
-use phoenix_sim::{SimState, Worker, WorkerId};
-
-/// Estimated service time of a queued probe, microseconds: the bound task's
-/// duration for early-bound probes, the job's estimated task duration
-/// (snapshotted on the probe at creation) for speculative ones.
-pub fn probe_estimate_us(state: &SimState, probe: &phoenix_sim::Probe) -> u64 {
-    let _ = state; // estimate now travels on the probe; signature kept stable
-    probe.estimate_us()
-}
+use phoenix_sim::{Probe, SimState, Worker, WorkerId};
 
 /// Applies SRPT insertion to the tail probe of `worker`'s queue: promotes it
-/// over queued probes with strictly larger estimates whose bypass budget
-/// remains. Returns the number of probes bypassed (0 when no reordering
-/// happened).
+/// over queued probes with strictly larger estimates
+/// ([`Probe::estimate_us`]) whose bypass budget remains. Returns the number
+/// of probes bypassed (0 when no reordering happened).
+///
+/// A starvation suppression is counted only when the tail did not move
+/// because the probe directly ahead of it is longer but slack-exhausted.
 ///
 /// Call from [`phoenix_sim::Scheduler::on_probe_enqueued`], when the new
 /// probe is guaranteed to sit at the tail.
 pub fn srpt_insert_tail(state: &mut SimState, worker: WorkerId, slack_threshold: u32) -> usize {
-    let tail = {
-        let w = &state.workers[worker.index()];
-        match w.queue_len() {
-            0 => return 0,
-            n => n - 1,
-        }
+    let w = &mut state.workers[worker.index()];
+    let Some(tail) = w.queue_len().checked_sub(1) else {
+        return 0;
     };
-    let new_est = probe_estimate_us(state, &state.workers[worker.index()].queue()[tail]);
-    // Find the promotion target: walk backwards from the tail while the
-    // preceding probe is strictly longer and still bypassable.
-    let mut to = tail;
-    {
-        let w = &state.workers[worker.index()];
-        while to > 0 {
-            let prev = &w.queue()[to - 1];
-            let prev_est = prev.estimate_us();
-            if prev_est > new_est && prev.bypass_count < slack_threshold {
-                to -= 1;
-            } else {
-                break;
-            }
-        }
-    }
-    let moved = state.workers[worker.index()].promote(tail, to);
+    let (to, pinned) = w.tail_insertion_target(slack_threshold, Probe::estimate_us);
+    let (moved, _) = w.promote(tail, to, slack_threshold);
     if moved > 0 {
         state.metrics.counters.srpt_reordered_tasks += 1;
-    } else if to == tail && tail > 0 {
-        // Check whether the slack bound (rather than SRPT order) pinned the
-        // probe: the predecessor was longer but exhausted.
-        let w = &state.workers[worker.index()];
-        let prev = &w.queue()[tail - 1];
-        let prev_est = prev.estimate_us();
-        if prev_est > new_est && prev.bypass_count >= slack_threshold {
-            state.metrics.counters.starvation_suppressions += 1;
-        }
+    } else if pinned {
+        state.metrics.counters.starvation_suppressions += 1;
     }
     moved
 }
@@ -71,27 +41,18 @@ pub fn srpt_insert_tail(state: &mut SimState, worker: WorkerId, slack_threshold:
 /// adjacent inversion (a longer probe directly ahead of a shorter one) must
 /// be explained by the longer probe having exhausted its bypass budget.
 /// Used by tests and property checks.
-pub fn is_srpt_ordered_modulo_slack(
-    state: &SimState,
-    worker: &Worker,
-    slack_threshold: u32,
-) -> bool {
+pub fn is_srpt_ordered_modulo_slack(worker: &Worker, slack_threshold: u32) -> bool {
     let q = worker.queue();
-    for i in 1..q.len() {
-        let prev = probe_estimate_us(state, &q[i - 1]);
-        let cur = probe_estimate_us(state, &q[i]);
-        if prev > cur && q[i - 1].bypass_count < slack_threshold {
-            return false;
-        }
-    }
-    true
+    (1..q.len()).all(|i| {
+        q[i - 1].estimate_us() <= q[i].estimate_us() || q[i - 1].bypass_count >= slack_threshold
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use phoenix_constraints::{FeasibilityIndex, MachinePopulation, PopulationProfile};
-    use phoenix_sim::{Probe, ProbeId, SimConfig, SimTime, Simulation};
+    use phoenix_sim::{ProbeId, SimConfig, SimTime, Simulation};
     use phoenix_traces::{Job, JobId, Trace};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -125,6 +86,16 @@ mod tests {
     }
 
     fn push_probe(state: &mut phoenix_sim::SimState, worker: WorkerId, job: u32) {
+        push_probe_bypassed(state, worker, job, 0);
+    }
+
+    /// Queues job `job`'s probe with `bypass_count` bypasses already spent.
+    fn push_probe_bypassed(
+        state: &mut phoenix_sim::SimState,
+        worker: WorkerId,
+        job: u32,
+        bypass_count: u32,
+    ) {
         let probe = Probe {
             id: ProbeId(job as u64),
             job: JobId(job),
@@ -132,7 +103,7 @@ mod tests {
             est_duration_us: state.jobs.estimated_task_us(JobId(job)),
             slowdown: 1.0,
             enqueued_at: SimTime::ZERO,
-            bypass_count: 0,
+            bypass_count,
             migrations: 0,
             retries: 0,
         };
@@ -150,7 +121,7 @@ mod tests {
         let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
         assert_eq!(order, vec![2, 1, 0], "shortest job first");
         assert!(state.metrics.counters.srpt_reordered_tasks >= 2);
-        assert!(is_srpt_ordered_modulo_slack(&state, &state.workers[0], 5));
+        assert!(is_srpt_ordered_modulo_slack(&state.workers[0], 5));
     }
 
     #[test]
@@ -184,6 +155,22 @@ mod tests {
         let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
         assert_eq!(order, vec![1, 2, 0, 3], "job 0 pinned by slack bound");
         assert_eq!(state.metrics.counters.starvation_suppressions, 1);
+    }
+
+    #[test]
+    fn partial_move_to_a_pinned_probe_is_not_a_suppression() {
+        // The tail overtakes job 1 and stops behind the slack-exhausted
+        // job 0: SRPT counts the reorder, not a suppression.
+        let mut state = state_with_jobs(&[100.0, 50.0, 1.0]);
+        let w = WorkerId(0);
+        push_probe_bypassed(&mut state, w, 0, 2);
+        push_probe(&mut state, w, 1);
+        push_probe(&mut state, w, 2);
+        assert_eq!(srpt_insert_tail(&mut state, w, 2), 1);
+        let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(state.metrics.counters.srpt_reordered_tasks, 1);
+        assert_eq!(state.metrics.counters.starvation_suppressions, 0);
     }
 
     #[test]

@@ -87,21 +87,20 @@ pub fn try_steal(
 }
 
 /// Removes from `victim`'s queue every *speculative* probe whose job's
-/// effective constraints `thief` satisfies, returning them.
+/// effective constraints `thief` satisfies, returning them in queue order.
 fn steal_feasible_probes(ctx: &mut SimCtx<'_>, victim: WorkerId, thief: WorkerId) -> Vec<Probe> {
-    // Collect feasibility decisions first (immutable pass), then remove.
-    let steal_ids: Vec<_> = ctx
+    // Decide feasibility in an immutable pass, then remove in one pass that
+    // consumes the decisions in the same head-to-tail order.
+    let steal: Vec<bool> = ctx
         .worker(victim)
         .queue()
         .iter()
-        .filter(|p| !p.is_bound())
-        .filter(|p| ctx.is_feasible(thief, ctx.effective(p.job)))
-        .map(|p| p.id)
+        .map(|p| !p.is_bound() && ctx.is_feasible(thief, ctx.effective(p.job)))
         .collect();
-    steal_ids
-        .into_iter()
-        .filter_map(|id| ctx.remove_probe_by_id(victim, id))
-        .collect()
+    let mut decisions = steal.into_iter();
+    ctx.steal_probes_if(victim, |_| {
+        decisions.next().expect("one decision per probe")
+    })
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ proptest! {
             });
             srpt_insert_tail(&mut state, w, slack);
             prop_assert!(
-                is_srpt_ordered_modulo_slack(&state, &state.workers[0], slack),
+                is_srpt_ordered_modulo_slack(&state.workers[0], slack),
                 "queue must stay SRPT-ordered modulo pinned probes"
             );
         }

@@ -40,10 +40,11 @@ impl<'a> SimCtx<'a> {
 
     /// Full mutable access to the simulation state.
     ///
-    /// Prefer the targeted accessors ([`SimCtx::worker_mut`],
-    /// [`SimCtx::set_effective`], ...); this exists for policy helpers that need
-    /// simultaneous access to several parts of the state (queue reordering
-    /// reads job estimates while mutating worker queues).
+    /// Prefer the targeted accessors ([`SimCtx::set_effective`],
+    /// [`SimCtx::steal_probes_if`], ...); this exists for policy helpers that
+    /// need simultaneous access to several parts of the state (queue
+    /// reordering reads job sets while promoting probes with
+    /// [`Worker::promote`]).
     pub fn state_mut(&mut self) -> &mut SimState {
         self.state
     }
@@ -61,17 +62,6 @@ impl<'a> SimCtx<'a> {
     /// Read access to a worker.
     pub fn worker(&self, id: WorkerId) -> &Worker {
         &self.state.workers[id.index()]
-    }
-
-    /// Mutable access to a worker (queue reordering).
-    ///
-    /// Use this only for operations that preserve the queue's probe
-    /// multiset (e.g. [`Worker::promote`]). Adding or removing probes must
-    /// go through the ledger-aware wrappers ([`SimCtx::enqueue_front`],
-    /// [`SimCtx::remove_probe_by_id`], [`SimCtx::steal_probes_if`]) or the
-    /// incremental CRV monitor desyncs.
-    pub fn worker_mut(&mut self, id: WorkerId) -> &mut Worker {
-        &mut self.state.workers[id.index()]
     }
 
     /// Read access to a job in flight (arrived, not finished).
@@ -418,7 +408,9 @@ impl<'a> SimCtx<'a> {
     }
 
     /// Removes and returns every queued probe of `worker` matching
-    /// `predicate` (work stealing). Keeps the CRV ledger in sync.
+    /// `predicate` (work stealing), in queue order; `predicate` sees each
+    /// queued probe once, head to tail ([`Worker::steal_if`]). Keeps the
+    /// CRV ledger in sync.
     pub fn steal_probes_if(
         &mut self,
         worker: WorkerId,

@@ -214,8 +214,8 @@ impl SimState {
     /// All probe movement between queues must go through these
     /// `SimState`/[`SimCtx`] wrappers rather than [`Worker::enqueue`] /
     /// [`Worker::remove_probe`] directly, or the incremental monitor
-    /// desyncs (and its debug oracle panics). Pure reordering
-    /// ([`Worker::promote`]) needs no wrapper.
+    /// desyncs (and its debug oracle panics). Reordering a queue with
+    /// [`Worker::promote`], its one reordering primitive, needs no wrapper.
     pub fn enqueue_probe(&mut self, worker: WorkerId, probe: Probe) {
         self.ledger_enqueued(worker, &probe);
         self.with_worker(worker, |w| w.enqueue(probe));
@@ -851,9 +851,8 @@ impl<'t> Simulation<'t> {
 
     fn drain_touched(&mut self) {
         while let Some(worker) = self.state.touched.pop() {
-            // Conservation audit: a policy hook may have reordered the
-            // queue through `Worker::queue_mut`; verify it did not desync
-            // the cached bound-work aggregate.
+            // Conservation audit: the cached queue-work aggregates must
+            // still match the queue after the policy hooks ran.
             #[cfg(debug_assertions)]
             self.state.workers[worker.index()].audit_bound_work();
             let started = self.state.profiler.begin();

@@ -276,11 +276,6 @@ impl SimResult {
         self.metrics.job_response.by_class(class).percentile(p)
     }
 
-    /// Percentile of per-job queuing time for a whole class, seconds.
-    pub fn class_queuing_percentile(&self, class: JobClass, p: f64) -> f64 {
-        self.metrics.job_queuing.by_class(class).percentile(p)
-    }
-
     /// FNV-1a fingerprint over the run's deterministic content: makespan,
     /// busy time, every counter, `lost_tasks`, and all per-job outcomes
     /// (bit-exact floats). Two runs with the same fingerprint produced

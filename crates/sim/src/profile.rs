@@ -107,11 +107,6 @@ impl Profiler {
         }
     }
 
-    /// Whether the profiler records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Marks the start of a scope. Returns `None` (no clock read) when
     /// disabled; pass the value to [`Profiler::end`] either way.
     #[inline]

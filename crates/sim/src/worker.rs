@@ -1,5 +1,6 @@
 //! Worker state: one execution slot plus a probe queue.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use phoenix_traces::JobId;
@@ -63,13 +64,9 @@ pub struct Worker {
     /// count it gives [`Worker::running_work_us`] without reading the
     /// tasks, whose buffer sits elsewhere on the heap.
     running_finish_sum_us: u64,
-    /// Probe queue as a head-offset ring over a `Vec`: the live queue is
-    /// `queue[head..]`, so popping the head (the overwhelmingly common
-    /// removal — every dispatch) is a pointer bump instead of an O(queue)
-    /// `Vec::remove(0)` shift. Dead slots before `head` are reclaimed by
-    /// amortized compaction, and a drained queue releases its buffer.
-    queue: Vec<Probe>,
-    head: u32,
+    /// Probe queue in service order. Popping the head (every dispatch) is
+    /// O(1), and a drained queue releases its buffer.
+    queue: VecDeque<Probe>,
     /// Total busy microseconds accumulated (for utilization).
     busy_us: u64,
     /// Sum of bound task durations currently queued, microseconds (an
@@ -113,8 +110,7 @@ impl Worker {
             // a task, and an up-front reservation costs 48 bytes each.
             running: Vec::new(),
             running_finish_sum_us: 0,
-            queue: Vec::new(),
-            head: 0,
+            queue: VecDeque::new(),
             busy_us: 0,
             queued_bound_work_us: 0,
             queued_spec_est_us: 0,
@@ -240,138 +236,127 @@ impl Worker {
     }
 
     /// The probe queue, in service order.
-    pub fn queue(&self) -> &[Probe] {
-        &self.queue[self.head as usize..]
-    }
-
-    /// Mutable access to the probe queue for policy reordering.
-    ///
-    /// Reordering must preserve the multiset of probes; the engine's
-    /// conservation accounting assumes probes are only added via
-    /// [`Worker::enqueue`] and removed via [`Worker::remove_probe`] /
-    /// [`Worker::steal_if`]. In particular, mutating a probe's
-    /// `bound_duration_us` through this slice desyncs the cached
-    /// [`Worker::queued_bound_work_us`] aggregate — the engine audits the
-    /// aggregate in debug builds ([`Worker::audit_bound_work`]) and panics
-    /// on divergence.
-    pub fn queue_mut(&mut self) -> &mut [Probe] {
-        let head = self.head as usize;
-        &mut self.queue[head..]
+    pub fn queue(&self) -> &VecDeque<Probe> {
+        &self.queue
     }
 
     /// Recomputes the bound-work aggregate directly from the queue.
     pub fn recomputed_bound_work_us(&self) -> u64 {
-        self.queue()
-            .iter()
-            .filter_map(|p| p.bound_duration_us)
-            .sum()
+        self.queue.iter().filter_map(|p| p.bound_duration_us).sum()
     }
 
     /// Recomputes the speculative-estimate aggregate directly from the
     /// queue.
     pub fn recomputed_spec_est_us(&self) -> u64 {
-        self.queue()
+        self.queue
             .iter()
             .filter(|p| !p.is_bound())
             .map(|p| p.est_duration_us)
             .sum()
     }
 
-    /// Asserts the cached [`Worker::queued_bound_work_us`] aggregate still
-    /// matches the queue contents. The engine invokes this (debug builds
-    /// only) before dispatching a touched worker, catching policies that
-    /// desynced the aggregate through [`Worker::queue_mut`].
+    /// Asserts the cached [`Worker::queued_bound_work_us`] and
+    /// [`Worker::queued_spec_est_us`] aggregates still match the queue
+    /// contents. Probes enter and leave the queue only through the methods
+    /// below, which keep both aggregates; the engine invokes this (debug
+    /// builds only) before dispatching a touched worker.
     ///
     /// # Panics
     ///
-    /// Panics if the cached aggregate diverged.
+    /// Panics if a cached aggregate diverged.
     pub fn audit_bound_work(&self) {
         let recomputed = self.recomputed_bound_work_us();
         assert_eq!(
             self.queued_bound_work_us, recomputed,
-            "queued_bound_work_us desynced: cached {} vs recomputed {} \
-             (a policy mutated bound_duration_us via queue_mut?)",
+            "queued_bound_work_us desynced: cached {} vs recomputed {}",
             self.queued_bound_work_us, recomputed
         );
         let spec = self.recomputed_spec_est_us();
         assert_eq!(
             self.queued_spec_est_us, spec,
-            "queued_spec_est_us desynced: cached {} vs recomputed {} \
-             (a policy mutated est_duration_us via queue_mut?)",
+            "queued_spec_est_us desynced: cached {} vs recomputed {}",
             self.queued_spec_est_us, spec
         );
     }
 
-    /// Appends a probe to the tail of the queue.
-    pub fn enqueue(&mut self, probe: Probe) {
+    /// Adds a probe entering the queue to the work aggregates.
+    fn count_in(&mut self, probe: &Probe) {
         match probe.bound_duration_us {
             Some(d) => self.queued_bound_work_us += d,
             None => self.queued_spec_est_us += probe.est_duration_us,
         }
-        self.queue.push(probe);
     }
 
-    /// Removes and returns the probe at `index` (relative to the queue
-    /// head). Popping the head is O(1); middle removals shift whichever
-    /// side of the queue is shorter.
+    /// Takes a probe leaving the queue out of the work aggregates.
+    fn count_out(&mut self, probe: &Probe) {
+        match probe.bound_duration_us {
+            Some(d) => self.queued_bound_work_us -= d,
+            None => self.queued_spec_est_us -= probe.est_duration_us,
+        }
+    }
+
+    /// Releases the buffer once the queue drains, so a worker holds queue
+    /// memory only while probes are queued on it, not the capacity of its
+    /// longest queue ever.
+    fn release_if_drained(&mut self) {
+        if self.queue.is_empty() {
+            self.queue = VecDeque::new();
+        }
+    }
+
+    /// Appends a probe to the tail of the queue.
+    pub fn enqueue(&mut self, probe: Probe) {
+        self.count_in(&probe);
+        self.queue.push_back(probe);
+    }
+
+    /// Inserts a probe at the *front* of the queue without touching bypass
+    /// counters.
+    ///
+    /// This models Eagle's Sticky Batch Probing: the worker that just
+    /// finished a task of a job immediately continues with that job's next
+    /// task — a continuation of service, not a reordering.
+    pub fn enqueue_front(&mut self, probe: Probe) {
+        self.count_in(&probe);
+        self.queue.push_front(probe);
+    }
+
+    /// Removes and returns the probe at `index`. Popping the head is O(1);
+    /// other removals shift whichever side of the queue is shorter.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
     pub fn remove_probe(&mut self, index: usize) -> Probe {
-        let len = self.queue_len();
-        assert!(index < len, "remove_probe index out of bounds");
-        let head = self.head as usize;
-        let abs = head + index;
-        let probe = self.queue[abs];
-        if index * 2 < len {
-            // Head side shorter: slide `[head, abs)` right into the gap and
-            // advance the head (O(index); O(1) for the head itself).
-            self.queue.copy_within(head..abs, head + 1);
-            self.head += 1;
-            self.maybe_compact();
-        } else {
-            self.queue.remove(abs);
-        }
-        match probe.bound_duration_us {
-            Some(d) => self.queued_bound_work_us -= d,
-            None => self.queued_spec_est_us -= probe.est_duration_us,
-        }
+        let probe = self
+            .queue
+            .remove(index)
+            .expect("remove_probe index out of bounds");
+        self.count_out(&probe);
+        self.release_if_drained();
         probe
     }
 
-    /// Releases the buffer once the queue drains, so a ring holds memory
-    /// only while probes are queued on it, not the capacity of its longest
-    /// queue ever. Otherwise reclaims the dead prefix before `head` once it
-    /// dominates the buffer; each compaction moves at most as many probes
-    /// as were popped since the last one, so removal stays amortized O(1).
-    fn maybe_compact(&mut self) {
-        let head = self.head as usize;
-        if head == self.queue.len() {
-            self.queue = Vec::new();
-            self.head = 0;
-        } else if head >= 32 && head * 2 >= self.queue.len() {
-            self.queue.drain(..head);
-            self.head = 0;
-        }
-    }
-
-    /// Removes and returns every queued probe matching `predicate`
-    /// (used by work stealing).
+    /// Removes and returns every queued probe matching `predicate`, in
+    /// queue order (used by work stealing). One pass: `predicate` sees each
+    /// queued probe exactly once, head to tail.
     pub fn steal_if(&mut self, mut predicate: impl FnMut(&Probe) -> bool) -> Vec<Probe> {
         let mut stolen = Vec::new();
-        let mut i = 0;
-        while i < self.queue_len() {
-            if predicate(&self.queue()[i]) {
-                stolen.push(self.remove_probe(i));
-            } else {
-                i += 1;
+        self.queue.retain(|p| {
+            let steal = predicate(p);
+            if steal {
+                stolen.push(*p);
             }
+            !steal
+        });
+        for probe in &stolen {
+            self.count_out(probe);
         }
+        self.release_if_drained();
         stolen
     }
 
-    /// Probes the ring's buffer can hold without growing.
+    /// Probes the queue's buffer can hold without growing.
     #[cfg(test)]
     pub(crate) fn ring_capacity(&self) -> usize {
         self.queue.capacity()
@@ -379,7 +364,7 @@ impl Worker {
 
     /// Queue length.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() - self.head as usize
+        self.queue.len()
     }
 
     /// Sum of bound task durations in the queue, microseconds.
@@ -398,74 +383,73 @@ impl Worker {
         self.busy_us
     }
 
-    /// Moves the probe at `index` to the front of the queue, incrementing
-    /// the bypass counter of every probe it overtakes. Returns the number of
-    /// probes bypassed.
-    pub fn promote_to_front(&mut self, index: usize) -> usize {
-        self.promote(index, 0)
-    }
-
     /// Moves the probe at `from` to position `to` (`to <= from`),
-    /// incrementing the bypass counter of every probe it overtakes.
-    /// Returns the number of probes bypassed.
+    /// incrementing the bypass counter of every probe it overtakes. Returns
+    /// the number of probes bypassed and the highest new position of a
+    /// bypassed probe whose bypass count is at or above `slack_threshold`
+    /// after the increment. CRV reordering uses the latter to keep its
+    /// pinned-barrier frontier exact without re-scanning the queue: a probe
+    /// pinned *by this very promotion* is a barrier for later promotions in
+    /// the same pass.
     ///
     /// # Panics
     ///
     /// Panics if `from` is out of bounds or `to > from`.
-    pub fn promote(&mut self, from: usize, to: usize) -> usize {
-        self.promote_tracking_pins(from, to, u32::MAX).0
-    }
-
-    /// [`Worker::promote`] that additionally reports the highest
-    /// post-rotation position of a bypassed probe whose bypass count is at
-    /// or above `slack_threshold` *after* the increment. CRV reordering
-    /// uses this to keep its pinned-barrier frontier exact without
-    /// re-scanning the queue: a probe pinned *by this very promotion* is a
-    /// barrier for later promotions in the same pass.
-    pub fn promote_tracking_pins(
+    pub fn promote(
         &mut self,
         from: usize,
         to: usize,
         slack_threshold: u32,
     ) -> (usize, Option<usize>) {
-        assert!(from < self.queue_len(), "promote index out of bounds");
+        assert!(from < self.queue.len(), "promote index out of bounds");
         assert!(to <= from, "promote must move toward the front");
         if from == to {
             return (0, None);
         }
-        let head = self.head as usize;
-        let (h_to, h_from) = (head + to, head + from);
         let mut last_pinned = None;
-        for (j, p) in self.queue[h_to..h_from].iter_mut().enumerate() {
+        // The probe at `pos - 1` lands at `pos` once the promoted one
+        // moves in front of it.
+        for (pos, p) in (to + 1..).zip(self.queue.range_mut(to..from)) {
             p.bypass_count += 1;
             if p.bypass_count >= slack_threshold {
-                // The probe at queue-relative index `to + j` lands at
-                // `to + j + 1` after the rotation below.
-                last_pinned = Some(to + j + 1);
+                last_pinned = Some(pos);
             }
         }
-        self.queue[h_to..=h_from].rotate_right(1);
+        let probe = self.queue.remove(from).expect("checked above");
+        self.queue.insert(to, probe);
         (from - to, last_pinned)
     }
 
-    /// Inserts a probe at the *front* of the queue without touching bypass
-    /// counters.
+    /// Where the tail probe lands under rank-ordered insertion: walking back
+    /// from the tail, it passes every predecessor that ranks strictly
+    /// higher and still has bypass budget (`bypass_count <
+    /// slack_threshold`), and stops at one that ranks no higher or at a
+    /// slack-exhausted one. Returns the landing position and whether the
+    /// walk stopped at a slack-exhausted probe the tail outranks. An empty
+    /// queue gives `(0, false)`.
     ///
-    /// This models Eagle's Sticky Batch Probing: the worker that just
-    /// finished a task of a job immediately continues with that job's next
-    /// task — a continuation of service, not a reordering.
-    pub fn enqueue_front(&mut self, probe: Probe) {
-        match probe.bound_duration_us {
-            Some(d) => self.queued_bound_work_us += d,
-            None => self.queued_spec_est_us += probe.est_duration_us,
+    /// SRPT and CRV insertion both use this walk, each with its own rank,
+    /// then move the tail with [`Worker::promote`].
+    pub fn tail_insertion_target<R: Ord>(
+        &self,
+        slack_threshold: u32,
+        mut rank: impl FnMut(&Probe) -> R,
+    ) -> (usize, bool) {
+        let Some(tail) = self.queue.back() else {
+            return (0, false);
+        };
+        let new_rank = rank(tail);
+        let mut to = self.queue.len() - 1;
+        for prev in self.queue.range(..to).rev() {
+            if rank(prev) <= new_rank {
+                return (to, false);
+            }
+            if prev.bypass_count >= slack_threshold {
+                return (to, true);
+            }
+            to -= 1;
         }
-        if self.head > 0 {
-            // Reuse a dead slot before the head: O(1).
-            self.head -= 1;
-            self.queue[self.head as usize] = probe;
-        } else {
-            self.queue.insert(0, probe);
-        }
+        (to, false)
     }
 }
 
@@ -559,29 +543,32 @@ mod tests {
         for i in 0..4 {
             w.enqueue(probe(i, None));
         }
-        let bypassed = w.promote_to_front(2);
-        assert_eq!(bypassed, 2);
+        assert_eq!(w.promote(2, 0, u32::MAX), (2, None));
         let ids: Vec<u64> = w.queue().iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![2, 0, 1, 3]);
         assert_eq!(w.queue()[1].bypass_count, 1);
         assert_eq!(w.queue()[2].bypass_count, 1);
         assert_eq!(w.queue()[3].bypass_count, 0);
         // Promoting the head is a no-op.
-        assert_eq!(w.promote_to_front(0), 0);
+        assert_eq!(w.promote(0, 0, u32::MAX), (0, None));
     }
 
     #[test]
-    fn promote_partial_move() {
+    fn promote_partial_move_reports_the_last_pinned_probe() {
         let mut w = Worker::new();
         for i in 0..5 {
-            w.enqueue(probe(i, None));
+            w.enqueue(Probe {
+                bypass_count: if i == 1 { 1 } else { 0 },
+                ..probe(i, None)
+            });
         }
-        let bypassed = w.promote(3, 1);
-        assert_eq!(bypassed, 2);
+        // Probe 1 reaches the threshold of 2 as probe 3 overtakes it and
+        // lands at position 2; probe 2 (count 1) stays below it.
+        assert_eq!(w.promote(3, 1, 2), (2, Some(2)));
         let ids: Vec<u64> = w.queue().iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![0, 3, 1, 2, 4]);
         assert_eq!(w.queue()[0].bypass_count, 0, "head not overtaken");
-        assert_eq!(w.queue()[2].bypass_count, 1);
+        assert_eq!(w.queue()[2].bypass_count, 2);
         assert_eq!(w.queue()[3].bypass_count, 1);
     }
 
@@ -591,7 +578,7 @@ mod tests {
         let mut w = Worker::new();
         w.enqueue(probe(0, None));
         w.enqueue(probe(1, None));
-        let _ = w.promote(0, 1);
+        let _ = w.promote(0, 1, u32::MAX);
     }
 
     #[test]
@@ -670,7 +657,6 @@ mod tests {
         assert!(w.ring_capacity() > 0, "one probe still queued");
         w.remove_probe(0);
         assert_eq!(w.ring_capacity(), 0);
-        assert_eq!(w.head, 0);
         // The released ring takes probes again, at either end.
         w.enqueue(probe(100, None));
         w.enqueue_front(probe(101, Some(5)));
@@ -696,27 +682,47 @@ mod tests {
     }
 
     #[test]
-    fn long_queue_pops_in_amortized_constant_time() {
-        let n = 10_000;
-        let mut w = Worker::new();
-        for i in 0..n {
-            w.enqueue(probe(i, None));
-        }
-        // Between compactions a pop only bumps the head; a compaction
-        // moves the probes still queued. The moves over a whole drain stay
-        // within the number of pops.
-        let mut moved = 0;
-        for i in 0..n {
-            let head = w.head;
-            assert_eq!(w.remove_probe(0).id, ProbeId(i));
-            if w.head == 0 {
-                moved += w.queue_len();
-            } else {
-                assert_eq!(w.head, head + 1, "pop {i} shifted the queue");
+    fn fifo_capacity_stays_within_twice_the_longest_queue() {
+        for longest in [1u64, 3, 4, 5, 17, 100] {
+            let bound = 2 * longest.max(4) as usize;
+            let mut w = Worker::new();
+            let mut next = 0;
+            let mut head = 0;
+            // Fill to `longest`, then cycle pops and pushes so the ring
+            // wraps many times, at lengths between 1 and `longest`.
+            for round in 0..50u64 {
+                while next - head < longest {
+                    w.enqueue(probe(next, None));
+                    next += 1;
+                    assert!(w.ring_capacity() <= bound, "{longest}: grew past {bound}");
+                }
+                for _ in 0..=round % longest {
+                    assert_eq!(w.remove_probe(0).id, ProbeId(head));
+                    head += 1;
+                }
             }
+            while w.queue_len() > 0 {
+                assert_eq!(w.remove_probe(0).id, ProbeId(head));
+                head += 1;
+            }
+            assert_eq!(head, next);
+            assert_eq!(
+                w.ring_capacity(),
+                0,
+                "{longest}: drained queue kept its buffer"
+            );
         }
-        assert!(moved <= n as usize, "{moved} probes moved for {n} pops");
-        assert_eq!(w.ring_capacity(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "queued_bound_work_us desynced")]
+    fn audit_catches_a_desynced_bound_work_aggregate() {
+        let mut w = Worker::new();
+        w.enqueue(probe(0, Some(10)));
+        w.enqueue(probe(1, None));
+        w.audit_bound_work();
+        w.queued_bound_work_us += 1;
+        w.audit_bound_work();
     }
 
     #[test]

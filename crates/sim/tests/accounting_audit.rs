@@ -1,6 +1,7 @@
-//! The engine's debug conservation audit: a policy that desyncs the cached
-//! `queued_bound_work_us` aggregate through `Worker::queue_mut` is caught
-//! before the next dispatch.
+//! The engine's debug conservation audit of the cached
+//! `queued_bound_work_us` aggregate: reordering, crash drains and worker
+//! recovery all keep it exact. (The audit's panic on a desynced aggregate
+//! is a `worker.rs` unit test: no public path can desync it.)
 
 use phoenix_constraints::{FeasibilityIndex, MachinePopulation, PopulationProfile};
 use phoenix_sim::{Scheduler, SimConfig, SimCtx, SimDuration, SimResult, Simulation, WorkerId};
@@ -36,35 +37,8 @@ fn simulate(scheduler: Box<dyn Scheduler>) -> SimResult {
     .run()
 }
 
-/// Sends one speculative probe, then rewrites its bound duration in place —
-/// exactly the desync `Worker::queue_mut` makes possible.
-#[cfg(debug_assertions)]
-#[derive(Debug)]
-struct DesyncingScheduler;
-
-#[cfg(debug_assertions)]
-impl Scheduler for DesyncingScheduler {
-    fn name(&self) -> &str {
-        "desyncing"
-    }
-
-    fn on_job_arrival(&mut self, job: JobId, ctx: &mut SimCtx<'_>) {
-        let probe = ctx.new_probe(job);
-        ctx.send_probe(WorkerId(0), probe);
-    }
-
-    fn on_probe_enqueued(&mut self, worker: WorkerId, ctx: &mut SimCtx<'_>) {
-        // Illegally turn the queued speculative probe into a "bound" one
-        // without going through enqueue/remove: the cached aggregate no
-        // longer matches the queue.
-        if let Some(p) = ctx.worker_mut(worker).queue_mut().first_mut() {
-            p.bound_duration_us = Some(123_456);
-        }
-    }
-}
-
-/// A policy that only *reorders* through `queue_mut` stays within the
-/// contract and must not trip the audit.
+/// A policy that reorders a queue with `Worker::promote` keeps the cached
+/// aggregates exact and must not trip the audit.
 #[derive(Debug)]
 struct ReorderingScheduler;
 
@@ -82,23 +56,15 @@ impl Scheduler for ReorderingScheduler {
     }
 
     fn on_probe_enqueued(&mut self, worker: WorkerId, ctx: &mut SimCtx<'_>) {
-        let w = ctx.worker_mut(worker);
+        let w = &mut ctx.state_mut().workers[worker.index()];
         if w.queue_len() >= 2 {
-            w.queue_mut().reverse();
-            w.promote_to_front(w.queue_len() - 1);
+            w.promote(w.queue_len() - 1, 0, u32::MAX);
         }
     }
 }
 
-#[cfg(debug_assertions)]
 #[test]
-#[should_panic(expected = "queued_bound_work_us desynced")]
-fn engine_audit_catches_bound_work_desync() {
-    simulate(Box::new(DesyncingScheduler));
-}
-
-#[test]
-fn reordering_through_queue_mut_passes_the_audit() {
+fn reordering_through_promote_passes_the_audit() {
     let result = simulate(Box::new(ReorderingScheduler));
     assert_eq!(result.incomplete_jobs, 0);
 }
