@@ -9,8 +9,7 @@ use phoenix_schedulers::{
     BaselineConfig, ChoosyC, EagleC, HawkC, MercuryC, MonolithicC, SparrowC, YaqD,
 };
 use phoenix_sim::{
-    AuditConfig, FaultPlan, FederationConfig, JsonlSink, Scheduler, SimConfig, SimResult,
-    Simulation,
+    FaultPlan, FederationConfig, JsonlSink, Scheduler, SimConfig, SimResult, Simulation,
 };
 use phoenix_traces::{TraceGenerator, TraceProfile};
 
@@ -293,7 +292,7 @@ pub fn run_spec_timed(spec: &RunSpec) -> (SimResult, RunTiming) {
     }
     // Audit goes last: it tees whatever trace sink is attached by now.
     if spec.audit || std::env::var_os("PHOENIX_AUDIT").is_some() {
-        sim.enable_audit(AuditConfig::default());
+        sim.enable_audit();
     }
     let started = std::time::Instant::now();
     let result = sim.run();

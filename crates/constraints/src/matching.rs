@@ -28,7 +28,7 @@
 //!   constraint instead of O(N) predicate evaluations.
 //!
 //! Kinds with pathologically many distinct values (beyond
-//! [`PREFIX_VALUE_CAP`], impossible with the shipped population profiles
+//! `PREFIX_VALUE_CAP`, impossible with the shipped population profiles
 //! but reachable through the public API) keep ascending-id posting lists
 //! instead of bitset blocks and scatter/filter their posting range,
 //! bounding index memory by O(N) per kind. A kind stores one form or the

@@ -146,7 +146,7 @@ impl CrvMonitor {
 
         // Pass 1: demand and the distinct constraint instances per kind.
         let mut instances: HashMap<Constraint, ()> = HashMap::new();
-        for worker in &state.workers {
+        for worker in state.workers() {
             for probe in worker.queue() {
                 snapshot.queued_probes += 1;
                 let set = state.sets.get(state.jobs.effective(probe.job));
@@ -163,7 +163,7 @@ impl CrvMonitor {
 
         // Pass 2: idle workers.
         let idle: Vec<bool> = state
-            .workers
+            .workers()
             .iter()
             .map(|w| w.is_idle() && w.is_alive())
             .collect();
@@ -171,7 +171,7 @@ impl CrvMonitor {
 
         // Pass 3: supply per kind = idle workers satisfying any queued
         // instance of that kind.
-        let mut satisfied = vec![0u16; state.workers.len()];
+        let mut satisfied = vec![0u16; state.workers().len()];
         let mut kind_mask: Vec<u16> = vec![0; ConstraintKind::COUNT];
         for (bit, kind) in ConstraintKind::ALL.iter().enumerate() {
             kind_mask[kind.index()] = 1 << bit;

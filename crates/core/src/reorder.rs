@@ -34,7 +34,7 @@ fn demands_dimension(state: &SimState, probe: &Probe, dim: CrvDimension) -> bool
 ///   rotation never shifts a previously recorded barrier; and
 /// * the only barriers a promotion can create are among the probes it
 ///   bypasses (their bypass budget may run out mid-pass), which
-///   [`phoenix_sim::Worker::promote`] reports from the same loop that
+///   [`SimState::promote_probe`] reports from the same loop that
 ///   increments them.
 pub fn crv_reorder_queue(
     state: &mut SimState,
@@ -46,7 +46,7 @@ pub fn crv_reorder_queue(
     if hot_ratio <= 0.0 {
         return 0;
     }
-    let len = state.workers[worker.index()].queue_len();
+    let len = state.worker(worker).queue_len();
     let mut promoted = 0usize;
     // `insert_pos`: where the next hot probe should land (just after the
     // hot prefix built so far).
@@ -59,7 +59,7 @@ pub fn crv_reorder_queue(
     let mut barrier = 0usize;
     for i in 0..len {
         let (is_hot, is_pinned) = {
-            let probe = &state.workers[worker.index()].queue()[i];
+            let probe = &state.worker(worker).queue()[i];
             // Only speculative (short-job) probes are promoted: Phoenix
             // must not accelerate long jobs at short jobs' expense (Fig. 8
             // shows long-job response times unchanged).
@@ -80,8 +80,7 @@ pub fn crv_reorder_queue(
         }
         let target = insert_pos.max(barrier);
         if target < i {
-            let (_, newly_pinned) =
-                state.workers[worker.index()].promote(i, target, slack_threshold);
+            let (_, newly_pinned) = state.promote_probe(worker, i, target, slack_threshold);
             if let Some(pos) = newly_pinned {
                 barrier = pos + 1;
             }
@@ -129,7 +128,7 @@ pub fn crv_insert_tail(
     if hot_ratio <= 0.0 {
         return 0;
     }
-    let Some(tail) = state.workers[worker.index()].queue_len().checked_sub(1) else {
+    let Some(tail) = state.worker(worker).queue_len().checked_sub(1) else {
         return 0;
     };
     let rank = |p: &Probe| {
@@ -139,9 +138,10 @@ pub fn crv_insert_tail(
     // `suppressed`: the walk stopped at a probe the new one *outranks* but
     // whose bypass budget is exhausted — the same starvation suppression
     // `crv_reorder_queue` accounts for, counted even after a partial move.
-    let (to, suppressed) =
-        state.workers[worker.index()].tail_insertion_target(slack_threshold, rank);
-    let (moved, _) = state.workers[worker.index()].promote(tail, to, slack_threshold);
+    let (to, suppressed) = state
+        .worker(worker)
+        .tail_insertion_target(slack_threshold, rank);
+    let (moved, _) = state.promote_probe(worker, tail, to, slack_threshold);
     let at_us = state.now.as_micros();
     if moved > 0 {
         state.metrics.counters.crv_insertions += 1;
@@ -222,7 +222,7 @@ mod tests {
                 retries: 0,
             };
             preset(i, &mut probe);
-            state.workers[0].enqueue(probe);
+            state.enqueue_probe(WorkerId(0), probe);
         }
         state
     }
@@ -257,8 +257,17 @@ mod tests {
         crv
     }
 
+    /// Worker 0's queue, as job ids in service order. Also checks that the
+    /// busy-worker count matches the workers holding or running work.
     fn order(state: &phoenix_sim::SimState) -> Vec<u32> {
-        state.workers[0].queue().iter().map(|p| p.job.0).collect()
+        let busy = state.workers().iter().filter(|w| w.is_busy()).count();
+        assert_eq!(state.busy_workers(), busy, "busy-worker count drifted");
+        state
+            .worker(WorkerId(0))
+            .queue()
+            .iter()
+            .map(|p| p.job.0)
+            .collect()
     }
 
     #[test]
@@ -315,7 +324,7 @@ mod tests {
         assert_eq!(promoted, 1);
         assert_eq!(order(&state), vec![0, 2, 1], "hot lands after barrier");
         // The bypassed unconstrained probe gained a bypass count.
-        assert_eq!(state.workers[0].queue()[2].bypass_count, 1);
+        assert_eq!(state.worker(WorkerId(0)).queue()[2].bypass_count, 1);
     }
 
     #[test]
@@ -398,9 +407,10 @@ mod tests {
             ConstraintSet::unconstrained(),
             cpu_set(),
         ]);
-        let before: Vec<u64> = state.workers[0].queue().iter().map(|p| p.id.0).collect();
-        crv_reorder_queue(&mut state, WorkerId(0), &hot_net(), 5);
-        let mut after: Vec<u64> = state.workers[0].queue().iter().map(|p| p.id.0).collect();
+        let w = WorkerId(0);
+        let before: Vec<u64> = state.worker(w).queue().iter().map(|p| p.id.0).collect();
+        crv_reorder_queue(&mut state, w, &hot_net(), 5);
+        let mut after: Vec<u64> = state.worker(w).queue().iter().map(|p| p.id.0).collect();
         after.sort_unstable();
         let mut sorted_before = before;
         sorted_before.sort_unstable();

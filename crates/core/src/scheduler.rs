@@ -213,7 +213,7 @@ impl Phoenix {
             // index, O(queue) per worker instead of O(queue²).
             let candidates: Vec<(phoenix_sim::ProbeId, phoenix_traces::JobId, u64)> = {
                 let state = ctx.state();
-                let w = &state.workers[worker.index()];
+                let w = state.worker(worker);
                 let mut ahead_us = w.running_work_us(state.now);
                 let mut candidates = Vec::new();
                 for p in w.queue() {
@@ -289,8 +289,9 @@ impl Phoenix {
                 })
             })
             .collect();
-        let queue_histogram =
-            phoenix_sim::trace::queue_histogram(ctx.state().workers.iter().map(|w| w.queue_len()));
+        let queue_histogram = phoenix_sim::trace::queue_histogram(
+            ctx.state().workers().iter().map(|w| w.queue_len()),
+        );
         TraceRecord::Heartbeat {
             at_us: ctx.now().as_micros(),
             crv_mode: self.crv_mode,

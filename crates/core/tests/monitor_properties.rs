@@ -99,9 +99,9 @@ fn apply_op(
     next_probe: &mut u64,
     next_seq: &mut u64,
 ) {
-    let worker = WorkerId((usize::from(a) % state.workers.len()) as u32);
+    let worker = WorkerId((usize::from(a) % state.workers().len()) as u32);
     let n_jobs = state.jobs.arrived() as u64;
-    let alive = state.workers[worker.index()].is_alive();
+    let alive = state.worker(worker).is_alive();
     match op {
         // Enqueue at the tail. The engine never delivers probes to dead
         // workers (arrivals bounce into the retry path), so mirror that.
@@ -148,7 +148,7 @@ fn apply_op(
         }
         // Remove one queued probe (dispatch / recall).
         3 => {
-            let len = state.workers[worker.index()].queue_len();
+            let len = state.worker(worker).queue_len();
             if len > 0 {
                 let _ = state.remove_probe_at(worker, usize::from(b) % len);
             }
@@ -160,7 +160,7 @@ fn apply_op(
         }
         // Occupy a slot (idle → busy transition). Dead workers run nothing.
         5 => {
-            if alive && state.workers[worker.index()].has_free_slot() {
+            if alive && state.worker(worker).has_free_slot() {
                 let seq = *next_seq;
                 *next_seq += 1;
                 state.start_task_on(
@@ -180,15 +180,15 @@ fn apply_op(
         }
         // Free a slot (busy → idle transition).
         6 => {
-            if let Some(task) = state.workers[worker.index()].running().copied() {
+            if let Some(task) = state.worker(worker).running_tasks().first().copied() {
                 let _ = state.finish_task_on(worker, task.seq);
             }
         }
         // Pure reordering: must not need (or disturb) ledger accounting.
         7 => {
-            let len = state.workers[worker.index()].queue_len();
+            let len = state.worker(worker).queue_len();
             if len > 1 {
-                state.workers[worker.index()].promote(usize::from(b) % len, 0, u32::MAX);
+                state.promote_probe(worker, usize::from(b) % len, 0, u32::MAX);
             }
         }
         // Crash: kills running tasks, drops queued probes, removes the
@@ -223,7 +223,7 @@ impl RangeRescan {
     fn of(state: &SimState, start: usize, end: usize) -> Self {
         let mut r = RangeRescan::default();
         let mut instances: Vec<Constraint> = Vec::new();
-        for w in &state.workers[start..end] {
+        for w in &state.workers()[start..end] {
             for p in w.queue() {
                 r.queued += 1;
                 let set = state.sets.get(state.jobs.effective(p.job));
@@ -241,7 +241,7 @@ impl RangeRescan {
         }
         r.instances = instances.len();
         let machines = state.feasibility.machines();
-        for (i, w) in state.workers.iter().enumerate().take(end).skip(start) {
+        for (i, w) in state.workers().iter().enumerate().take(end).skip(start) {
             if !w.is_idle() || !w.is_alive() {
                 continue;
             }

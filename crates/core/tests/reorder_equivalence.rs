@@ -122,9 +122,10 @@ proptest! {
             1,
         )
         .into_state_for_tests();
+        let w = WorkerId(0);
         for i in 0..tags.len() {
             let bound = bounds.get(i).copied().unwrap_or(0) == 1;
-            state.workers[0].enqueue(Probe {
+            state.enqueue_probe(w, Probe {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: bound.then_some(1_000_000),
@@ -145,7 +146,7 @@ proptest! {
         // `!bound && effective constraints demand the hot dimension`, the
         // same predicate the pass applies, so the oracle cannot drift if
         // constraint relaxation changes what "hot" means.
-        let mut model: Vec<ModelProbe> = state.workers[0]
+        let mut model: Vec<ModelProbe> = state.worker(w)
             .queue()
             .iter()
             .map(|p| ModelProbe {
@@ -161,7 +162,7 @@ proptest! {
             .collect();
 
         let (ref_promoted, ref_suppressed) = reference_reorder(&mut model, slack);
-        let promoted = crv_reorder_queue(&mut state, WorkerId(0), &crv, slack);
+        let promoted = crv_reorder_queue(&mut state, w, &crv, slack);
 
         prop_assert_eq!(promoted, ref_promoted, "promoted counts diverge");
         prop_assert_eq!(
@@ -174,7 +175,7 @@ proptest! {
             ref_suppressed,
             "starvation_suppressions diverges"
         );
-        let got: Vec<(u64, u32)> = state.workers[0]
+        let got: Vec<(u64, u32)> = state.worker(w)
             .queue()
             .iter()
             .map(|p| (p.id.0, p.bypass_count))

@@ -60,9 +60,10 @@ proptest! {
             1,
         )
         .into_state_for_tests();
+        let w = WorkerId(0);
         for (i, &tag) in tags.iter().enumerate() {
             let _ = tag;
-            state.workers[0].enqueue(Probe {
+            state.enqueue_probe(w, Probe {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: None,
@@ -74,7 +75,7 @@ proptest! {
                 retries: 0,
             });
         }
-        let pinned_before: Vec<u64> = state.workers[0]
+        let pinned_before: Vec<u64> = state.worker(w)
             .queue()
             .iter()
             .filter(|p| p.bypass_count >= slack)
@@ -83,7 +84,7 @@ proptest! {
         let positions_before: Vec<usize> = pinned_before
             .iter()
             .map(|id| {
-                state.workers[0]
+                state.worker(w)
                     .queue()
                     .iter()
                     .position(|p| p.id.0 == *id)
@@ -93,10 +94,10 @@ proptest! {
 
         let mut crv = Crv::zero();
         crv[CrvDimension::Net] = 3.0;
-        crv_reorder_queue(&mut state, WorkerId(0), &crv, slack);
+        crv_reorder_queue(&mut state, w, &crv, slack);
 
         // Conservation.
-        let mut ids: Vec<u64> = state.workers[0].queue().iter().map(|p| p.id.0).collect();
+        let mut ids: Vec<u64> = state.worker(w).queue().iter().map(|p| p.id.0).collect();
         ids.sort_unstable();
         let expected: Vec<u64> = (0..tags.len() as u64).collect();
         prop_assert_eq!(ids, expected);
@@ -104,7 +105,7 @@ proptest! {
         // Slack safety: pinned probes never move backward (nothing jumps
         // over them).
         for (id, before) in pinned_before.iter().zip(&positions_before) {
-            let after = state.workers[0]
+            let after = state.worker(w)
                 .queue()
                 .iter()
                 .position(|p| p.id.0 == *id)

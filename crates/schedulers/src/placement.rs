@@ -229,7 +229,7 @@ pub fn send_speculative_probes(
 /// [`phoenix_sim::Worker::queued_spec_est_us`]), so the central planner's
 /// walk over every feasible worker never reads a task buffer.
 pub fn estimated_queue_work_us(state: &SimState, worker: WorkerId) -> u64 {
-    let w = &state.workers[worker.index()];
+    let w = state.worker(worker);
     w.queued_bound_work_us() + w.queued_spec_est_us() + w.running_work_us(state.now)
 }
 

@@ -23,12 +23,12 @@ use phoenix_sim::{Probe, SimState, Worker, WorkerId};
 /// Call from [`phoenix_sim::Scheduler::on_probe_enqueued`], when the new
 /// probe is guaranteed to sit at the tail.
 pub fn srpt_insert_tail(state: &mut SimState, worker: WorkerId, slack_threshold: u32) -> usize {
-    let w = &mut state.workers[worker.index()];
+    let w = state.worker(worker);
     let Some(tail) = w.queue_len().checked_sub(1) else {
         return 0;
     };
     let (to, pinned) = w.tail_insertion_target(slack_threshold, Probe::estimate_us);
-    let (moved, _) = w.promote(tail, to, slack_threshold);
+    let (moved, _) = state.promote_probe(worker, tail, to, slack_threshold);
     if moved > 0 {
         state.metrics.counters.srpt_reordered_tasks += 1;
     } else if pinned {
@@ -107,7 +107,20 @@ mod tests {
             migrations: 0,
             retries: 0,
         };
-        state.workers[worker.index()].enqueue(probe);
+        state.enqueue_probe(worker, probe);
+    }
+
+    /// Worker 0's queue, as job ids in service order. Also checks that the
+    /// busy-worker count matches the workers holding or running work.
+    fn order(state: &phoenix_sim::SimState) -> Vec<u32> {
+        let busy = state.workers().iter().filter(|w| w.is_busy()).count();
+        assert_eq!(state.busy_workers(), busy, "busy-worker count drifted");
+        state
+            .worker(WorkerId(0))
+            .queue()
+            .iter()
+            .map(|p| p.job.0)
+            .collect()
     }
 
     #[test]
@@ -118,10 +131,9 @@ mod tests {
             push_probe(&mut state, w, j);
             srpt_insert_tail(&mut state, w, 5);
         }
-        let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
-        assert_eq!(order, vec![2, 1, 0], "shortest job first");
+        assert_eq!(order(&state), vec![2, 1, 0], "shortest job first");
         assert!(state.metrics.counters.srpt_reordered_tasks >= 2);
-        assert!(is_srpt_ordered_modulo_slack(&state.workers[0], 5));
+        assert!(is_srpt_ordered_modulo_slack(state.worker(WorkerId(0)), 5));
     }
 
     #[test]
@@ -132,8 +144,7 @@ mod tests {
         srpt_insert_tail(&mut state, w, 5);
         push_probe(&mut state, w, 1);
         srpt_insert_tail(&mut state, w, 5);
-        let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
-        assert_eq!(order, vec![0, 1], "FIFO among equals");
+        assert_eq!(order(&state), vec![0, 1], "FIFO among equals");
     }
 
     #[test]
@@ -147,13 +158,17 @@ mod tests {
             push_probe(&mut state, w, j);
             srpt_insert_tail(&mut state, w, 2);
         }
-        assert_eq!(state.workers[0].queue()[2].job.0, 0);
-        assert_eq!(state.workers[0].queue()[2].bypass_count, 2);
+        let pinned = &state.worker(w).queue()[2];
+        assert_eq!(pinned.job.0, 0);
+        assert_eq!(pinned.bypass_count, 2);
         // A third short probe must NOT bypass it.
         push_probe(&mut state, w, 3);
         srpt_insert_tail(&mut state, w, 2);
-        let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
-        assert_eq!(order, vec![1, 2, 0, 3], "job 0 pinned by slack bound");
+        assert_eq!(
+            order(&state),
+            vec![1, 2, 0, 3],
+            "job 0 pinned by slack bound"
+        );
         assert_eq!(state.metrics.counters.starvation_suppressions, 1);
     }
 
@@ -167,8 +182,7 @@ mod tests {
         push_probe(&mut state, w, 1);
         push_probe(&mut state, w, 2);
         assert_eq!(srpt_insert_tail(&mut state, w, 2), 1);
-        let order: Vec<u32> = state.workers[0].queue().iter().map(|p| p.job.0).collect();
-        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(order(&state), vec![0, 2, 1]);
         assert_eq!(state.metrics.counters.srpt_reordered_tasks, 1);
         assert_eq!(state.metrics.counters.starvation_suppressions, 0);
     }

@@ -14,7 +14,7 @@ const STEAL_ATTEMPTS: u32 = 10;
 
 /// Hawk's stealing trigger: when `worker` has just finished a task and its
 /// queue is empty, it steals from behind tasks of at least `long_task_us`
-/// (visiting up to [`STEAL_ATTEMPTS`] victims) and is touched for dispatch
+/// (visiting up to `STEAL_ATTEMPTS` victims) and is touched for dispatch
 /// if it got anything.
 pub fn steal_if_idle(ctx: &mut SimCtx<'_>, worker: WorkerId, long_task_us: u64) {
     if ctx.worker(worker).queue_len() == 0

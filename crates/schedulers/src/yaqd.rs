@@ -28,7 +28,7 @@ pub(crate) fn least_loaded_under_bound(
     candidates: &[WorkerId],
 ) -> Option<WorkerId> {
     candidates.iter().copied().min_by_key(|&w| {
-        let over = usize::from(state.workers[w.index()].queue_len() >= QUEUE_BOUND);
+        let over = usize::from(state.worker(w).queue_len() >= QUEUE_BOUND);
         (over, estimated_queue_work_us(state, w), w.0)
     })
 }

@@ -53,7 +53,7 @@ proptest! {
                 .copied()
                 .unwrap_or(0)
                 .min(slack);
-            state.workers[0].enqueue(Probe {
+            state.enqueue_probe(w, Probe {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: None,
@@ -65,7 +65,7 @@ proptest! {
                 retries: 0,
             });
             srpt_insert_tail(&mut state, w, slack);
-            for p in state.workers[0].queue() {
+            for p in state.worker(w).queue() {
                 prop_assert!(
                     p.bypass_count <= slack,
                     "probe {} bypassed {} times, above the slack bound {}",

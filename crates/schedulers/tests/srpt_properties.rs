@@ -45,7 +45,7 @@ proptest! {
         let mut state = state_with_estimates(&ests);
         let w = WorkerId(0);
         for (i, _) in ests.iter().enumerate() {
-            state.workers[0].enqueue(Probe {
+            state.enqueue_probe(w, Probe {
                 id: ProbeId(i as u64),
                 job: JobId(i as u32),
                 bound_duration_us: None,
@@ -58,12 +58,12 @@ proptest! {
             });
             srpt_insert_tail(&mut state, w, slack);
             prop_assert!(
-                is_srpt_ordered_modulo_slack(&state.workers[0], slack),
+                is_srpt_ordered_modulo_slack(state.worker(w), slack),
                 "queue must stay SRPT-ordered modulo pinned probes"
             );
         }
         // Conservation: every inserted probe is still present exactly once.
-        let mut ids: Vec<u64> = state.workers[0].queue().iter().map(|p| p.id.0).collect();
+        let mut ids: Vec<u64> = state.worker(w).queue().iter().map(|p| p.id.0).collect();
         ids.sort_unstable();
         let expected: Vec<u64> = (0..ests.len() as u64).collect();
         prop_assert_eq!(ids, expected);

@@ -47,33 +47,16 @@ use crate::worker::{RunningTask, WorkerId};
 
 use phoenix_constraints::ConstraintKind;
 
-/// Configuration of the [`InvariantAuditor`].
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Upper bound on any queued probe's `bypass_count`. Every shipped
-    /// reorder path guards promotions with `bypass_count < slack`, so no
-    /// probe can be overtaken more than `slack` times; `None` disables the
-    /// check (for harnesses driving [`crate::Worker::promote`] directly).
-    pub starvation_slack: Option<u32>,
-    /// Re-derive the [`crate::CrvLedger`] from scratch at every
-    /// scheduler wakeup (heartbeat) and compare all of its counters.
-    pub check_crv_ledger: bool,
-    /// Number of violation messages retained verbatim in the report (the
-    /// total count is always exact).
-    pub max_recorded: usize,
-}
+/// Upper bound on any queued probe's `bypass_count`: the
+/// `slack_threshold` of every shipped scheduler config
+/// (`BaselineConfig::default()`). Every reorder path guards promotions with
+/// `bypass_count < slack`, so no probe is overtaken more than this many
+/// times.
+const STARVATION_SLACK: u32 = 5;
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            // BaselineConfig::default().slack_threshold — every shipped
-            // scheduler config uses 5.
-            starvation_slack: Some(5),
-            check_crv_ledger: true,
-            max_recorded: 16,
-        }
-    }
-}
+/// Violation messages kept verbatim in the report (the total count is
+/// always exact).
+const MAX_RECORDED: usize = 16;
 
 /// Outcome of an audited run, returned in [`SimResult::audit`].
 ///
@@ -89,7 +72,7 @@ pub struct AuditReport {
     pub ledger_checks: u64,
     /// Total invariant violations detected.
     pub violations: u64,
-    /// The first [`AuditConfig::max_recorded`] violation messages.
+    /// The first 16 violation messages.
     pub first_violations: Vec<String>,
 }
 
@@ -193,7 +176,6 @@ impl TraceSink for TeeSink {
 /// [`SimResult::audit`].
 #[derive(Debug)]
 pub struct InvariantAuditor {
-    config: AuditConfig,
     report: AuditReport,
     last_now: SimTime,
     stream: Arc<Mutex<StreamState>>,
@@ -204,10 +186,9 @@ pub struct InvariantAuditor {
 }
 
 impl InvariantAuditor {
-    /// Creates an auditor with the given configuration.
-    pub fn new(config: AuditConfig) -> Self {
+    /// Creates an auditor with an empty report.
+    pub(crate) fn new() -> Self {
         InvariantAuditor {
-            config,
             report: AuditReport::default(),
             last_now: SimTime::ZERO,
             stream: Arc::new(Mutex::new(StreamState::default())),
@@ -225,7 +206,7 @@ impl InvariantAuditor {
 
     fn violation(&mut self, at: SimTime, msg: impl fmt::Display) {
         self.report.violations += 1;
-        if self.report.first_violations.len() < self.config.max_recorded {
+        if self.report.first_violations.len() < MAX_RECORDED {
             self.report
                 .first_violations
                 .push(format!("t={}µs: {msg}", at.as_micros()));
@@ -256,7 +237,7 @@ impl InvariantAuditor {
         }
         self.last_now = state.now;
         self.check_conservation(state, events, trace);
-        if heartbeat && self.config.check_crv_ledger {
+        if heartbeat {
             self.check_crv_ledger(state);
         }
     }
@@ -284,7 +265,7 @@ impl InvariantAuditor {
         self.seqs.clear();
         let mut busy_sum: u64 = 0;
 
-        for (i, w) in state.workers.iter().enumerate() {
+        for (i, w) in state.workers().iter().enumerate() {
             busy_sum += w.busy_us();
             let running = w.running_tasks();
             if running.len() > w.slots() {
@@ -322,17 +303,15 @@ impl InvariantAuditor {
             }
             for p in w.queue() {
                 self.note_work(now, p.job, p.is_bound());
-                if let Some(slack) = self.config.starvation_slack {
-                    if p.bypass_count > slack {
-                        self.violation(
-                            now,
-                            format!(
-                                "starvation slack exceeded on worker {i}: {} bypassed {} times \
-                                 (slack {slack})",
-                                p.id, p.bypass_count
-                            ),
-                        );
-                    }
+                if p.bypass_count > STARVATION_SLACK {
+                    self.violation(
+                        now,
+                        format!(
+                            "starvation slack exceeded on worker {i}: {} bypassed {} times \
+                             (slack {STARVATION_SLACK})",
+                            p.id, p.bypass_count
+                        ),
+                    );
                 }
             }
         }
@@ -359,7 +338,7 @@ impl InvariantAuditor {
             }
         }
 
-        let busy_workers = state.workers.iter().filter(|w| w.is_busy()).count();
+        let busy_workers = state.workers().iter().filter(|w| w.is_busy()).count();
         if busy_workers != state.busy_workers() {
             self.violation(
                 now,
@@ -598,7 +577,7 @@ impl InvariantAuditor {
         let stream = std::mem::take(&mut *self.stream.lock().expect("audit stream not poisoned"));
         for msg in stream.violations {
             self.report.violations += 1;
-            if self.report.first_violations.len() < self.config.max_recorded {
+            if self.report.first_violations.len() < MAX_RECORDED {
                 self.report.first_violations.push(format!("stream: {msg}"));
             }
         }
@@ -638,7 +617,7 @@ impl ReferenceExecutor {
     pub fn run(sim: Simulation<'_>) -> SimResult {
         let (mut state, mut queue, mut scheduler, trace) = sim.into_parts();
         assert!(
-            state.workers.len() <= Self::MAX_WORKERS,
+            state.workers().len() <= Self::MAX_WORKERS,
             "reference executor is O(everything): at most {} workers",
             Self::MAX_WORKERS
         );
@@ -707,7 +686,7 @@ impl ReferenceExecutor {
             }
             Event::ProbeArrival(worker, mut probe) => {
                 assert!(
-                    state.workers[worker.index()].is_alive(),
+                    state.worker(worker).is_alive(),
                     "dead worker in a fault-free run"
                 );
                 probe.enqueued_at = state.now;
@@ -717,7 +696,7 @@ impl ReferenceExecutor {
                 state.touched.push(worker);
             }
             Event::TaskFinish(worker, seq) => {
-                if !state.workers[worker.index()].has_running_seq(seq) {
+                if !state.worker(worker).has_running_seq(seq) {
                     return;
                 }
                 let task = state.finish_task_on(worker, seq);
@@ -769,7 +748,7 @@ impl ReferenceExecutor {
         worker: WorkerId,
     ) {
         loop {
-            let w = &state.workers[worker.index()];
+            let w = state.worker(worker);
             if !w.is_alive() || !w.has_free_slot() || w.queue_len() == 0 {
                 return;
             }
@@ -829,7 +808,7 @@ impl ReferenceExecutor {
             );
             state.metrics.busy_us += finish.since(now).as_micros();
             events.schedule(finish, Event::TaskFinish(worker, seq));
-            if state.workers[worker.index()].has_free_slot() {
+            if state.worker(worker).has_free_slot() {
                 continue;
             }
             return;
@@ -891,7 +870,7 @@ mod tests {
         );
         let (mut state, mut events, _, _) = sim.into_parts();
         let audit = |state: &SimState, events: &EventQueue| {
-            let mut auditor = InvariantAuditor::new(AuditConfig::default());
+            let mut auditor = InvariantAuditor::new();
             auditor.after_event(false, state, events, &trace);
             auditor.finish()
         };
@@ -928,13 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn default_config_matches_shipped_slack() {
-        let c = AuditConfig::default();
-        assert_eq!(c.starvation_slack, Some(5));
-        assert!(c.check_crv_ledger);
-    }
-
-    #[test]
     fn clean_report_displays_summary() {
         let r = AuditReport::default();
         assert!(r.is_clean());
@@ -943,7 +915,7 @@ mod tests {
 
     #[test]
     fn stream_observer_flags_disorder_and_unpaired_crashes() {
-        let auditor = InvariantAuditor::new(AuditConfig::default());
+        let auditor = InvariantAuditor::new();
         let mut tracer = Tracer::with_sink(auditor.stream_observer());
         tracer.emit_record(TraceRecord::Recover {
             at_us: 10,

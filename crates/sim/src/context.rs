@@ -38,13 +38,11 @@ impl<'a> SimCtx<'a> {
         self.state
     }
 
-    /// Full mutable access to the simulation state.
-    ///
-    /// Prefer the targeted accessors ([`SimCtx::set_effective`],
-    /// [`SimCtx::steal_probes_if`], ...); this exists for policy helpers that
-    /// need simultaneous access to several parts of the state (queue
-    /// reordering reads job sets while promoting probes with
-    /// [`Worker::promote`]).
+    /// Full mutable access to the simulation state, for policy helpers
+    /// that need several parts of it at once (queue reordering reads job
+    /// sets, then moves probes with [`SimState::promote_probe`]). Workers
+    /// change only through `SimState` methods, so this access keeps the CRV
+    /// ledger and the busy-worker count exact.
     pub fn state_mut(&mut self) -> &mut SimState {
         self.state
     }
@@ -56,12 +54,12 @@ impl<'a> SimCtx<'a> {
 
     /// Number of workers in the cluster.
     pub fn num_workers(&self) -> usize {
-        self.state.workers.len()
+        self.state.workers().len()
     }
 
     /// Read access to a worker.
     pub fn worker(&self, id: WorkerId) -> &Worker {
-        &self.state.workers[id.index()]
+        self.state.worker(id)
     }
 
     /// Read access to a job in flight (arrived, not finished).
@@ -316,7 +314,9 @@ impl<'a> SimCtx<'a> {
     ) -> Vec<WorkerId> {
         let mut live = |w: u32, worker: &Worker| exclude(w) || !worker.is_alive();
         if let Some(home) = self.state.active_domain {
-            let sample = self.sample_span(set, k, self.domain_span(home), &mut live);
+            let sample = self
+                .state
+                .sample_span(set, k, self.domain_span(home), &mut live);
             if !sample.is_empty() {
                 if let Some(fed) = self.state.federation_mut() {
                     fed.stats.home_samples += 1;
@@ -328,7 +328,9 @@ impl<'a> SimCtx<'a> {
                 fed.best_remote_domain(home, set, &mut state.sets, &state.feasibility)
             });
             if let Some(remote) = remote {
-                let sample = self.sample_span(set, k, self.domain_span(remote), &mut live);
+                let sample = self
+                    .state
+                    .sample_span(set, k, self.domain_span(remote), &mut live);
                 if !sample.is_empty() {
                     if let Some(fed) = self.state.federation_mut() {
                         fed.stats.remote_samples += 1;
@@ -340,8 +342,8 @@ impl<'a> SimCtx<'a> {
                 fed.stats.cluster_fallbacks += 1;
             }
         }
-        let all = 0..self.state.workers.len() as u32;
-        self.sample_span(set, k, all, live)
+        let all = 0..self.num_workers() as u32;
+        self.state.sample_span(set, k, all, live)
     }
 
     /// Samples feasible workers *ignoring aliveness* — the last-resort rung
@@ -351,8 +353,8 @@ impl<'a> SimCtx<'a> {
     /// on fault-gated paths: it consumes RNG draws, so reaching it with
     /// faults disabled would perturb the deterministic stream.
     pub fn sample_feasible_workers_any(&mut self, set: SetId, k: usize) -> Vec<WorkerId> {
-        let all = 0..self.state.workers.len() as u32;
-        self.sample_span(set, k, all, |_, _| false)
+        let all = 0..self.num_workers() as u32;
+        self.state.sample_span(set, k, all, |_, _| false)
     }
 
     /// The worker range of federated domain `domain`.
@@ -365,35 +367,12 @@ impl<'a> SimCtx<'a> {
         base as u32..(base + len) as u32
     }
 
-    /// The one sampling body: up to `k` workers of `span` satisfying `set`,
-    /// skipping those `exclude` rejects, timed under
-    /// [`crate::ProfileScope::Sample`].
-    fn sample_span(
-        &mut self,
-        set: SetId,
-        k: usize,
-        span: Range<u32>,
-        mut exclude: impl FnMut(u32, &Worker) -> bool,
-    ) -> Vec<WorkerId> {
-        let state = &mut *self.state;
-        let started = state.profiler.begin();
-        let workers = &state.workers;
-        let sample = state
-            .sets
-            .sample(&state.feasibility, set, k, span, &mut state.rng, |w| {
-                exclude(w, &workers[w as usize])
-            })
-            .into_iter()
-            .map(WorkerId)
-            .collect();
-        state.profiler.end(crate::ProfileScope::Sample, started);
-        sample
-    }
-
     /// Removes the queued probe with the given id from a worker's queue,
     /// if present (used to recall probes). Keeps the CRV ledger in sync.
     pub fn remove_probe_by_id(&mut self, worker: WorkerId, id: ProbeId) -> Option<Probe> {
-        let idx = self.state.workers[worker.index()]
+        let idx = self
+            .state
+            .worker(worker)
             .queue()
             .iter()
             .position(|p| p.id == id)?;
@@ -409,8 +388,7 @@ impl<'a> SimCtx<'a> {
 
     /// Removes and returns every queued probe of `worker` matching
     /// `predicate` (work stealing), in queue order; `predicate` sees each
-    /// queued probe once, head to tail ([`Worker::steal_if`]). Keeps the
-    /// CRV ledger in sync.
+    /// queued probe once, head to tail. Keeps the CRV ledger in sync.
     pub fn steal_probes_if(
         &mut self,
         worker: WorkerId,

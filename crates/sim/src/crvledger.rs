@@ -34,10 +34,9 @@
 //! ledger's memory follows the distinct sets and instances, not the
 //! number of probes the run has sent.
 //!
-//! All probe movement between queues and all slot transitions must go
-//! through the [`crate::SimState`] / [`crate::SimCtx`] wrappers that feed
-//! this ledger; mutating [`crate::Worker`] queues directly desynchronizes
-//! it (the monitor's debug oracle and the invariant auditor catch that).
+//! Only the [`crate::SimState`] methods that move probes and fill or free
+//! slots update the ledger, and they are the only code that can change a
+//! [`crate::Worker`], so the ledger follows every queue and slot.
 
 use std::collections::HashMap;
 
@@ -207,7 +206,7 @@ impl CrvLedger {
     /// An empty ledger over `workers` all-idle workers, with one domain
     /// tally per `(base, len)` worker range in `domains` (empty for a
     /// centralized run).
-    pub fn new(workers: usize, domains: &[(usize, usize)]) -> Self {
+    pub(crate) fn new(workers: usize, domains: &[(usize, usize)]) -> Self {
         CrvLedger {
             cluster: Tally::over(0, workers),
             domains: domains
@@ -250,7 +249,7 @@ impl CrvLedger {
     /// Records a probe demanding the interned `set` of `sets` entering the
     /// queue of a worker in `domain` (`None` for a centralized run). `set`
     /// must be the effective set of the probe's job.
-    pub fn probe_enqueued(
+    pub(crate) fn probe_enqueued(
         &mut self,
         set: SetId,
         sets: &SetTable,
@@ -274,7 +273,7 @@ impl CrvLedger {
     /// in `domain` (dispatch, steal, recall, redundant-probe discard, crash
     /// drain). `set` must be the one the probe was enqueued with: its job's
     /// effective set, which cannot change once the job has probed.
-    pub fn probe_removed(&mut self, set: SetId, sets: &SetTable, domain: Option<usize>) {
+    pub(crate) fn probe_removed(&mut self, set: SetId, sets: &SetTable, domain: Option<usize>) {
         let instances = if sets.get(set).is_unconstrained() {
             None
         } else {
@@ -288,13 +287,13 @@ impl CrvLedger {
 
     /// Records `worker` leaving the idle supply: its first slot was
     /// occupied, or it crashed. Idempotent.
-    pub fn worker_busy(&mut self, worker: usize) {
+    pub(crate) fn worker_busy(&mut self, worker: usize) {
         self.idle[worker >> 6] &= !(1u64 << (worker & 63));
     }
 
     /// Records `worker` rejoining the idle supply: its last slot was freed,
     /// or it recovered. Idempotent.
-    pub fn worker_idle(&mut self, worker: usize) {
+    pub(crate) fn worker_idle(&mut self, worker: usize) {
         self.idle[worker >> 6] |= 1u64 << (worker & 63);
     }
 

@@ -1,12 +1,14 @@
 //! The discrete-event simulation engine.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use phoenix_constraints::{FeasibilityIndex, SetTable};
+use phoenix_constraints::{FeasibilityIndex, SetId, SetTable};
 use phoenix_traces::{Job, JobId, Trace};
 
-use crate::audit::{AuditConfig, AuditReport, InvariantAuditor, TeeSink};
+use crate::audit::{AuditReport, InvariantAuditor, TeeSink};
 use crate::config::SimConfig;
 use crate::context::{schedule_retry, SimCtx};
 use crate::crvledger::CrvLedger;
@@ -29,8 +31,9 @@ pub struct SimState {
     pub now: crate::time::SimTime,
     /// Engine configuration.
     pub config: SimConfig,
-    /// All workers, indexed by [`WorkerId`].
-    pub workers: Vec<Worker>,
+    /// All workers, indexed by [`WorkerId`]; only the methods below change
+    /// one, so the CRV ledger and the busy-worker count stay exact.
+    workers: Vec<Worker>,
     /// The run's jobs: a compact record per arrived job, full state only
     /// for the jobs in flight.
     pub jobs: JobTable,
@@ -101,6 +104,16 @@ impl SimState {
         id
     }
 
+    /// All workers, indexed by [`WorkerId`].
+    pub fn workers(&self) -> &[Worker] {
+        &self.workers
+    }
+
+    /// Read access to `worker`.
+    pub fn worker(&self, worker: WorkerId) -> &Worker {
+        &self.workers[worker.index()]
+    }
+
     /// Workers running a task or holding a queued probe
     /// ([`Worker::is_busy`]), in O(1).
     pub fn busy_workers(&self) -> usize {
@@ -165,6 +178,30 @@ impl SimState {
         }
     }
 
+    /// The one sampling body behind [`SimCtx`]'s samplers: up to `k`
+    /// workers of `span` satisfying `set`, skipping those `exclude`
+    /// rejects, timed under [`ProfileScope::Sample`].
+    pub(crate) fn sample_span(
+        &mut self,
+        set: SetId,
+        k: usize,
+        span: Range<u32>,
+        mut exclude: impl FnMut(u32, &Worker) -> bool,
+    ) -> Vec<WorkerId> {
+        let started = self.profiler.begin();
+        let workers = &self.workers;
+        let sample = self
+            .sets
+            .sample(&self.feasibility, set, k, span, &mut self.rng, |w| {
+                exclude(w, &workers[w as usize])
+            })
+            .into_iter()
+            .map(WorkerId)
+            .collect();
+        self.profiler.end(ProfileScope::Sample, started);
+        sample
+    }
+
     /// The CRV demand/supply ledger.
     pub fn crv_ledger(&self) -> &CrvLedger {
         &self.crv_ledger
@@ -210,12 +247,6 @@ impl SimState {
 
     /// Appends `probe` to the tail of `worker`'s queue, keeping the CRV
     /// ledger in sync.
-    ///
-    /// All probe movement between queues must go through these
-    /// `SimState`/[`SimCtx`] wrappers rather than [`Worker::enqueue`] /
-    /// [`Worker::remove_probe`] directly, or the incremental monitor
-    /// desyncs (and its debug oracle panics). Reordering a queue with
-    /// [`Worker::promote`], its one reordering primitive, needs no wrapper.
     pub fn enqueue_probe(&mut self, worker: WorkerId, probe: Probe) {
         self.ledger_enqueued(worker, &probe);
         self.with_worker(worker, |w| w.enqueue(probe));
@@ -272,6 +303,21 @@ impl SimState {
         if job.task_durations_s.is_empty() {
             self.finishing.push(job.id);
         }
+    }
+
+    /// Moves the probe at `from` in `worker`'s queue to `to <= from`,
+    /// bumping the bypass count of each probe it overtakes. Returns how
+    /// many it bypassed and the highest new position of a bypassed probe
+    /// whose count reached `slack_threshold`. Reordering leaves the ledger
+    /// as it is.
+    pub fn promote_probe(
+        &mut self,
+        worker: WorkerId,
+        from: usize,
+        to: usize,
+        slack_threshold: u32,
+    ) -> (usize, Option<usize>) {
+        self.workers[worker.index()].promote(from, to, slack_threshold)
     }
 
     /// Removes and returns the probe at `index` of `worker`'s queue,
@@ -527,8 +573,8 @@ impl<'t> Simulation<'t> {
     /// checker, wrapping any sink attached so far — call
     /// [`Simulation::set_trace_sink`] *before* this, not after (a later
     /// `set_trace_sink` replaces the tee and silences the stream checks).
-    pub fn enable_audit(&mut self, config: AuditConfig) {
-        let auditor = Box::new(InvariantAuditor::new(config));
+    pub fn enable_audit(&mut self) {
+        let auditor = Box::new(InvariantAuditor::new());
         let observer = auditor.stream_observer();
         self.state.tracer = match self.state.tracer.take_sink() {
             Some(existing) => Tracer::with_sink(Box::new(TeeSink {
@@ -853,8 +899,9 @@ impl<'t> Simulation<'t> {
         while let Some(worker) = self.state.touched.pop() {
             // Conservation audit: the cached queue-work aggregates must
             // still match the queue after the policy hooks ran.
-            #[cfg(debug_assertions)]
-            self.state.workers[worker.index()].audit_bound_work();
+            if cfg!(debug_assertions) {
+                self.state.workers[worker.index()].audit_bound_work();
+            }
             let started = self.state.profiler.begin();
             self.try_dispatch(worker);
             self.state.profiler.end(ProfileScope::Dispatch, started);

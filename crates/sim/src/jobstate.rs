@@ -261,7 +261,7 @@ pub struct JobTableStats {
 }
 
 /// The run's jobs. A job has no entry until it arrives. On arrival it gets
-/// a [`JobRecord`] and a full [`JobState`] in a dense slab; once it is
+/// a compact record and a full [`JobState`] in a dense slab; once it is
 /// finished ([`JobState::is_finished`]) the engine writes its
 /// [`JobOutcome`] and drops the state, and only the record remains.
 ///

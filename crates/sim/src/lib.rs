@@ -76,9 +76,7 @@ pub mod time;
 pub mod trace;
 pub mod worker;
 
-pub use audit::{
-    first_trace_divergence, AuditConfig, AuditReport, InvariantAuditor, ReferenceExecutor,
-};
+pub use audit::{first_trace_divergence, AuditReport, InvariantAuditor, ReferenceExecutor};
 pub use config::{FederationConfig, SimConfig};
 pub use context::SimCtx;
 pub use crvledger::{CrvLedger, CrvTally, QueueStats};

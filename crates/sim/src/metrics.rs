@@ -84,7 +84,7 @@ pub struct SimMetrics {
     pub makespan: SimTime,
     /// Sum of busy slot time across workers, microseconds.
     pub busy_us: u64,
-    /// Whether [`SimMetrics::record_task_wait`] feeds the heavy per-task
+    /// Whether each task's queue wait feeds the heavy per-task
     /// `task_waits` distribution (the Fig.-3 time series are always fed).
     pub record_task_waits: bool,
 }
@@ -125,7 +125,7 @@ impl SimMetrics {
     }
 
     /// Records a completed job's response and queuing metrics.
-    pub fn record_job_completion(&mut self, job: &JobState) {
+    pub(crate) fn record_job_completion(&mut self, job: &JobState) {
         let key = Self::key_for(job);
         if let Some(resp) = job.response_time() {
             self.job_response.record(key, resp.as_secs_f64());
@@ -143,7 +143,7 @@ impl SimMetrics {
     /// `record_task_waits` was set. This is the single wait-recording path
     /// — the engine's `try_dispatch` calls it rather than inlining a copy
     /// that can drift.
-    pub fn record_task_wait(&mut self, job: &JobState, wait: SimDuration, now: SimTime) {
+    pub(crate) fn record_task_wait(&mut self, job: &JobState, wait: SimDuration, now: SimTime) {
         let w = wait.as_secs_f64();
         if job.is_constrained() {
             self.constrained_wait_series.record(now.as_secs_f64(), w);
@@ -214,7 +214,7 @@ pub struct SimResult {
     /// counters already pin the crash schedule.
     pub downtime_us: u64,
     /// Federation gossip/sampling statistics (`None` unless
-    /// [`crate::FederationConfig::is_active`]). Observability only,
+    /// [`crate::FederationConfig::is_partitioned`]). Observability only,
     /// excluded from `digest()`.
     pub federation: Option<crate::federation::FederationStats>,
     /// Hot-path wall-clock profile (`None` unless profiling was enabled).

@@ -37,7 +37,7 @@ pub trait Scheduler {
     /// into its queue. `None` leaves the worker idle (no default policy
     /// does this). The default serves the queue head.
     fn select_probe(&mut self, worker: WorkerId, state: &SimState) -> Option<usize> {
-        if state.workers[worker.index()].queue_len() == 0 {
+        if state.worker(worker).queue_len() == 0 {
             None
         } else {
             Some(0)

@@ -53,8 +53,10 @@ pub struct RunningTask {
 /// The paper's simulator gives every worker exactly **one** slot (§V-A:
 /// "At each worker node, there is one slot for execution and a queue for
 /// tasks waiting to be executed") — the default here. Multi-slot workers
-/// are supported as an extension via [`Worker::with_slots`] /
+/// are supported as an extension via
 /// [`crate::SimConfig::slots_per_worker`].
+///
+/// Outside this crate a worker is read-only ([`crate::SimState::workers`]).
 #[derive(Debug, Clone)]
 pub struct Worker {
     /// Execution slots; a `u32` so the worker packs into 96 B.
@@ -84,24 +86,13 @@ pub struct Worker {
 
 const _: () = assert!(std::mem::size_of::<Worker>() == 96);
 
-impl Default for Worker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Worker {
-    /// Creates an idle single-slot worker with an empty queue.
-    pub fn new() -> Self {
-        Self::with_slots(1)
-    }
-
     /// Creates an idle worker with `slots` execution slots.
     ///
     /// # Panics
     ///
     /// Panics if `slots` is zero or above `u32::MAX`.
-    pub fn with_slots(slots: usize) -> Self {
+    pub(crate) fn with_slots(slots: usize) -> Self {
         assert!(slots >= 1, "a worker needs at least one slot");
         let slots = u32::try_from(slots).expect("a worker has at most u32::MAX slots");
         Worker {
@@ -126,7 +117,7 @@ impl Worker {
     /// Marks the worker up or down. Draining the casualties of a crash is
     /// the engine's job ([`crate::SimState::crash_worker`]); this is just
     /// the flag.
-    pub fn set_alive(&mut self, alive: bool) {
+    pub(crate) fn set_alive(&mut self, alive: bool) {
         self.alive = alive;
     }
 
@@ -140,7 +131,7 @@ impl Worker {
     /// the tasks and the total not-yet-executed microseconds, which are
     /// subtracted from [`Worker::busy_us`] (the time was credited in full
     /// at dispatch but never actually runs).
-    pub fn take_running_tasks(&mut self, now: SimTime) -> (Vec<RunningTask>, u64) {
+    pub(crate) fn take_running_tasks(&mut self, now: SimTime) -> (Vec<RunningTask>, u64) {
         let killed: Vec<RunningTask> = self.running.drain(..).collect();
         self.running_finish_sum_us = 0;
         let unspent: u64 = killed
@@ -171,12 +162,6 @@ impl Worker {
         self.running.len() < self.slots()
     }
 
-    /// The running task, if any (the earliest-started one on multi-slot
-    /// workers).
-    pub fn running(&self) -> Option<&RunningTask> {
-        self.running.first()
-    }
-
     /// All tasks currently occupying slots.
     pub fn running_tasks(&self) -> &[RunningTask] {
         &self.running
@@ -187,7 +172,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if every slot is busy.
-    pub fn start_task(&mut self, task: RunningTask, now: SimTime) {
+    pub(crate) fn start_task(&mut self, task: RunningTask, now: SimTime) {
         assert!(self.has_free_slot(), "worker slot already busy");
         self.busy_us += task.finish_at.since(now).as_micros();
         if self.running.capacity() == 0 {
@@ -224,7 +209,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if no running task carries that sequence number.
-    pub fn finish_task(&mut self, seq: u64) -> RunningTask {
+    pub(crate) fn finish_task(&mut self, seq: u64) -> RunningTask {
         let idx = self
             .running
             .iter()
@@ -241,13 +226,13 @@ impl Worker {
     }
 
     /// Recomputes the bound-work aggregate directly from the queue.
-    pub fn recomputed_bound_work_us(&self) -> u64 {
+    fn recomputed_bound_work_us(&self) -> u64 {
         self.queue.iter().filter_map(|p| p.bound_duration_us).sum()
     }
 
     /// Recomputes the speculative-estimate aggregate directly from the
     /// queue.
-    pub fn recomputed_spec_est_us(&self) -> u64 {
+    fn recomputed_spec_est_us(&self) -> u64 {
         self.queue
             .iter()
             .filter(|p| !p.is_bound())
@@ -264,7 +249,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if a cached aggregate diverged.
-    pub fn audit_bound_work(&self) {
+    pub(crate) fn audit_bound_work(&self) {
         let recomputed = self.recomputed_bound_work_us();
         assert_eq!(
             self.queued_bound_work_us, recomputed,
@@ -305,7 +290,7 @@ impl Worker {
     }
 
     /// Appends a probe to the tail of the queue.
-    pub fn enqueue(&mut self, probe: Probe) {
+    pub(crate) fn enqueue(&mut self, probe: Probe) {
         self.count_in(&probe);
         self.queue.push_back(probe);
     }
@@ -316,7 +301,7 @@ impl Worker {
     /// This models Eagle's Sticky Batch Probing: the worker that just
     /// finished a task of a job immediately continues with that job's next
     /// task — a continuation of service, not a reordering.
-    pub fn enqueue_front(&mut self, probe: Probe) {
+    pub(crate) fn enqueue_front(&mut self, probe: Probe) {
         self.count_in(&probe);
         self.queue.push_front(probe);
     }
@@ -327,7 +312,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if `index` is out of bounds.
-    pub fn remove_probe(&mut self, index: usize) -> Probe {
+    pub(crate) fn remove_probe(&mut self, index: usize) -> Probe {
         let probe = self
             .queue
             .remove(index)
@@ -340,7 +325,7 @@ impl Worker {
     /// Removes and returns every queued probe matching `predicate`, in
     /// queue order (used by work stealing). One pass: `predicate` sees each
     /// queued probe exactly once, head to tail.
-    pub fn steal_if(&mut self, mut predicate: impl FnMut(&Probe) -> bool) -> Vec<Probe> {
+    pub(crate) fn steal_if(&mut self, mut predicate: impl FnMut(&Probe) -> bool) -> Vec<Probe> {
         let mut stolen = Vec::new();
         self.queue.retain(|p| {
             let steal = predicate(p);
@@ -395,7 +380,7 @@ impl Worker {
     /// # Panics
     ///
     /// Panics if `from` is out of bounds or `to > from`.
-    pub fn promote(
+    pub(crate) fn promote(
         &mut self,
         from: usize,
         to: usize,
@@ -429,7 +414,7 @@ impl Worker {
     /// queue gives `(0, false)`.
     ///
     /// SRPT and CRV insertion both use this walk, each with its own rank,
-    /// then move the tail with [`Worker::promote`].
+    /// then move the tail with [`crate::SimState::promote_probe`].
     pub fn tail_insertion_target<R: Ord>(
         &self,
         slack_threshold: u32,
@@ -474,7 +459,7 @@ mod tests {
 
     #[test]
     fn slot_lifecycle() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         assert!(w.is_idle());
         w.start_task(
             RunningTask {
@@ -498,7 +483,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already busy")]
     fn double_start_panics() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         let t = RunningTask {
             job: JobId(1),
             finish_at: SimTime(1),
@@ -514,7 +499,7 @@ mod tests {
 
     #[test]
     fn bound_work_accounting() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         w.enqueue(probe(1, Some(100)));
         w.enqueue(probe(2, None));
         w.enqueue(probe(3, Some(50)));
@@ -526,7 +511,7 @@ mod tests {
 
     #[test]
     fn steal_if_removes_matching() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         for i in 0..5 {
             w.enqueue(probe(i, if i % 2 == 0 { None } else { Some(10) }));
         }
@@ -539,7 +524,7 @@ mod tests {
 
     #[test]
     fn promote_to_front_counts_bypasses() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         for i in 0..4 {
             w.enqueue(probe(i, None));
         }
@@ -555,7 +540,7 @@ mod tests {
 
     #[test]
     fn promote_partial_move_reports_the_last_pinned_probe() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         for i in 0..5 {
             w.enqueue(Probe {
                 bypass_count: if i == 1 { 1 } else { 0 },
@@ -575,7 +560,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "toward the front")]
     fn promote_backwards_panics() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         w.enqueue(probe(0, None));
         w.enqueue(probe(1, None));
         let _ = w.promote(0, 1, u32::MAX);
@@ -637,7 +622,7 @@ mod tests {
 
     #[test]
     fn alive_flag_round_trips() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         assert!(w.is_alive());
         w.set_alive(false);
         assert!(!w.is_alive());
@@ -647,7 +632,7 @@ mod tests {
 
     #[test]
     fn head_pops_release_a_drained_ring() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         for i in 0..100 {
             w.enqueue(probe(i, None));
         }
@@ -667,7 +652,7 @@ mod tests {
 
     #[test]
     fn steal_if_releases_a_drained_ring() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         for i in 0..40 {
             w.enqueue(probe(i, if i % 3 == 0 { Some(10) } else { None }));
         }
@@ -685,7 +670,7 @@ mod tests {
     fn fifo_capacity_stays_within_twice_the_longest_queue() {
         for longest in [1u64, 3, 4, 5, 17, 100] {
             let bound = 2 * longest.max(4) as usize;
-            let mut w = Worker::new();
+            let mut w = Worker::with_slots(1);
             let mut next = 0;
             let mut head = 0;
             // Fill to `longest`, then cycle pops and pushes so the ring
@@ -717,7 +702,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "queued_bound_work_us desynced")]
     fn audit_catches_a_desynced_bound_work_aggregate() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         w.enqueue(probe(0, Some(10)));
         w.enqueue(probe(1, None));
         w.audit_bound_work();
@@ -739,12 +724,218 @@ mod tests {
 
     #[test]
     fn enqueue_front_skips_bypass_accounting() {
-        let mut w = Worker::new();
+        let mut w = Worker::with_slots(1);
         w.enqueue(probe(0, None));
         w.enqueue_front(probe(1, Some(30)));
         let ids: Vec<u64> = w.queue().iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![1, 0]);
         assert_eq!(w.queue()[1].bypass_count, 0);
         assert_eq!(w.queued_bound_work_us(), 30);
+    }
+
+    /// Property tests on worker-queue mechanics: any sequence of enqueues,
+    /// promotions, tail insertions, removals and steals matches a plain-`Vec`
+    /// shadow model in order and bypass counts, and keeps the bound-work and
+    /// speculative-estimate accounting exact.
+    mod queue_properties {
+        use proptest::prelude::*;
+
+        use crate::probe::{Probe, ProbeId};
+        use crate::time::SimTime;
+        use crate::worker::Worker;
+        use phoenix_traces::JobId;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Enqueue {
+                id: u64,
+                bound: Option<u64>,
+                est: u64,
+                bypass: u32,
+            },
+            EnqueueFront {
+                id: u64,
+                bound: Option<u64>,
+            },
+            Promote {
+                from: usize,
+                to: usize,
+                slack: u32,
+            },
+            TailInsert {
+                slack: u32,
+            },
+            Remove {
+                index: usize,
+            },
+            Steal {
+                mask: u64,
+            },
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u64..1_000, prop::option::of(1u64..8), 1u64..8, 0u32..6).prop_map(
+                    |(id, bound, est, bypass)| Op::Enqueue {
+                        id,
+                        bound,
+                        est,
+                        bypass
+                    }
+                ),
+                (0u64..1_000, prop::option::of(1u64..8))
+                    .prop_map(|(id, bound)| Op::EnqueueFront { id, bound }),
+                (0usize..32, 0usize..32, 1u32..6).prop_map(|(from, to, slack)| Op::Promote {
+                    from,
+                    to,
+                    slack
+                }),
+                (1u32..6).prop_map(|slack| Op::TailInsert { slack }),
+                (0usize..32).prop_map(|index| Op::Remove { index }),
+                (0u64..u64::MAX).prop_map(|mask| Op::Steal { mask }),
+            ]
+        }
+
+        /// One queued probe as the shadow model sees it.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        struct Model {
+            id: u64,
+            bound: Option<u64>,
+            est: u64,
+            bypass: u32,
+        }
+
+        impl Model {
+            /// The probe's SRPT rank, as [`Probe::estimate_us`] computes it.
+            fn rank(&self) -> u64 {
+                self.bound.unwrap_or(self.est)
+            }
+        }
+
+        fn probe(m: Model) -> Probe {
+            Probe {
+                id: ProbeId(m.id),
+                job: JobId(0),
+                bound_duration_us: m.bound,
+                est_duration_us: m.est,
+                slowdown: 1.0,
+                enqueued_at: SimTime::ZERO,
+                bypass_count: m.bypass,
+                migrations: 0,
+                retries: 0,
+            }
+        }
+
+        /// Moves `shadow[from]` to `to`, bumping the bypass count of every probe
+        /// it overtakes; returns the bypassed count and the last new position of
+        /// an overtaken probe at or above `slack`.
+        fn model_promote(
+            shadow: &mut Vec<Model>,
+            from: usize,
+            to: usize,
+            slack: u32,
+        ) -> (usize, Option<usize>) {
+            let mut last_pinned = None;
+            for (i, m) in shadow.iter_mut().enumerate().take(from).skip(to) {
+                m.bypass += 1;
+                if m.bypass >= slack {
+                    last_pinned = Some(i + 1);
+                }
+            }
+            let moved = shadow.remove(from);
+            shadow.insert(to, moved);
+            (from - to, last_pinned)
+        }
+
+        /// The tail's landing position under SRPT insertion with `slack`, and
+        /// whether the probe ahead of that position is one the tail outranks but
+        /// may not pass.
+        fn model_tail_target(shadow: &[Model], slack: u32) -> (usize, bool) {
+            let Some(tail) = shadow.last() else {
+                return (0, false);
+            };
+            let passable = |m: &Model| m.rank() > tail.rank() && m.bypass < slack;
+            let mut to = shadow.len() - 1;
+            while to > 0 && passable(&shadow[to - 1]) {
+                to -= 1;
+            }
+            let pinned = to > 0 && shadow[to - 1].rank() > tail.rank();
+            (to, pinned)
+        }
+
+        proptest! {
+            #[test]
+            fn queue_surgery_preserves_multiset_and_bound_work(ops in prop::collection::vec(arb_op(), 0..64)) {
+                let mut worker = Worker::with_slots(1);
+                let mut shadow: Vec<Model> = Vec::new();
+                for op in ops {
+                    match op {
+                        Op::Enqueue { id, bound, est, bypass } => {
+                            let m = Model { id, bound, est, bypass };
+                            worker.enqueue(probe(m));
+                            shadow.push(m);
+                        }
+                        Op::EnqueueFront { id, bound } => {
+                            let m = Model { id, bound, est: 1, bypass: 0 };
+                            worker.enqueue_front(probe(m));
+                            shadow.insert(0, m);
+                        }
+                        Op::Promote { from, to, slack } => {
+                            if from < worker.queue_len() && to <= from {
+                                let got = worker.promote(from, to, slack);
+                                prop_assert_eq!(got, model_promote(&mut shadow, from, to, slack));
+                            }
+                        }
+                        Op::TailInsert { slack } => {
+                            let got = worker.tail_insertion_target(slack, Probe::estimate_us);
+                            let expected = model_tail_target(&shadow, slack);
+                            prop_assert_eq!(got, expected);
+                            if let Some(tail) = worker.queue_len().checked_sub(1) {
+                                let got = worker.promote(tail, expected.0, slack);
+                                prop_assert_eq!(got, model_promote(&mut shadow, tail, expected.0, slack));
+                            }
+                        }
+                        Op::Remove { index } => {
+                            if index < worker.queue_len() {
+                                let removed = worker.remove_probe(index);
+                                let expected = shadow.remove(index);
+                                prop_assert_eq!(removed.id.0, expected.id);
+                            }
+                        }
+                        Op::Steal { mask } => {
+                            let picked = |id: u64| mask >> (id % 64) & 1 == 1;
+                            let mut seen = Vec::new();
+                            let stolen = worker.steal_if(|p| {
+                                seen.push(p.id.0);
+                                picked(p.id.0)
+                            });
+                            let all: Vec<u64> = shadow.iter().map(|m| m.id).collect();
+                            prop_assert_eq!(seen, all, "predicate sees each probe once, in order");
+                            let stolen: Vec<u64> = stolen.iter().map(|p| p.id.0).collect();
+                            let expected: Vec<u64> =
+                                shadow.iter().map(|m| m.id).filter(|&id| picked(id)).collect();
+                            prop_assert_eq!(stolen, expected, "stolen in queue order");
+                            shadow.retain(|m| !picked(m.id));
+                        }
+                    }
+                    // Invariants after every op.
+                    let queued: Vec<Model> = worker
+                        .queue()
+                        .iter()
+                        .map(|p| Model {
+                            id: p.id.0,
+                            bound: p.bound_duration_us,
+                            est: p.est_duration_us,
+                            bypass: p.bypass_count,
+                        })
+                        .collect();
+                    prop_assert_eq!(&queued, &shadow, "order and bypass counts match the model");
+                    let bound_work: u64 = shadow.iter().filter_map(|m| m.bound).sum();
+                    prop_assert_eq!(worker.queued_bound_work_us(), bound_work);
+                    let spec_est: u64 = shadow.iter().filter(|m| m.bound.is_none()).map(|m| m.est).sum();
+                    prop_assert_eq!(worker.queued_spec_est_us(), spec_est);
+                }
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ fn simulate(scheduler: Box<dyn Scheduler>) -> SimResult {
     .run()
 }
 
-/// A policy that reorders a queue with `Worker::promote` keeps the cached
+/// A policy that reorders a queue with `SimState::promote_probe` keeps the cached
 /// aggregates exact and must not trip the audit.
 #[derive(Debug)]
 struct ReorderingScheduler;
@@ -56,9 +56,10 @@ impl Scheduler for ReorderingScheduler {
     }
 
     fn on_probe_enqueued(&mut self, worker: WorkerId, ctx: &mut SimCtx<'_>) {
-        let w = &mut ctx.state_mut().workers[worker.index()];
-        if w.queue_len() >= 2 {
-            w.promote(w.queue_len() - 1, 0, u32::MAX);
+        let state = ctx.state_mut();
+        let len = state.worker(worker).queue_len();
+        if len >= 2 {
+            state.promote_probe(worker, len - 1, 0, u32::MAX);
         }
     }
 }

@@ -7,8 +7,7 @@ use phoenix_constraints::{
     AttributeVector, Constraint, ConstraintKind, ConstraintOp, ConstraintSet, FeasibilityIndex,
 };
 use phoenix_sim::{
-    AuditConfig, FederationConfig, ProbeId, Scheduler, SimConfig, SimCtx, SimDuration, Simulation,
-    WorkerId,
+    FederationConfig, ProbeId, Scheduler, SimConfig, SimCtx, SimDuration, Simulation, WorkerId,
 };
 use phoenix_traces::{Job, JobId, Trace};
 
@@ -62,7 +61,7 @@ impl Scheduler for ApiFixture {
         // Worker 0 never serves: probes must be recalled to worker 1.
         if worker == WorkerId(0) {
             None
-        } else if state.workers[worker.index()].queue_len() > 0 {
+        } else if state.worker(worker).queue_len() > 0 {
             Some(0)
         } else {
             None
@@ -178,7 +177,7 @@ fn failed_job_leaves_the_table_once_its_tasks_are_abandoned() {
         Box::new(AbandonFixture),
         1,
     );
-    sim.enable_audit(AuditConfig::default());
+    sim.enable_audit();
     let result = sim.run();
     let audit = result.audit.as_ref().expect("audit enabled");
     assert!(audit.is_clean(), "{audit}");
@@ -274,7 +273,7 @@ impl Scheduler for FinishedJobRecallFixture {
     }
 
     fn select_probe(&mut self, worker: WorkerId, state: &phoenix_sim::SimState) -> Option<usize> {
-        (worker != WorkerId(2) && state.workers[worker.index()].queue_len() > 0).then_some(0)
+        (worker != WorkerId(2) && state.worker(worker).queue_len() > 0).then_some(0)
     }
 
     fn on_wakeup(&mut self, token: u64, ctx: &mut SimCtx<'_>) {
@@ -331,7 +330,7 @@ fn removing_a_probe_of_a_finished_job_clears_its_demand() {
         Box::new(fixture),
         1,
     );
-    sim.enable_audit(AuditConfig::default());
+    sim.enable_audit();
     let result = sim.run();
     let audit = result.audit.as_ref().expect("audit enabled");
     assert!(audit.is_clean(), "{audit}");

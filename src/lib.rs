@@ -17,7 +17,7 @@
 //! * **Phoenix itself** ([`core`]): the CRV monitor, the
 //!   Pollaczek–Khinchine M/G/1 waiting-time estimator, CRV-based queue
 //!   reordering, probe rescheduling and proactive admission control;
-//! * the **experiment harness** ([`bench`]) regenerating every table and
+//! * the **experiment harness** ([`bench`](mod@bench)) regenerating every table and
 //!   figure of the paper's evaluation.
 //!
 //! # Quickstart
@@ -76,9 +76,9 @@ pub mod prelude {
         BaselineConfig, ChoosyC, EagleC, HawkC, MercuryC, MonolithicC, SparrowC, YaqD,
     };
     pub use phoenix_sim::{
-        first_trace_divergence, AuditConfig, AuditReport, FaultPlan, FederationConfig,
-        FederationStats, JsonlSink, MemorySink, ProfileReport, ProfileScope, ReferenceExecutor,
-        Scheduler, SimConfig, SimDuration, SimResult, Simulation, TraceRecord, TraceSink,
+        first_trace_divergence, AuditReport, FaultPlan, FederationConfig, FederationStats,
+        JsonlSink, MemorySink, ProfileReport, ProfileScope, ReferenceExecutor, Scheduler,
+        SimConfig, SimDuration, SimResult, Simulation, TraceRecord, TraceSink,
     };
     pub use phoenix_traces::{Job, JobId, Trace, TraceGenerator, TraceProfile, TraceStats};
 }

@@ -12,7 +12,6 @@
 use phoenix::bench::run_specs_parallel;
 use phoenix::constraints::{FeasibilityIndex, MachinePopulation};
 use phoenix::prelude::*;
-use phoenix::sim::AuditConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,7 +73,7 @@ fn run_cell(cell: &Cell, audit: bool) -> SimResult {
         spec.seed,
     );
     if audit {
-        sim.enable_audit(AuditConfig::default());
+        sim.enable_audit();
     }
     sim.run()
 }

@@ -71,7 +71,7 @@ fn assert_executors_agree(s: &Scenario, policy: &str) {
     let real_handle = real_sink.handle();
     let trace = build_trace(s);
     let mut real_sim = build_sim(s, &trace, policy, real_sink);
-    real_sim.enable_audit(AuditConfig::default());
+    real_sim.enable_audit();
     let real = real_sim.run();
 
     let ref_sink = MemorySink::new(1 << 16);

@@ -90,7 +90,7 @@ fn run_direct(
     if let Some(sink) = sink {
         sim.set_trace_sink(Box::new(sink));
     }
-    sim.enable_audit(AuditConfig::default());
+    sim.enable_audit();
     let result = sim.run();
     let report = result.audit.as_ref().expect("audit enabled");
     assert!(report.is_clean(), "{}: {report}", result.scheduler);
