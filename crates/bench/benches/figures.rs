@@ -25,7 +25,6 @@ fn smoke_spec(profile: TraceProfile, kind: SchedulerKind, util: f64) -> RunSpec 
     spec.gen_nodes = nodes;
     spec.gen_util = util;
     spec.jobs = scale.jobs;
-    spec.record_task_waits = false;
     spec
 }
 
@@ -42,7 +41,7 @@ fn bench_fig2(c: &mut Criterion) {
             let spec = smoke_spec(TraceProfile::yahoo(), kind, 0.9);
             b.iter(|| {
                 let r = run_spec(black_box(&spec));
-                black_box(r.metrics.job_queuing.overall().mean())
+                black_box(r.job_queuing().overall().mean())
             });
         });
     }
@@ -131,8 +130,7 @@ fn bench_fig9(c: &mut Criterion) {
         b.iter(|| {
             let r = run_spec(black_box(&spec));
             black_box(
-                r.metrics
-                    .job_queuing
+                r.job_queuing()
                     .by_status(phoenix_metrics::ConstraintStatus::Constrained)
                     .mean(),
             )

@@ -23,7 +23,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
     spec.gen_nodes = 100;
     spec.jobs = 1_000;
     spec.gen_util = 0.7;
-    spec.record_task_waits = false;
     // Pre-measure the task count so throughput is per task.
     let tasks = run_spec(&spec).counters.tasks_completed;
     group.throughput(Throughput::Elements(tasks));
@@ -159,7 +158,6 @@ fn bench_crv_monitor(c: &mut Criterion) {
     spec.gen_nodes = 1_000;
     spec.jobs = 3_000;
     spec.gen_util = 0.92;
-    spec.record_task_waits = false;
     group.bench_function("refresh_1k_workers_via_run", |b| {
         b.iter(|| {
             // End-to-end: the run itself performs a monitor refresh every

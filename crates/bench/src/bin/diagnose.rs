@@ -123,8 +123,7 @@ fn main() {
         result.counters
     );
     let mut short = result
-        .metrics
-        .job_response
+        .job_response()
         .by_class(phoenix_metrics::JobClass::Short);
     println!(
         "short jobs: p50 {:.2}s p90 {:.2}s p99 {:.2}s max {:.2}s",

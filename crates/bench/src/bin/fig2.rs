@@ -58,7 +58,7 @@ fn run_panel(profile: &TraceProfile, scale: &Scale) {
         let trace = TraceGenerator::new(profile.clone(), seed).generate(scale.jobs, nodes, 0.9);
         for (ki, &kind) in kinds.iter().enumerate() {
             let r = run_on(&machines, &trace, kind, cutoff, seed);
-            columns[ki].1.merge(&r.metrics.job_queuing.overall());
+            columns[ki].1.merge(&r.job_queuing().overall());
         }
         // Baseline: the *same jobs* with their constraints stripped —
         // "the task queuing delay in case of jobs without constraints".
@@ -74,7 +74,7 @@ fn run_panel(profile: &TraceProfile, scale: &Scale) {
                 .collect(),
         );
         let r = run_on(&machines, &stripped, SchedulerKind::EagleC, cutoff, seed);
-        baseline.merge(&r.metrics.job_queuing.overall());
+        baseline.merge(&r.job_queuing().overall());
     }
     columns.push(("baseline".to_string(), baseline));
 

@@ -23,7 +23,6 @@ fn main() {
                 spec.gen_nodes = nodes;
                 spec.gen_util = 0.9;
                 spec.jobs = scale.jobs;
-                spec.record_task_waits = false;
                 spec
             })
             .collect();

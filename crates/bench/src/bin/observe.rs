@@ -46,7 +46,6 @@ fn main() {
     spec.gen_nodes = nodes;
     spec.gen_util = 0.9;
     spec.jobs = scale.jobs;
-    spec.record_task_waits = false;
     spec.faults = scale.faults;
     spec.trace_out = observe.trace_out.clone();
     spec.profile_hot_paths = observe.profile;

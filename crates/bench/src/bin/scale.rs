@@ -264,7 +264,6 @@ fn main() {
                 // job count into the generation seed makes each row an
                 // independent workload sample on the same cluster.
                 spec.gen_seed = Some(seed ^ (jobs as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                spec.record_task_waits = false;
                 spec.faults = scale.faults;
                 specs.push(spec.with_profiling());
             }
@@ -286,7 +285,6 @@ fn main() {
             spec.jobs = jobs;
             spec.gen_util = 0.9;
             spec.gen_seed = Some(seed ^ (jobs as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            spec.record_task_waits = false;
             spec.faults = scale.faults;
             specs.push(spec.with_profiling());
         }
@@ -320,7 +318,6 @@ fn main() {
             spec.jobs = fed_jobs;
             spec.gen_util = 0.9;
             spec.gen_seed = Some(seed ^ (fed_jobs as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            spec.record_task_waits = false;
             spec.faults = scale.faults;
             spec.federation = FederationConfig::sharded(k, staleness);
             specs.push(spec.with_profiling());

@@ -34,7 +34,6 @@ fn main() {
                 spec.gen_nodes = nodes;
                 spec.gen_util = 0.92;
                 spec.jobs = scale.jobs;
-                spec.record_task_waits = false;
                 spec
             })
             .collect();

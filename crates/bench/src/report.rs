@@ -47,7 +47,6 @@ pub fn sweep(
                 spec.jobs = scale.jobs;
                 spec.gen_nodes = base;
                 spec.gen_util = gen_util;
-                spec.record_task_waits = false;
                 specs.push(spec);
             }
         }

@@ -136,8 +136,6 @@ pub struct RunSpec {
     /// share its early critical path. Benchmarks sweeping `jobs` set this
     /// per row to decorrelate the samples.
     pub gen_seed: Option<u64>,
-    /// Record per-task wait samples (heavier; needed for CDF figures).
-    pub record_task_waits: bool,
     /// Fault profile injected into the run ([`FaultPlan::none`] for the
     /// paper's fault-free experiments).
     pub faults: FaultPlan,
@@ -170,7 +168,6 @@ impl RunSpec {
             gen_util: 0.9,
             seed: 1,
             gen_seed: None,
-            record_task_waits: true,
             faults: FaultPlan::none(),
             federation: FederationConfig::off(),
             trace_out: None,
@@ -267,7 +264,7 @@ pub fn run_spec_timed(spec: &RunSpec) -> (SimResult, RunTiming) {
     timing.trace_gen_s = started.elapsed().as_secs_f64();
     let cutoff = spec.profile.short_cutoff_s();
     let config = SimConfig {
-        record_task_waits: spec.record_task_waits,
+        record_task_waits: false,
         faults: spec.faults,
         federation: spec.federation,
         ..SimConfig::default()

@@ -76,11 +76,7 @@ pub struct Summary {
     pub jobs_failed: u64,
 }
 
-fn triple_of(
-    result: &SimResult,
-    dist: impl Fn(&SimResult) -> phoenix_metrics::Distribution,
-) -> PercentileTriple {
-    let mut d = dist(result);
+fn triple_of(mut d: phoenix_metrics::Distribution) -> PercentileTriple {
     PercentileTriple {
         p50: d.percentile(50.0),
         p90: d.percentile(90.0),
@@ -96,41 +92,28 @@ fn triple_of(
 /// Panics if `results` is empty.
 pub fn summarize(results: &[SimResult]) -> Summary {
     assert!(!results.is_empty(), "need at least one run");
+    let constrained_short = LatencyKey::new(JobClass::Short, ConstraintStatus::Constrained);
+    let unconstrained_short = LatencyKey::new(JobClass::Short, ConstraintStatus::Unconstrained);
     let summaries: Vec<Summary> = results
         .iter()
         .map(|r| {
-            let constrained_short = LatencyKey::new(JobClass::Short, ConstraintStatus::Constrained);
-            let unconstrained_short =
-                LatencyKey::new(JobClass::Short, ConstraintStatus::Unconstrained);
+            let response = r.job_response();
+            let queuing = r.job_queuing();
             Summary {
                 scheduler: r.scheduler.clone(),
                 nodes: r.workers,
                 utilization: r.utilization(),
-                short_response: triple_of(r, |r| r.metrics.job_response.by_class(JobClass::Short)),
-                long_response: triple_of(r, |r| r.metrics.job_response.by_class(JobClass::Long)),
-                short_queuing: triple_of(r, |r| r.metrics.job_queuing.by_class(JobClass::Short)),
-                constrained_queuing: triple_of(r, |r| {
-                    r.metrics
-                        .job_queuing
-                        .by_status(ConstraintStatus::Constrained)
-                }),
-                unconstrained_queuing: triple_of(r, |r| {
-                    r.metrics
-                        .job_queuing
-                        .by_status(ConstraintStatus::Unconstrained)
-                }),
-                constrained_short_response: triple_of(r, |r| {
-                    r.metrics.job_response.cell(constrained_short).clone()
-                }),
-                unconstrained_short_response: triple_of(r, |r| {
-                    r.metrics.job_response.cell(unconstrained_short).clone()
-                }),
-                constrained_short_queuing: triple_of(r, |r| {
-                    r.metrics.job_queuing.cell(constrained_short).clone()
-                }),
-                unconstrained_short_queuing: triple_of(r, |r| {
-                    r.metrics.job_queuing.cell(unconstrained_short).clone()
-                }),
+                short_response: triple_of(response.by_class(JobClass::Short)),
+                long_response: triple_of(response.by_class(JobClass::Long)),
+                short_queuing: triple_of(queuing.by_class(JobClass::Short)),
+                constrained_queuing: triple_of(queuing.by_status(ConstraintStatus::Constrained)),
+                unconstrained_queuing: triple_of(
+                    queuing.by_status(ConstraintStatus::Unconstrained),
+                ),
+                constrained_short_response: triple_of(response.cell(constrained_short).clone()),
+                unconstrained_short_response: triple_of(response.cell(unconstrained_short).clone()),
+                constrained_short_queuing: triple_of(queuing.cell(constrained_short).clone()),
+                unconstrained_short_queuing: triple_of(queuing.cell(unconstrained_short).clone()),
                 crv_reordered_tasks: r.counters.crv_reordered_tasks,
                 jobs_completed: r.counters.jobs_completed,
                 jobs_failed: r.counters.jobs_failed,

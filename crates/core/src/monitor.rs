@@ -178,7 +178,7 @@ impl CrvMonitor {
         }
         for constraint in instances.keys() {
             let mask = kind_mask[constraint.kind.index()];
-            let bits = state.feasibility.feasible_single(constraint);
+            let bits = state.feasibility().feasible_single(constraint);
             for (i, &word) in bits.iter().enumerate() {
                 let mut word = word;
                 while word != 0 {

@@ -84,12 +84,12 @@ pub fn crv_reorder_queue(
             if let Some(pos) = newly_pinned {
                 barrier = pos + 1;
             }
-            state.metrics.counters.crv_reordered_tasks += 1;
+            state.counters.crv_reordered_tasks += 1;
             promoted += 1;
             insert_pos = target + 1;
         } else {
-            state.metrics.counters.starvation_suppressions += 1;
-            let at_us = state.now.as_micros();
+            state.counters.starvation_suppressions += 1;
+            let at_us = state.now().as_micros();
             state.tracer_mut().emit(|| TraceRecord::Suppression {
                 at_us,
                 worker: worker.0,
@@ -98,7 +98,7 @@ pub fn crv_reorder_queue(
         }
     }
     if promoted > 0 {
-        let at_us = state.now.as_micros();
+        let at_us = state.now().as_micros();
         state.tracer_mut().emit(|| TraceRecord::Reorder {
             at_us,
             worker: worker.0,
@@ -142,9 +142,9 @@ pub fn crv_insert_tail(
         .worker(worker)
         .tail_insertion_target(slack_threshold, rank);
     let (moved, _) = state.promote_probe(worker, tail, to, slack_threshold);
-    let at_us = state.now.as_micros();
+    let at_us = state.now().as_micros();
     if moved > 0 {
-        state.metrics.counters.crv_insertions += 1;
+        state.counters.crv_insertions += 1;
         state.tracer_mut().emit(|| TraceRecord::Insertion {
             at_us,
             worker: worker.0,
@@ -152,7 +152,7 @@ pub fn crv_insert_tail(
         });
     }
     if suppressed {
-        state.metrics.counters.starvation_suppressions += 1;
+        state.counters.starvation_suppressions += 1;
         state.tracer_mut().emit(|| TraceRecord::Suppression {
             at_us,
             worker: worker.0,
@@ -281,7 +281,7 @@ mod tests {
         let promoted = crv_reorder_queue(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(promoted, 2);
         assert_eq!(order(&state), vec![1, 3, 0, 2], "net probes first, stable");
-        assert_eq!(state.metrics.counters.crv_reordered_tasks, 2);
+        assert_eq!(state.counters.crv_reordered_tasks, 2);
     }
 
     #[test]
@@ -307,7 +307,7 @@ mod tests {
         let promoted = crv_reorder_queue(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(promoted, 0, "pinned barrier blocks promotion");
         assert_eq!(order(&state), vec![0, 1]);
-        assert_eq!(state.metrics.counters.starvation_suppressions, 1);
+        assert_eq!(state.counters.starvation_suppressions, 1);
     }
 
     #[test]
@@ -336,8 +336,8 @@ mod tests {
         let moved = crv_insert_tail(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(moved, 0);
         assert_eq!(order(&state), vec![0, 1]);
-        assert_eq!(state.metrics.counters.starvation_suppressions, 1);
-        assert_eq!(state.metrics.counters.crv_insertions, 0);
+        assert_eq!(state.counters.starvation_suppressions, 1);
+        assert_eq!(state.counters.crv_insertions, 0);
     }
 
     #[test]
@@ -355,8 +355,8 @@ mod tests {
         let moved = crv_insert_tail(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(moved, 1);
         assert_eq!(order(&state), vec![0, 2, 1]);
-        assert_eq!(state.metrics.counters.crv_insertions, 1);
-        assert_eq!(state.metrics.counters.starvation_suppressions, 1);
+        assert_eq!(state.counters.crv_insertions, 1);
+        assert_eq!(state.counters.starvation_suppressions, 1);
     }
 
     #[test]
@@ -366,7 +366,7 @@ mod tests {
         let mut state = state_with_queue(vec![net_set(), net_set()]);
         let moved = crv_insert_tail(&mut state, WorkerId(0), &hot_net(), 5);
         assert_eq!(moved, 0);
-        assert_eq!(state.metrics.counters.starvation_suppressions, 0);
+        assert_eq!(state.counters.starvation_suppressions, 0);
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl Phoenix {
             let candidates: Vec<(phoenix_sim::ProbeId, phoenix_traces::JobId, u64)> = {
                 let state = ctx.state();
                 let w = state.worker(worker);
-                let mut ahead_us = w.running_work_us(state.now);
+                let mut ahead_us = w.running_work_us(state.now());
                 let mut candidates = Vec::new();
                 for p in w.queue() {
                     // A speculative probe may outlive its job: only a job

@@ -240,7 +240,7 @@ impl RangeRescan {
             }
         }
         r.instances = instances.len();
-        let machines = state.feasibility.machines();
+        let machines = state.feasibility().machines();
         for (i, w) in state.workers().iter().enumerate().take(end).skip(start) {
             if !w.is_idle() || !w.is_alive() {
                 continue;

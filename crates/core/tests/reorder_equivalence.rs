@@ -166,12 +166,12 @@ proptest! {
 
         prop_assert_eq!(promoted, ref_promoted, "promoted counts diverge");
         prop_assert_eq!(
-            state.metrics.counters.crv_reordered_tasks as usize,
+            state.counters.crv_reordered_tasks as usize,
             ref_promoted,
             "crv_reordered_tasks diverges"
         );
         prop_assert_eq!(
-            state.metrics.counters.starvation_suppressions as usize,
+            state.counters.starvation_suppressions as usize,
             ref_suppressed,
             "starvation_suppressions diverges"
         );

@@ -129,7 +129,7 @@ impl Scheduler for EagleC {
         if self.sticky_batch_probing && job_is_short && ctx.has_pending(job) {
             let probe = ctx.new_probe(job);
             ctx.counters_mut().sbp_continuations += 1;
-            ctx.enqueue_front(worker, probe);
+            ctx.state_mut().enqueue_probe_front(worker, probe);
             ctx.touch(worker);
             return;
         }
@@ -308,8 +308,7 @@ mod sss_behavior_tests {
         // With divide working, no short job ever waits behind a 2,000 s
         // long task: worst-case short response stays far below it.
         let mut short = result
-            .metrics
-            .job_response
+            .job_response()
             .by_class(phoenix_metrics::JobClass::Short);
         assert!(
             short.max() < 500.0,

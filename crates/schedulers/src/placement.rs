@@ -65,7 +65,7 @@ pub fn apply_placement_preference(
     if targets.len() < 2 || placement == PlacementConstraint::None {
         return targets;
     }
-    let machines = state.feasibility.machines();
+    let machines = state.feasibility().machines();
     // Group by rack with a linear probe: candidate lists are a handful of
     // workers, where a Vec beats hashing. Insertion order within a rack is
     // preserved (it is part of the deterministic output order).
@@ -230,7 +230,7 @@ pub fn send_speculative_probes(
 /// walk over every feasible worker never reads a task buffer.
 pub fn estimated_queue_work_us(state: &SimState, worker: WorkerId) -> u64 {
     let w = state.worker(worker);
-    w.queued_bound_work_us() + w.queued_spec_est_us() + w.running_work_us(state.now)
+    w.queued_bound_work_us() + w.queued_spec_est_us() + w.running_work_us(state.now())
 }
 
 #[cfg(test)]
@@ -290,7 +290,7 @@ mod tests {
         // First three picks cover all three racks.
         let racks: Vec<u32> = spread[..3]
             .iter()
-            .map(|w| state.feasibility.machines()[w.index()].rack)
+            .map(|w| state.feasibility().machines()[w.index()].rack)
             .collect();
         let mut sorted = racks.clone();
         sorted.sort_unstable();
@@ -323,7 +323,7 @@ mod tests {
         );
         let first_racks: Vec<u32> = colocated[..3]
             .iter()
-            .map(|w| state.feasibility.machines()[w.index()].rack)
+            .map(|w| state.feasibility().machines()[w.index()].rack)
             .collect();
         assert_eq!(first_racks, vec![1, 1, 1], "{colocated:?}");
         assert_eq!(colocated.len(), 4);

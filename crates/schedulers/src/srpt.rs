@@ -30,9 +30,9 @@ pub fn srpt_insert_tail(state: &mut SimState, worker: WorkerId, slack_threshold:
     let (to, pinned) = w.tail_insertion_target(slack_threshold, Probe::estimate_us);
     let (moved, _) = state.promote_probe(worker, tail, to, slack_threshold);
     if moved > 0 {
-        state.metrics.counters.srpt_reordered_tasks += 1;
+        state.counters.srpt_reordered_tasks += 1;
     } else if pinned {
-        state.metrics.counters.starvation_suppressions += 1;
+        state.counters.starvation_suppressions += 1;
     }
     moved
 }
@@ -132,7 +132,7 @@ mod tests {
             srpt_insert_tail(&mut state, w, 5);
         }
         assert_eq!(order(&state), vec![2, 1, 0], "shortest job first");
-        assert!(state.metrics.counters.srpt_reordered_tasks >= 2);
+        assert!(state.counters.srpt_reordered_tasks >= 2);
         assert!(is_srpt_ordered_modulo_slack(state.worker(WorkerId(0)), 5));
     }
 
@@ -169,7 +169,7 @@ mod tests {
             vec![1, 2, 0, 3],
             "job 0 pinned by slack bound"
         );
-        assert_eq!(state.metrics.counters.starvation_suppressions, 1);
+        assert_eq!(state.counters.starvation_suppressions, 1);
     }
 
     #[test]
@@ -183,8 +183,8 @@ mod tests {
         push_probe(&mut state, w, 2);
         assert_eq!(srpt_insert_tail(&mut state, w, 2), 1);
         assert_eq!(order(&state), vec![0, 2, 1]);
-        assert_eq!(state.metrics.counters.srpt_reordered_tasks, 1);
-        assert_eq!(state.metrics.counters.starvation_suppressions, 0);
+        assert_eq!(state.counters.srpt_reordered_tasks, 1);
+        assert_eq!(state.counters.starvation_suppressions, 0);
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn steal_feasible_probes(ctx: &mut SimCtx<'_>, victim: WorkerId, thief: WorkerId
         .map(|p| !p.is_bound() && ctx.is_feasible(thief, ctx.effective(p.job)))
         .collect();
     let mut decisions = steal.into_iter();
-    ctx.steal_probes_if(victim, |_| {
+    ctx.state_mut().steal_probes_if(victim, |_| {
         decisions.next().expect("one decision per probe")
     })
 }
@@ -186,8 +186,7 @@ mod tests {
         let makespan = result.metrics.makespan;
         assert!(makespan >= SimTime::from_secs_f64(100.0));
         let mut short_resp = result
-            .metrics
-            .job_response
+            .job_response()
             .by_class(phoenix_metrics::JobClass::Short);
         assert!(
             short_resp.max() < 50.0,

@@ -444,21 +444,21 @@ impl InvariantAuditor {
                 );
             }
         }
-        if state.metrics.counters.tasks_completed != completed_total {
+        if state.counters.tasks_completed != completed_total {
             self.violation(
                 now,
                 format!(
                     "tasks_completed counter {} != Σ per-job completions {}",
-                    state.metrics.counters.tasks_completed, completed_total
+                    state.counters.tasks_completed, completed_total
                 ),
             );
         }
-        if state.metrics.counters.jobs_completed != complete_jobs {
+        if state.counters.jobs_completed != complete_jobs {
             self.violation(
                 now,
                 format!(
                     "jobs_completed counter {} != complete jobs {}",
-                    state.metrics.counters.jobs_completed, complete_jobs
+                    state.counters.jobs_completed, complete_jobs
                 ),
             );
         }
@@ -700,7 +700,7 @@ impl ReferenceExecutor {
                     return;
                 }
                 let task = state.finish_task_on(worker, seq);
-                state.metrics.counters.tasks_completed += 1;
+                state.counters.tasks_completed += 1;
                 let job = state.jobs.get_mut(task.job);
                 let done = job.complete_task(state.now);
                 if done || job.is_failed() {
@@ -710,11 +710,10 @@ impl ReferenceExecutor {
                     state.metrics.makespan = state.now;
                 }
                 if done {
-                    let job = state.jobs.get(task.job);
-                    if !job.is_failed() {
+                    if !state.jobs.get(task.job).is_failed() {
                         state.outstanding_jobs -= 1;
                     }
-                    state.metrics.record_job_completion(job);
+                    state.counters.jobs_completed += 1;
                     let mut ctx = SimCtx { state, events };
                     scheduler.on_job_complete(task.job, &mut ctx);
                 }
@@ -760,7 +759,7 @@ impl ReferenceExecutor {
                 Some(d) => (d, SimDuration::ZERO),
                 None => {
                     if !state.jobs.has_pending(probe.job) {
-                        state.metrics.counters.redundant_probes += 1;
+                        state.counters.redundant_probes += 1;
                         continue;
                     }
                     let d = state.take_task(probe.job);
@@ -779,7 +778,7 @@ impl ReferenceExecutor {
                 .round() as u64)
                 .max(1);
             if probe.slowdown > 1.0 {
-                state.metrics.counters.relaxed_tasks += 1;
+                state.counters.relaxed_tasks += 1;
             }
             let start = state.now + fetch_delay;
             let finish = start + SimDuration(duration_us);

@@ -162,7 +162,7 @@ impl<'a> SimCtx<'a> {
 
     /// Scheduler-maintained counters.
     pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.state.metrics.counters
+        &mut self.state.counters
     }
 
     /// Creates a fresh speculative probe for `job` (not yet sent). From
@@ -197,9 +197,9 @@ impl<'a> SimCtx<'a> {
     /// goes through).
     pub fn send_probe(&mut self, worker: WorkerId, probe: Probe) {
         if probe.is_bound() {
-            self.state.metrics.counters.bound_placements += 1;
+            self.state.counters.bound_placements += 1;
         } else {
-            self.state.metrics.counters.probes_sent += 1;
+            self.state.counters.probes_sent += 1;
         }
         let at_us = self.state.now.as_micros();
         self.state
@@ -227,7 +227,7 @@ impl<'a> SimCtx<'a> {
         let state = &mut *self.state;
         let faults = &state.config.faults;
         if faults.probe_loss > 0.0 && state.fault_rng.random_bool(faults.probe_loss) {
-            state.metrics.counters.probes_lost += 1;
+            state.counters.probes_lost += 1;
             schedule_retry(self.events, state, probe);
             return;
         }
@@ -236,7 +236,7 @@ impl<'a> SimCtx<'a> {
             let max = state.config.faults.probe_delay_max.as_micros();
             if max > 0 {
                 delay = delay + SimDuration(state.fault_rng.random_range(0..max));
-                state.metrics.counters.probes_delayed += 1;
+                state.counters.probes_delayed += 1;
             }
         }
         self.events
@@ -279,7 +279,7 @@ impl<'a> SimCtx<'a> {
                 self.state.outstanding_jobs -= 1;
             }
             j.fail();
-            self.state.metrics.counters.jobs_failed += 1;
+            self.state.counters.jobs_failed += 1;
             self.state.finishing.push(job);
         }
     }
@@ -379,24 +379,6 @@ impl<'a> SimCtx<'a> {
         Some(self.state.remove_probe_at(worker, idx))
     }
 
-    /// Inserts a probe at the *front* of a worker's queue (sticky batch
-    /// probing: a continuation of service, not a reordering). Keeps the CRV
-    /// ledger in sync.
-    pub fn enqueue_front(&mut self, worker: WorkerId, probe: Probe) {
-        self.state.enqueue_probe_front(worker, probe);
-    }
-
-    /// Removes and returns every queued probe of `worker` matching
-    /// `predicate` (work stealing), in queue order; `predicate` sees each
-    /// queued probe once, head to tail. Keeps the CRV ledger in sync.
-    pub fn steal_probes_if(
-        &mut self,
-        worker: WorkerId,
-        predicate: impl FnMut(&Probe) -> bool,
-    ) -> Vec<Probe> {
-        self.state.steal_probes_if(worker, predicate)
-    }
-
     /// The default fault-recovery action for a probe whose placement was
     /// undone (lost in flight, dead target, or killed by a crash): resend
     /// it to one freshly sampled live feasible worker. Speculative probes
@@ -428,7 +410,7 @@ impl<'a> SimCtx<'a> {
             return None;
         }
         if !probe.is_bound() && !jobs.has_pending(probe.job) {
-            self.state.metrics.counters.redundant_probes += 1;
+            self.state.counters.redundant_probes += 1;
             return None;
         }
         Some(jobs.effective(probe.job))
@@ -438,7 +420,7 @@ impl<'a> SimCtx<'a> {
     /// probe's bypass counter (it is joining a fresh queue, not being
     /// starved in an old one).
     pub fn resend_probe(&mut self, worker: WorkerId, mut probe: Probe) {
-        self.state.metrics.counters.probe_retries += 1;
+        self.state.counters.probe_retries += 1;
         probe.bypass_count = 0;
         self.transfer_probe(worker, probe);
     }

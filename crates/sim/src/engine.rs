@@ -15,7 +15,7 @@ use crate::crvledger::CrvLedger;
 use crate::event::{Event, EventQueue};
 use crate::federation::{FederationState, GOSSIP_INTERVAL};
 use crate::jobstate::JobTable;
-use crate::metrics::{SimMetrics, SimResult};
+use crate::metrics::{Counters, SimMetrics, SimResult};
 use crate::probe::{Probe, ProbeId};
 use crate::profile::{ProfileScope, Profiler};
 use crate::scheduler::Scheduler;
@@ -28,9 +28,9 @@ use crate::worker::{RunningTask, Worker, WorkerId};
 #[derive(Debug)]
 pub struct SimState {
     /// Current simulated time.
-    pub now: crate::time::SimTime,
+    pub(crate) now: SimTime,
     /// Engine configuration.
-    pub config: SimConfig,
+    pub(crate) config: SimConfig,
     /// All workers, indexed by [`WorkerId`]; only the methods below change
     /// one, so the CRV ledger and the busy-worker count stay exact.
     workers: Vec<Worker>,
@@ -38,12 +38,14 @@ pub struct SimState {
     /// for the jobs in flight.
     pub jobs: JobTable,
     /// Feasibility oracle over the cluster's machine attributes.
-    pub feasibility: FeasibilityIndex,
+    pub(crate) feasibility: FeasibilityIndex,
     /// The run's constraint sets, interned, with their feasibility results
     /// over `feasibility` memoized.
     pub sets: SetTable,
     /// Metrics under accumulation.
     pub metrics: SimMetrics,
+    /// The run's counters, engine- and scheduler-maintained.
+    pub counters: Counters,
     pub(crate) rng: StdRng,
     /// Dedicated RNG stream for fault injection. Separate from the policy
     /// RNG so that enabling/disabling faults never shifts the draws
@@ -102,6 +104,21 @@ impl SimState {
         let id = ProbeId(self.next_probe);
         self.next_probe += 1;
         id
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Engine configuration.
+    pub fn config(&self) -> &SimConfig {
+        &self.config
+    }
+
+    /// Feasibility oracle over the cluster's machine attributes.
+    pub fn feasibility(&self) -> &FeasibilityIndex {
+        &self.feasibility
     }
 
     /// All workers, indexed by [`WorkerId`].
@@ -329,7 +346,8 @@ impl SimState {
     }
 
     /// Removes and returns every queued probe of `worker` matching
-    /// `predicate` (work stealing), keeping the CRV ledger in sync.
+    /// `predicate` (work stealing), in queue order; `predicate` sees each
+    /// queued probe once, head to tail. Keeps the CRV ledger in sync.
     pub fn steal_probes_if(
         &mut self,
         worker: WorkerId,
@@ -520,13 +538,14 @@ impl<'t> Simulation<'t> {
         Simulation {
             trace,
             state: SimState {
-                now: crate::time::SimTime::ZERO,
+                now: SimTime::ZERO,
                 config,
                 workers,
                 jobs: JobTable::with_capacity(jobs.len()),
                 feasibility,
                 sets: SetTable::default(),
                 metrics,
+                counters: Counters::default(),
                 rng: StdRng::seed_from_u64(seed),
                 fault_rng,
                 touched: Vec::new(),
@@ -659,7 +678,7 @@ impl<'t> Simulation<'t> {
                 if !self.state.workers[worker.index()].is_alive() {
                     // The target died while the probe was in flight: bounce
                     // it into the retry path after its backoff.
-                    self.state.metrics.counters.probes_lost += 1;
+                    self.state.counters.probes_lost += 1;
                     schedule_retry(&mut self.events, &self.state, probe);
                     return;
                 }
@@ -679,7 +698,7 @@ impl<'t> Simulation<'t> {
                     return;
                 }
                 let task = self.state.finish_task_on(worker, seq);
-                self.state.metrics.counters.tasks_completed += 1;
+                self.state.counters.tasks_completed += 1;
                 let job = self.state.jobs.get_mut(task.job);
                 let done = job.complete_task(self.state.now);
                 if done || job.is_failed() {
@@ -689,13 +708,12 @@ impl<'t> Simulation<'t> {
                     self.state.metrics.makespan = self.state.now;
                 }
                 if done {
-                    let job = self.state.jobs.get(task.job);
-                    if !job.is_failed() {
+                    if !self.state.jobs.get(task.job).is_failed() {
                         // The job just left the outstanding set (a failed
                         // job already left it when it was failed).
                         self.state.outstanding_jobs -= 1;
                     }
-                    self.state.metrics.record_job_completion(job);
+                    self.state.counters.jobs_completed += 1;
                     let mut ctx = SimCtx {
                         state: &mut self.state,
                         events: &mut self.events,
@@ -727,7 +745,7 @@ impl<'t> Simulation<'t> {
             }
             Event::WorkerRecover(worker) => {
                 self.state.recover_worker(worker);
-                self.state.metrics.counters.worker_recoveries += 1;
+                self.state.counters.worker_recoveries += 1;
                 let at_us = self.state.now.as_micros();
                 self.state.tracer.emit(|| TraceRecord::Recover {
                     at_us,
@@ -834,7 +852,7 @@ impl<'t> Simulation<'t> {
     /// drops its queued probes, fails every casualty over into the retry
     /// path, and schedules the recovery.
     fn apply_crash(&mut self, worker: WorkerId) {
-        self.state.metrics.counters.worker_crashes += 1;
+        self.state.counters.worker_crashes += 1;
         let (killed, dropped) = self.state.crash_worker(worker);
         let at_us = self.state.now.as_micros();
         let (n_killed, n_dropped) = (killed.len() as u32, dropped.len() as u32);
@@ -845,11 +863,11 @@ impl<'t> Simulation<'t> {
             dropped: n_dropped,
         });
         for probe in dropped {
-            self.state.metrics.counters.probes_lost += 1;
+            self.state.counters.probes_lost += 1;
             schedule_retry(&mut self.events, &self.state, probe);
         }
         for task in killed {
-            self.state.metrics.counters.tasks_killed += 1;
+            self.state.counters.tasks_killed += 1;
             if self.state.jobs.get(task.job).is_failed() {
                 // Failed jobs' tasks are cancelled work; nothing to retry.
                 self.state.abandon_task(task.job);
@@ -864,7 +882,7 @@ impl<'t> Simulation<'t> {
                 // reclaim it (or be discarded as redundant if a sibling
                 // probe got there first).
                 self.state.requeue_task(task.job, task.raw_duration_us);
-                self.state.metrics.counters.requeued_tasks += 1;
+                self.state.counters.requeued_tasks += 1;
                 None
             };
             let retry = Probe {
@@ -928,7 +946,7 @@ impl<'t> Simulation<'t> {
                     if !self.state.jobs.has_pending(probe.job) {
                         // Late binding win: every task already launched
                         // elsewhere; drop the redundant probe.
-                        self.state.metrics.counters.redundant_probes += 1;
+                        self.state.counters.redundant_probes += 1;
                         continue;
                     }
                     // Ask the job's scheduler for a task: one round trip.
@@ -957,7 +975,7 @@ impl<'t> Simulation<'t> {
                 .round() as u64)
                 .max(1);
             if probe.slowdown > 1.0 {
-                self.state.metrics.counters.relaxed_tasks += 1;
+                self.state.counters.relaxed_tasks += 1;
             }
             let start = self.state.now + fetch_delay;
             let finish = start + SimDuration(duration_us);
@@ -1039,7 +1057,7 @@ pub(crate) fn finalize_result(
         scheduler,
         workers: state.workers.len(),
         slots_per_worker: state.config.slots_per_worker.max(1),
-        counters: state.metrics.counters,
+        counters: state.counters,
         metrics: state.metrics,
         incomplete_jobs: incomplete,
         lost_tasks,

@@ -65,21 +65,16 @@ pub struct Counters {
     pub requeued_tasks: u64,
 }
 
-/// Metrics accumulated during a run.
+/// Metrics accumulated during a run. Per-job latencies are not kept here:
+/// they are derived from [`SimResult::job_outcomes`] once the run is over.
 #[derive(Debug, Clone)]
 pub struct SimMetrics {
-    /// Job response times (arrival → last task completion), seconds.
-    pub job_response: ClassifiedLatencies,
-    /// Per-job mean task queuing times, seconds.
-    pub job_queuing: ClassifiedLatencies,
     /// Per-task queue waits, seconds (optional, heavy).
     pub task_waits: Distribution,
     /// Queuing delay over time for constrained jobs (Fig. 3).
     pub constrained_wait_series: TimeSeries,
     /// Queuing delay over time for unconstrained jobs (Fig. 3).
     pub unconstrained_wait_series: TimeSeries,
-    /// Counters.
-    pub counters: Counters,
     /// Completion time of the last task.
     pub makespan: SimTime,
     /// Sum of busy slot time across workers, microseconds.
@@ -96,44 +91,13 @@ impl SimMetrics {
     pub fn new(bucket: SimDuration, record_task_waits: bool) -> Self {
         let width = bucket.as_secs_f64().max(1e-6);
         SimMetrics {
-            job_response: ClassifiedLatencies::new(),
-            job_queuing: ClassifiedLatencies::new(),
             task_waits: Distribution::new(),
             constrained_wait_series: TimeSeries::new(width),
             unconstrained_wait_series: TimeSeries::new(width),
-            counters: Counters::default(),
             makespan: SimTime::ZERO,
             busy_us: 0,
             record_task_waits,
         }
-    }
-
-    /// The (class, status) key for a job.
-    pub fn key_for(job: &JobState) -> LatencyKey {
-        LatencyKey::new(
-            if job.short {
-                JobClass::Short
-            } else {
-                JobClass::Long
-            },
-            if job.is_constrained() {
-                ConstraintStatus::Constrained
-            } else {
-                ConstraintStatus::Unconstrained
-            },
-        )
-    }
-
-    /// Records a completed job's response and queuing metrics.
-    pub(crate) fn record_job_completion(&mut self, job: &JobState) {
-        let key = Self::key_for(job);
-        if let Some(resp) = job.response_time() {
-            self.job_response.record(key, resp.as_secs_f64());
-        }
-        if let Some(wait) = job.mean_wait() {
-            self.job_queuing.record(key, wait.as_secs_f64());
-        }
-        self.counters.jobs_completed += 1;
     }
 
     /// Records one task launch's queue wait at simulated time `now`.
@@ -178,6 +142,22 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The job's (class, status) cell.
+    pub fn key(&self) -> LatencyKey {
+        LatencyKey::new(
+            if self.short {
+                JobClass::Short
+            } else {
+                JobClass::Long
+            },
+            if self.constrained {
+                ConstraintStatus::Constrained
+            } else {
+                ConstraintStatus::Unconstrained
+            },
+        )
+    }
+
     /// Job slowdown: response over the ideal zero-wait response
     /// (`None` until complete). Always ≥ 1 up to rounding.
     pub fn slowdown(&self) -> Option<f64> {
@@ -197,7 +177,7 @@ pub struct SimResult {
     pub slots_per_worker: usize,
     /// All metrics.
     pub metrics: SimMetrics,
-    /// Counters (duplicated out of `metrics` for convenience).
+    /// The run's counters.
     pub counters: Counters,
     /// Jobs that never completed (should be 0 for a well-formed run unless
     /// admission control failed them).
@@ -265,15 +245,39 @@ impl SimResult {
         self.metrics.busy_us as f64 / available
     }
 
+    /// Response times (arrival → last task completion) of the completed
+    /// jobs, seconds, by (class, status). Failed jobs that never completed
+    /// and jobs without tasks are left out.
+    pub fn job_response(&self) -> ClassifiedLatencies {
+        self.completed_jobs(|o| o.response_s)
+    }
+
+    /// Mean task queuing times of the completed jobs, seconds, by
+    /// (class, status).
+    pub fn job_queuing(&self) -> ClassifiedLatencies {
+        self.completed_jobs(|o| o.mean_wait_s)
+    }
+
+    /// `value` of every completed job that has one, in its job's cell.
+    fn completed_jobs(&self, value: impl Fn(&JobOutcome) -> Option<f64>) -> ClassifiedLatencies {
+        let mut cells = ClassifiedLatencies::new();
+        for o in self.job_outcomes.iter().filter(|o| o.response_s.is_some()) {
+            if let Some(v) = value(o) {
+                cells.record(o.key(), v);
+            }
+        }
+        cells
+    }
+
     /// Percentile of job response time for a (class, status) cell, seconds.
     pub fn response_percentile(&self, key: LatencyKey, p: f64) -> f64 {
-        let mut d = self.metrics.job_response.cell(key).clone();
+        let mut d = self.job_response().cell(key).clone();
         d.percentile(p)
     }
 
     /// Percentile of job response time for a whole class, seconds.
     pub fn class_response_percentile(&self, class: JobClass, p: f64) -> f64 {
-        self.metrics.job_response.by_class(class).percentile(p)
+        self.job_response().by_class(class).percentile(p)
     }
 
     /// FNV-1a fingerprint over the run's deterministic content: makespan,
@@ -407,27 +411,132 @@ mod tests {
 
     #[test]
     fn key_classification() {
-        let k = SimMetrics::key_for(&job(true, true));
+        let outcome = |short, constrained| JobOutcome {
+            job: JobId(0),
+            short,
+            user: 0,
+            constrained,
+            response_s: None,
+            mean_wait_s: None,
+            ideal_s: 1.0,
+            failed: false,
+        };
+        let k = outcome(true, true).key();
         assert_eq!(k.class, JobClass::Short);
         assert_eq!(k.status, ConstraintStatus::Constrained);
-        let k = SimMetrics::key_for(&job(false, false));
+        let k = outcome(false, false).key();
         assert_eq!(k.class, JobClass::Long);
         assert_eq!(k.status, ConstraintStatus::Unconstrained);
     }
 
+    /// Queues every task of a job on worker 0, fails a job no worker can
+    /// hold at arrival, and fails job 1 once its first task finished, so
+    /// that it launched a task but never completes.
+    #[derive(Debug)]
+    struct OneWorker;
+
+    impl crate::Scheduler for OneWorker {
+        fn name(&self) -> &str {
+            "one-worker"
+        }
+
+        fn on_job_arrival(&mut self, job: JobId, ctx: &mut crate::SimCtx<'_>) {
+            let set = ctx.effective(job);
+            if ctx.count_feasible(set) == 0 {
+                ctx.fail_job(job);
+                return;
+            }
+            for _ in 0..ctx.job(job).num_tasks() {
+                let probe = ctx.new_probe(job);
+                ctx.send_probe(crate::WorkerId(0), probe);
+            }
+        }
+
+        fn on_task_finish(
+            &mut self,
+            _worker: crate::WorkerId,
+            job: JobId,
+            _duration_us: u64,
+            ctx: &mut crate::SimCtx<'_>,
+        ) {
+            if job == JobId(1) {
+                ctx.fail_job(job);
+            }
+        }
+    }
+
+    /// The per-class views hold exactly the completed jobs, each in its
+    /// cell. A job failed after launching a task, a job failed as
+    /// hard-unsatisfiable and a job without tasks stay out of both views.
     #[test]
-    fn job_completion_recording() {
-        let mut m = SimMetrics::new(SimDuration::from_secs(60), true);
-        let mut j = job(false, true);
-        let _ = j.take_task();
-        j.wait_sum_us += 2_000_000;
-        j.complete_task(SimTime::from_secs_f64(5.0));
-        m.record_job_completion(&j);
-        assert_eq!(m.counters.jobs_completed, 1);
-        let key = SimMetrics::key_for(&j);
-        assert_eq!(m.job_response.cell(key).len(), 1);
-        let mut q = m.job_queuing.cell(key).clone();
-        assert!((q.percentile(50.0) - 2.0).abs() < 1e-9);
+    fn per_class_views_hold_exactly_the_completed_jobs() {
+        use crate::{SimConfig, Simulation};
+        use phoenix_constraints::{AttributeVector, FeasibilityIndex};
+        use phoenix_traces::Trace;
+
+        let cores_above = |cores| {
+            ConstraintSet::from_constraints(vec![Constraint::hard(
+                ConstraintKind::NumCores,
+                ConstraintOp::Gt,
+                cores,
+            )])
+        };
+        let job = |id, tasks: Vec<f64>, constraints, short| Job {
+            id: JobId(id),
+            arrival_s: f64::from(id) * 0.5,
+            task_durations_s: tasks,
+            estimated_task_duration_s: 2.0,
+            constraints,
+            short,
+            user: 0,
+        };
+        // The cluster's machines have 8 cores.
+        let trace = Trace::new(
+            "views",
+            vec![
+                job(0, vec![1.0, 2.0, 3.0], ConstraintSet::unconstrained(), true),
+                job(1, vec![1.0, 1.0], cores_above(4), false),
+                job(2, Vec::new(), ConstraintSet::unconstrained(), true),
+                job(3, vec![1.0, 1.0], cores_above(1_000), false),
+                job(4, vec![2.0], cores_above(4), false),
+            ],
+        );
+        let result = Simulation::new(
+            SimConfig::default(),
+            FeasibilityIndex::new(vec![AttributeVector::default(); 2]),
+            &trace,
+            Box::new(OneWorker),
+            7,
+        )
+        .run();
+        let [multi_task, failed_late, no_tasks, unsatisfiable, constrained] =
+            [0, 1, 2, 3, 4].map(|i| result.job_outcomes[i]);
+        assert!(failed_late.failed && failed_late.mean_wait_s.is_some());
+        assert!(failed_late.response_s.is_none());
+        assert!(!no_tasks.failed && no_tasks.response_s.is_none());
+        assert!(unsatisfiable.failed && unsatisfiable.mean_wait_s.is_none());
+        assert_eq!(result.counters.jobs_completed, 2);
+        assert_eq!(result.counters.jobs_failed, 2);
+
+        let short_free = LatencyKey::new(JobClass::Short, ConstraintStatus::Unconstrained);
+        let long_constrained = LatencyKey::new(JobClass::Long, ConstraintStatus::Constrained);
+        for (view, samples) in [
+            (
+                result.job_response(),
+                [multi_task.response_s, constrained.response_s],
+            ),
+            (
+                result.job_queuing(),
+                [multi_task.mean_wait_s, constrained.mean_wait_s],
+            ),
+        ] {
+            assert_eq!(view.len(), 2);
+            assert_eq!(view.cell(short_free).samples(), [samples[0].unwrap()]);
+            assert_eq!(view.cell(long_constrained).samples(), [samples[1].unwrap()]);
+        }
+        // Tasks run one at a time on worker 0: the job waits for all three.
+        assert!(multi_task.response_s.unwrap() >= 6.0);
+        assert!(multi_task.mean_wait_s.unwrap() > 0.0);
     }
 
     #[test]
@@ -460,7 +569,7 @@ mod tests {
             scheduler: "test".into(),
             workers,
             slots_per_worker: slots,
-            counters: m.counters,
+            counters: Counters::default(),
             metrics: m,
             incomplete_jobs: 0,
             lost_tasks: 0,
@@ -518,7 +627,7 @@ mod tests {
             scheduler: "test".into(),
             workers: 4,
             slots_per_worker: 1,
-            counters: m.counters,
+            counters: Counters::default(),
             metrics: m,
             incomplete_jobs: 0,
             lost_tasks: 0,

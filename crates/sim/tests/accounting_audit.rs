@@ -215,7 +215,7 @@ impl Scheduler for CrashInRttScheduler {
 
     fn on_wakeup(&mut self, _token: u64, ctx: &mut SimCtx<'_>) {
         let now = ctx.now();
-        let rtt = ctx.state().config.rtt();
+        let rtt = ctx.state().config().rtt();
         let (killed, dropped) = ctx.state_mut().crash_worker(WorkerId(0));
         assert!(dropped.is_empty(), "the probe was already dispatched");
         assert_eq!(killed.len(), 1, "the fetching task is a casualty");

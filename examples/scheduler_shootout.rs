@@ -33,7 +33,6 @@ fn main() {
             spec.gen_util = 0.9;
             spec.jobs = 6_000;
             spec.seed = 11;
-            spec.record_task_waits = false;
             spec
         })
         .collect();

@@ -159,7 +159,7 @@ impl Scheduler for StealHappy {
     ) {
         // Move every queued probe from the next worker over to this one.
         let victim = WorkerId((worker.0 + 1) % ctx.num_workers() as u32);
-        let stolen = ctx.steal_probes_if(victim, |p| !p.is_bound());
+        let stolen = ctx.state_mut().steal_probes_if(victim, |p| !p.is_bound());
         for probe in stolen {
             ctx.counters_mut().stolen_probes += 1;
             ctx.transfer_probe(worker, probe);

@@ -26,7 +26,6 @@ fn spec(kind: SchedulerKind, seed: u64, faults: FaultPlan) -> RunSpec {
     spec.jobs = 200;
     spec.gen_util = 0.7;
     spec.seed = seed;
-    spec.record_task_waits = false;
     spec.faults = faults;
     // Debug builds run the chaos battery under the invariant auditor;
     // `assert_alive` checks the report (see golden_traces.rs for the

@@ -40,7 +40,6 @@ fn matrix() -> Vec<Cell> {
                     spec.jobs = 200;
                     spec.gen_util = 0.7;
                     spec.seed = 11;
-                    spec.record_task_waits = false;
                     cells.push(Cell { spec, slots });
                 }
             }
@@ -59,7 +58,7 @@ fn run_cell(cell: &Cell, audit: bool) -> SimResult {
     let trace = TraceGenerator::new(spec.profile.clone(), spec.gen_seed.unwrap_or(spec.seed))
         .generate(spec.jobs, spec.gen_nodes, spec.gen_util);
     let config = SimConfig {
-        record_task_waits: spec.record_task_waits,
+        record_task_waits: false,
         faults: spec.faults,
         federation: spec.federation,
         slots_per_worker: cell.slots,

@@ -11,7 +11,6 @@ fn spec(profile: TraceProfile, kind: SchedulerKind, util: f64, seed: u64) -> Run
     spec.gen_util = util;
     spec.jobs = 2_000;
     spec.seed = seed;
-    spec.record_task_waits = false;
     spec
 }
 

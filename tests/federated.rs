@@ -30,7 +30,6 @@ fn spec(kind: SchedulerKind, seed: u64) -> RunSpec {
     spec.jobs = 200;
     spec.gen_util = 0.7;
     spec.seed = seed;
-    spec.record_task_waits = false;
     spec
 }
 
@@ -50,7 +49,7 @@ fn run_traced(spec: &RunSpec) -> (SimResult, Vec<TraceRecord>) {
     let trace = TraceGenerator::new(spec.profile.clone(), spec.gen_seed.unwrap_or(spec.seed))
         .generate(spec.jobs, spec.gen_nodes, spec.gen_util);
     let config = SimConfig {
-        record_task_waits: spec.record_task_waits,
+        record_task_waits: false,
         faults: spec.faults,
         federation: spec.federation,
         ..SimConfig::default()

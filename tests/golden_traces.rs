@@ -33,7 +33,6 @@ fn spec(kind: SchedulerKind, seed: u64) -> RunSpec {
     spec.jobs = 200;
     spec.gen_util = 0.7;
     spec.seed = seed;
-    spec.record_task_waits = false;
     // Debug builds replay the goldens under the invariant auditor: the
     // digests must still match the release-blessed snapshots (the auditor
     // is observational), and the report must come back clean.

@@ -18,7 +18,6 @@ fn phoenix_spec() -> RunSpec {
     spec.jobs = 200;
     spec.gen_util = 0.7;
     spec.seed = 42;
-    spec.record_task_waits = false;
     spec
 }
 

@@ -153,7 +153,6 @@ proptest! {
         spec.gen_util = util;
         spec.jobs = 150;
         spec.seed = seed;
-        spec.record_task_waits = false;
         let result = run_spec(&spec);
         prop_assert_eq!(result.incomplete_jobs, 0);
         let c = result.counters;
